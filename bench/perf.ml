@@ -198,6 +198,42 @@ let sc_list_scan iters =
     ignore (Sys.opaque_identity (System.sc_list sys tmpl))
   done
 
+(* One durable checkpoint's byte work: encode a churn-sized server image
+   (12 classes of 64 objects, a few armed markers, 4,096 tombstones) and
+   run the read-back frame check on it, as [Wal.checkpoint] does. Built
+   once, outside the timed loop. *)
+let checkpoint_image =
+  lazy
+    (List.init 12 (fun c ->
+         let cls = Printf.sprintf "c%d" c in
+         let objs =
+           List.init 64 (fun i ->
+               Pobj.make
+                 ~uid:(Uid.make ~machine:(i mod 8) ~serial:((c * 64) + i))
+                 [ Value.Sym cls; Value.Int i ])
+         in
+         let marks =
+           List.init (c mod 3) (fun k ->
+               {
+                 Server.mk_id = k;
+                 mk_machine = k;
+                 mk_tmpl = Template.headed cls [ Template.Any ];
+               })
+         in
+         let tombs =
+           List.init (4096 / 12 + if c < 4096 mod 12 then 1 else 0) (fun i ->
+               Uid.make ~machine:(i mod 8) ~serial:(100_000 + (c * 1000) + i))
+           |> List.sort Uid.compare
+         in
+         (cls, (objs, marks, tombs))))
+
+let checkpoint_encode_verify iters =
+  let snap = Lazy.force checkpoint_image in
+  for _ = 1 to iters do
+    let img = Durable.Codec.encode_snapshot snap in
+    if not (Durable.Codec.is_single_frame img) then failwith "checkpoint_encode_verify"
+  done
+
 let kernel_specs =
   [
     ("calibration", calibration, 2_000_000);
@@ -210,6 +246,7 @@ let kernel_specs =
     ("history_round", history_round, 300_000);
     ("sc_list_eq_head", sc_list_eq_head, 100_000);
     ("sc_list_scan", sc_list_scan, 50_000);
+    ("checkpoint_encode_verify", checkpoint_encode_verify, 2_000);
   ]
 
 (* ---- recovery (full state transfer vs durable log replay + delta) ----
@@ -245,7 +282,7 @@ let recovery_run ~durable ~n ~lambda ~ops =
   System.run sys;
   let cls = (List.hd (System.known_classes sys)).Obj_class.name in
   let m = List.hd (System.write_group sys ~cls) in
-  let snapshot_bytes = snd (System.server_snapshot sys ~machine:m) in
+  let snapshot_bytes = Server.snapshot_bytes (System.server_snapshot sys ~machine:m) in
   let stats = System.stats sys in
   let wire0 = Sim.Stats.total stats "vsync.state_bytes" in
   let sim0 = Sim.Engine.now (System.engine sys) in
@@ -976,6 +1013,10 @@ let trajectory_row label p =
       ("p99_sim_latency", num [ "e8_mix"; "p99_sim_latency" ]);
       ("slo_ramp_p99", num [ "slo"; "ramp"; "p99" ]);
       ("slo_ramp_p999", num [ "slo"; "ramp"; "p999" ]);
+      ( "checkpoint_encode_verify_ns",
+        match List.assoc_opt "checkpoint_encode_verify" (Bench_json.kernels p) with
+        | Some ns -> J.Num ns
+        | None -> J.Null );
     ]
 
 let append_trajectory ~path ~label p =

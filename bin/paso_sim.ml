@@ -729,7 +729,8 @@ let recover_cmd =
       let delta = Sim.Stats.total stats "durable.delta_bytes" in
       let full =
         match crashed with
-        | m :: _ -> snd (Paso.System.server_snapshot sys ~machine:m)
+        | m :: _ ->
+            Paso.Server.snapshot_bytes (Paso.System.server_snapshot sys ~machine:m)
         | [] -> 0
       in
       Printf.printf

@@ -234,7 +234,7 @@ let replicas m ~cls =
   | Some cs ->
       List.map
         (fun mach ->
-          let snapshot, _ = Server.snapshot m.servers.(mach) ~classes:[ cls ] in
+          let snapshot = Server.snapshot m.servers.(mach) ~classes:[ cls ] in
           let uids =
             match snapshot with
             | [ (_, (objs, _, _)) ] -> List.map Pobj.uid objs
@@ -467,7 +467,7 @@ let reconcile_delta m ~du_resync ~node ~group ~joiner =
     let joiner_objs =
       List.map
         (fun cls ->
-          let snap, _ = Server.snapshot m.servers.(joiner) ~classes:[ cls ] in
+          let snap = Server.snapshot m.servers.(joiner) ~classes:[ cls ] in
           match snap with [ (_, (objs, _, _)) ] -> (cls, objs) | _ -> (cls, []))
         classes
     in

@@ -18,12 +18,13 @@ type t = {
      removed), kept forever so durable-recovery reconciliation can
      tell "removed while you were down" from "you hold the last copy".
      Real systems GC these by epoch watermark; the simulation keeps
-     them all — runs are finite. Recording is off until a durable
-     layer attaches: without one, recovery wipes all memory anyway,
-     and a non-durable system must stay byte-identical to one that
-     never heard of tombstones. *)
+     them all, so every checkpoint carries them (DESIGN.md §9). They
+     are kept as sorted sets: a snapshot lists them without sorting.
+     Recording is off until a durable layer attaches: without one,
+     recovery wipes all memory anyway, and a non-durable system must
+     stay byte-identical to one that never heard of tombstones. *)
   mutable track_tombs : bool;
-  tombs : (string, unit Uid.Tbl.t) Hashtbl.t;
+  tombs : (string, Uid.Set.t) Hashtbl.t;
   (* Interned stat handles, resolved once here rather than hashing a
      key per replicated operation. *)
   c_stores : Sim.Stats.counter;
@@ -64,18 +65,13 @@ let marks_for t cls =
       Hashtbl.add t.marks cls r;
       r
 
-let tombs_for t cls =
-  match Hashtbl.find_opt t.tombs cls with
-  | Some tbl -> tbl
-  | None ->
-      let tbl = Uid.Tbl.create 16 in
-      Hashtbl.add t.tombs cls tbl;
-      tbl
+let tombs_of t cls =
+  match Hashtbl.find_opt t.tombs cls with Some ts -> ts | None -> Uid.Set.empty
 
-let tombstones t ~cls =
-  match Hashtbl.find_opt t.tombs cls with
-  | Some tbl -> List.sort Uid.compare (Uid.Tbl.fold (fun u () acc -> u :: acc) tbl [])
-  | None -> []
+let add_tombs t cls uids =
+  Hashtbl.replace t.tombs cls (Uid.Set.union (tombs_of t cls) (Uid.Set.of_list uids))
+
+let tombstones t ~cls = Uid.Set.elements (tombs_of t cls)
 
 let handle t = function
   | Store { cls; obj } ->
@@ -100,7 +96,8 @@ let handle t = function
       let work = s.Storage.cost.delete_cost (s.Storage.size ()) in
       let removed = s.Storage.remove_oldest tmpl in
       (match removed with
-      | Some o when t.track_tombs -> Uid.Tbl.replace (tombs_for t cls) (Pobj.uid o) ()
+      | Some o when t.track_tombs ->
+          Hashtbl.replace t.tombs cls (Uid.Set.add (Pobj.uid o) (tombs_of t cls))
       | Some _ | None -> ());
       (removed, work, [])
   | Place_marker { cls; mid; machine; tmpl } ->
@@ -137,25 +134,22 @@ let marker_bytes ms =
   List.fold_left (fun acc m -> acc + 8 + Template.size m.mk_tmpl) 0 ms
 
 let snapshot t ~classes =
-  let parts =
-    List.map
-      (fun cls ->
-        let objs =
-          match Hashtbl.find_opt t.stores cls with
-          | Some s -> s.Storage.to_list ()
-          | None -> []
-        in
-        (cls, (objs, markers t ~cls, tombstones t ~cls)))
-      (List.sort compare classes)
-  in
-  let bytes =
-    List.fold_left
-      (fun acc (cls, (objs, ms, ts)) ->
-        acc + String.length cls + Storage.snapshot_bytes objs + marker_bytes ms
-        + (Uid.size * List.length ts))
-      0 parts
-  in
-  (parts, bytes)
+  List.map
+    (fun cls ->
+      let objs =
+        match Hashtbl.find_opt t.stores cls with
+        | Some s -> s.Storage.to_list ()
+        | None -> []
+      in
+      (cls, (objs, markers t ~cls, tombstones t ~cls)))
+    (List.sort compare classes)
+
+let snapshot_bytes parts =
+  List.fold_left
+    (fun acc (cls, (objs, ms, ts)) ->
+      acc + String.length cls + Storage.snapshot_bytes objs + marker_bytes ms
+      + (Uid.size * List.length ts))
+    0 parts
 
 (* --- delta state transfer (durable recovery reconciliation) ----------- *)
 
@@ -230,18 +224,18 @@ let delta_against t ~classes ~basis ~joiner_objs =
       in
       let have = Uid.Tbl.create 16 in
       List.iter (fun u -> Uid.Tbl.replace have u ()) held;
-      let dt = tombs_for t cls in
       (* 1. Merge the joiner's tombstones; purge what they kill here. *)
-      List.iter (fun u -> Uid.Tbl.replace dt u ()) joiner_ts;
+      add_tombs t cls joiner_ts;
+      let dt = tombs_of t cls in
       let s = store_for t cls in
       let purge =
-        List.filter (fun o -> Uid.Tbl.mem dt (Pobj.uid o)) (s.Storage.to_list ())
+        List.filter (fun o -> Uid.Set.mem (Pobj.uid o) dt) (s.Storage.to_list ())
       in
       if purge <> [] then begin
         Hashtbl.replace t.stores cls
           (Store.load t.kind
              (List.filter
-                (fun o -> not (Uid.Tbl.mem dt (Pobj.uid o)))
+                (fun o -> not (Uid.Set.mem (Pobj.uid o) dt))
                 (s.Storage.to_list ())));
         purged := (cls, List.map Pobj.uid purge) :: !purged
       end;
@@ -256,7 +250,7 @@ let delta_against t ~classes ~basis ~joiner_objs =
       List.iter (fun o -> Uid.Tbl.replace auth_uids (Pobj.uid o) ()) auth;
       let adopt_uids =
         List.filter
-          (fun u -> not (Uid.Tbl.mem auth_uids u) && not (Uid.Tbl.mem dt u))
+          (fun u -> not (Uid.Tbl.mem auth_uids u) && not (Uid.Set.mem u dt))
           held
       in
       let adopt_objs =
@@ -281,7 +275,7 @@ let delta_against t ~classes ~basis ~joiner_objs =
         (fun o -> if not (Uid.Tbl.mem have (Pobj.uid o)) then objs := o :: !objs)
         auth;
       marks := (cls, markers t ~cls) :: !marks;
-      tombs := (cls, tombstones t ~cls) :: !tombs)
+      tombs := (cls, Uid.Set.elements dt) :: !tombs)
     classes;
   let d =
     {
@@ -315,24 +309,20 @@ let install_delta t d =
       Hashtbl.replace t.stores cls (Store.load t.kind objs))
     d.d_order;
   List.iter (fun (cls, ms) -> Hashtbl.replace t.marks cls (ref ms)) d.d_marks;
-  List.iter
-    (fun (cls, ts) ->
-      let tbl = tombs_for t cls in
-      List.iter (fun u -> Uid.Tbl.replace tbl u ()) ts)
-    d.d_tombs
+  List.iter (fun (cls, ts) -> add_tombs t cls ts) d.d_tombs
 
 (* Reconciliation fix-ups applied to the *other* operational members
    so the whole group converges on the adopt/purge verdicts. *)
 let reconcile_adopt t ~cls obj =
   let s = store_for t cls in
   if
-    (not (Uid.Tbl.mem (tombs_for t cls) (Pobj.uid obj)))
+    (not (Uid.Set.mem (Pobj.uid obj) (tombs_of t cls)))
     && not
          (List.exists (fun o -> Uid.equal (Pobj.uid o) (Pobj.uid obj)) (s.Storage.to_list ()))
   then s.Storage.insert obj
 
 let reconcile_purge t ~cls uid =
-  Uid.Tbl.replace (tombs_for t cls) uid ();
+  add_tombs t cls [ uid ];
   match Hashtbl.find_opt t.stores cls with
   | None -> ()
   | Some s ->
@@ -346,9 +336,7 @@ let install t snapshot =
     (fun (cls, (objs, ms, ts)) ->
       Hashtbl.replace t.stores cls (Store.load t.kind objs);
       Hashtbl.replace t.marks cls (ref ms);
-      let tbl = Uid.Tbl.create (max 16 (List.length ts)) in
-      List.iter (fun u -> Uid.Tbl.replace tbl u ()) ts;
-      Hashtbl.replace t.tombs cls tbl)
+      Hashtbl.replace t.tombs cls (Uid.Set.of_list ts))
     snapshot
 
 let evict t ~cls =

@@ -58,8 +58,11 @@ val query_work : t -> cls:string -> float
 val classes : t -> string list
 (** Classes with a local store, sorted. *)
 
-val snapshot : t -> classes:string list -> snapshot * int
-(** State-transfer snapshot of the given classes and its wire size. *)
+val snapshot : t -> classes:string list -> snapshot
+(** State-transfer snapshot of the given classes, sorted by class. *)
+
+val snapshot_bytes : snapshot -> int
+(** Its wire size, as state transfer charges it. *)
 
 val install : t -> snapshot -> unit
 (** Install a snapshot (replacing any existing stores for those

@@ -423,7 +423,7 @@ let extract_class t ~cls =
   let members = Vsync.members t.vs ~group in
   let objs, marks =
     match Server.snapshot t.servers.(List.hd members) ~classes:[ cls ] with
-    | [ (_, (objs, marks, _)) ], _ -> (objs, marks)
+    | [ (_, (objs, marks, _)) ] -> (objs, marks)
     | _ -> ([], [])
   in
   let lands =
@@ -630,10 +630,10 @@ let create ?(tracing = false) ?failpoints cfg =
   in
   let resp_size = function None -> 0 | Some o -> Pobj.size o in
   let state_of ~node ~group =
-    let snapshot, size =
+    let snapshot =
       Server.snapshot servers.(node) ~classes:(Membership.classes_of_group mem group)
     in
-    (Membership.Full snapshot, size)
+    (Membership.Full snapshot, Server.snapshot_bytes snapshot)
   in
   let state_delta ~node ~group ~joiner =
     match !tref with

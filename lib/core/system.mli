@@ -315,9 +315,10 @@ val set_durability : t -> durability -> unit
 
 val durability_attached : t -> bool
 
-val server_snapshot : t -> machine:int -> Server.snapshot * int
-(** Snapshot of every class the machine's server currently holds, with
-    its encoded wire size — checkpoint support for the durable layer. *)
+val server_snapshot : t -> machine:int -> Server.snapshot
+(** Snapshot of every class the machine's server currently holds —
+    checkpoint support for the durable layer. Its state-transfer wire
+    size is {!Server.snapshot_bytes}. *)
 
 (** {1 Class migration between shards}
 

@@ -25,14 +25,50 @@ type record =
 
 (* --- primitive writers -------------------------------------------------- *)
 
-let add_u8 b i = Buffer.add_char b (Char.chr (i land 0xff))
-let add_u32 b i = Buffer.add_int32_le b (Int32.of_int i)
-let add_i64 b i = Buffer.add_int64_le b (Int64.of_int i)
-let add_f64 b f = Buffer.add_int64_le b (Int64.bits_of_float f)
+(* One growable output buffer. A framed encode reserves the 8-byte frame
+   header at the front, writes the payload after it and fills the
+   header in place (see [framed]); with an exact capacity hint the
+   bytes become the result string without a copy. *)
+type writer = { mutable buf : Bytes.t; mutable len : int }
+
+let grow b n =
+  let buf = Bytes.create (max (b.len + n) (2 * Bytes.length b.buf)) in
+  Bytes.blit b.buf 0 buf 0 b.len;
+  b.buf <- buf
+
+(* The primitive writers are inlined, so the per-field cost is a bounds
+   compare and a store. *)
+let[@inline] reserve b n = if b.len + n > Bytes.length b.buf then grow b n
+
+let[@inline] add_u8 b i =
+  reserve b 1;
+  Bytes.unsafe_set b.buf b.len (Char.unsafe_chr (i land 0xff));
+  b.len <- b.len + 1
+
+let[@inline] add_u32 b i =
+  reserve b 4;
+  Bytes.set_int32_le b.buf b.len (Int32.of_int i);
+  b.len <- b.len + 4
+
+let[@inline] add_i64 b i =
+  reserve b 8;
+  Bytes.set_int64_le b.buf b.len (Int64.of_int i);
+  b.len <- b.len + 8
+
+let[@inline] add_f64 b f =
+  reserve b 8;
+  Bytes.set_int64_le b.buf b.len (Int64.bits_of_float f);
+  b.len <- b.len + 8
+
+let add_raw b s =
+  let n = String.length s in
+  reserve b n;
+  Bytes.blit_string s 0 b.buf b.len n;
+  b.len <- b.len + n
 
 let add_str b s =
   add_u32 b (String.length s);
-  Buffer.add_string b s
+  add_raw b s
 
 (* --- primitive readers -------------------------------------------------- *)
 
@@ -104,9 +140,11 @@ let get_uid r =
 
 let add_pobj b o =
   add_uid b (Pobj.uid o);
-  let fields = Pobj.fields o in
-  add_u32 b (List.length fields);
-  List.iter (add_value b) fields
+  let arity = Pobj.arity o in
+  add_u32 b arity;
+  for i = 0 to arity - 1 do
+    add_value b (Pobj.field o i)
+  done
 
 let get_pobj r =
   let uid = get_uid r in
@@ -235,36 +273,104 @@ let get_record r =
 let all_consumed ~what r =
   if r.pos <> r.limit then corrupt "%s: %d trailing bytes" what (r.limit - r.pos)
 
+(* --- encoded sizes --------------------------------------------------------- *)
+
+(* Exact encoded sizes, mirroring the writers above, so a framed encode
+   allocates its output once and never copies it. A wrong size costs a
+   buffer regrowth and a copy, never a different image. *)
+
+let str_size s = 4 + String.length s
+let uid_size = 16
+
+let value_size = function
+  | Value.Int _ | Value.Float _ -> 9
+  | Value.Str s | Value.Sym s -> 1 + str_size s
+  | Value.Bool _ -> 2
+
+let pobj_size o =
+  let size = ref (uid_size + 4) in
+  for i = 0 to Pobj.arity o - 1 do
+    size := !size + value_size (Pobj.field o i)
+  done;
+  !size
+
+let spec_size = function
+  | Template.Any -> 1
+  | Template.Eq v -> 1 + value_size v
+  | Template.Type_is s | Template.Pred (s, _) -> 1 + str_size s
+  | Template.Range (lo, hi) -> 1 + value_size lo + value_size hi
+
+let template_size tmpl =
+  List.fold_left
+    (fun acc sp -> acc + spec_size sp)
+    (4 + match Template.where_name tmpl with None -> 1 | Some name -> 1 + str_size name)
+    (Template.specs tmpl)
+
+let marker_size (m : Server.marker) = 16 + template_size m.Server.mk_tmpl
+
+let sum f l = List.fold_left (fun acc x -> acc + f x) 0 l
+
+let snapshot_size (snap : Server.snapshot) =
+  4
+  + sum
+      (fun (cls, (objs, marks, tombs)) ->
+        str_size cls + 12 + sum pobj_size objs + sum marker_size marks
+        + (uid_size * List.length tombs))
+      snap
+
+let record_size = function
+  | R_store { cls; obj } -> 1 + str_size cls + pobj_size obj
+  | R_remove { cls; _ } -> 1 + str_size cls + uid_size
+  | R_mark { cls; tmpl; _ } -> 1 + str_size cls + 16 + template_size tmpl
+  | R_cancel { cls; _ } -> 1 + str_size cls + 8
+
 (* --- framing ------------------------------------------------------------ *)
 
 (* Frame layout: [u32 len][u32 crc][payload]; the CRC covers the length
    prefix and the payload, so a corrupted length cannot silently
    re-parse. *)
 
-let frame payload =
-  let b = Buffer.create (String.length payload + 8) in
-  add_u32 b (String.length payload);
-  let header = Buffer.contents b in
-  let crc = Crc.update (Crc.string header) payload ~pos:0 ~len:(String.length payload) in
-  add_u32 b crc;
-  Buffer.add_string b payload;
-  Buffer.contents b
+let u32_at s pos = Int32.to_int (String.get_int32_le s pos) land 0xFFFFFFFF
 
-(* One attempted frame read at [pos]: [Ok (payload, next_pos)] or
-   [Error reason] (truncated or checksum mismatch — the torn tail). *)
-let read_frame s pos =
+(* Encode [x] as one frame in a single buffer: reserve the header, write
+   the payload behind it, then fill the header in place. The checksum
+   reads the buffer through a transient string view that is dead before
+   the CRC field is written. *)
+let framed ~size emit x =
+  let b = { buf = Bytes.create (8 + size); len = 8 } in
+  emit b x;
+  let len = b.len - 8 in
+  Bytes.set_int32_le b.buf 0 (Int32.of_int len);
+  let crc =
+    let view = Bytes.unsafe_to_string b.buf in
+    Crc.update (Crc.update 0 view ~pos:0 ~len:4) view ~pos:8 ~len
+  in
+  Bytes.set_int32_le b.buf 4 (Int32.of_int crc);
+  if b.len = Bytes.length b.buf then Bytes.unsafe_to_string b.buf
+  else Bytes.sub_string b.buf 0 b.len
+
+let frame payload = framed ~size:(String.length payload) add_raw payload
+
+(* Validate the frame at [pos] without copying its payload: [Ok
+   next_pos], or [Error reason] (truncated or checksum mismatch — the
+   torn tail). *)
+let check_frame s pos =
   let n = String.length s in
   if pos + 8 > n then Error "truncated header"
   else begin
-    let len = Int32.to_int (String.get_int32_le s pos) land 0xFFFFFFFF in
-    let stored = Int32.to_int (String.get_int32_le s (pos + 4)) land 0xFFFFFFFF in
-    if pos + 8 + len > n then Error "truncated payload"
-    else begin
+    let len = u32_at s pos in
+    if len > n - pos - 8 then Error "truncated payload"
+    else
       let crc = Crc.update (Crc.update 0 s ~pos ~len:4) s ~pos:(pos + 8) ~len in
-      if crc <> stored then Error "checksum mismatch"
-      else Ok (String.sub s (pos + 8) len, pos + 8 + len)
-    end
+      if crc <> u32_at s (pos + 4) then Error "checksum mismatch" else Ok (pos + 8 + len)
   end
+
+let read_frame s pos =
+  check_frame s pos
+  |> Result.map (fun next -> (String.sub s (pos + 8) (next - pos - 8), next))
+
+let is_single_frame s =
+  match check_frame s 0 with Ok next -> next = String.length s | Error _ -> false
 
 let read_frames s =
   let n = String.length s in
@@ -279,10 +385,7 @@ let read_frames s =
 
 (* --- public entry points ------------------------------------------------ *)
 
-let encode_record rcd =
-  let b = Buffer.create 64 in
-  add_record b rcd;
-  frame (Buffer.contents b)
+let encode_record rcd = framed ~size:(record_size rcd) add_record rcd
 
 let decode_record_payload payload =
   let r = reader payload in
@@ -290,17 +393,15 @@ let decode_record_payload payload =
   all_consumed ~what:"record" r;
   rcd
 
-let encode_snapshot snap =
-  let b = Buffer.create 256 in
-  add_snapshot b snap;
-  frame (Buffer.contents b)
+let encode_snapshot snap = framed ~size:(snapshot_size snap) add_snapshot snap
 
-let decode_snapshot framed =
-  match read_frames framed with
-  | [ payload ], `Clean ->
-      let r = reader payload in
+let decode_snapshot image =
+  match check_frame image 0 with
+  | Error reason -> corrupt "snapshot frame: %s" reason
+  | Ok next ->
+      if next <> String.length image then
+        corrupt "snapshot: %d bytes past the frame" (String.length image - next);
+      let r = reader ~pos:8 ~limit:next image in
       let snap = get_snapshot r in
       all_consumed ~what:"snapshot" r;
       snap
-  | _, `Torn reason -> corrupt "snapshot frame: %s" reason
-  | frames, `Clean -> corrupt "snapshot: %d frames, expected 1" (List.length frames)

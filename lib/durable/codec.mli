@@ -40,7 +40,8 @@ val decode_record_payload : string -> record
     @raise Corrupt on malformed data. *)
 
 val encode_snapshot : Server.snapshot -> string
-(** One framed checkpoint image. *)
+(** One framed checkpoint image, written in a single pass into one
+    exactly-sized buffer. *)
 
 val decode_snapshot : string -> Server.snapshot
 (** Decode a full framed checkpoint.
@@ -53,6 +54,12 @@ val read_frame : string -> int -> (string * int, string) result
 (** [read_frame s pos]: the frame starting at [pos] as
     [Ok (payload, next_pos)], or [Error reason] when truncated or
     failing its checksum. *)
+
+val is_single_frame : string -> bool
+(** [s] is exactly one intact frame: at least a header, a length prefix
+    that accounts for every remaining byte, and a matching checksum.
+    Same verdict as [read_frames s = ([_], `Clean)], without copying
+    the payload. *)
 
 val read_frames : string -> string list * [ `Clean | `Torn of string ]
 (** Scan a byte string as consecutive frames: the payloads up to the

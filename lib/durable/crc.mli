@@ -8,4 +8,7 @@ val string : string -> int
 val update : int -> string -> pos:int -> len:int -> int
 (** Fold a substring into a running checksum: [update 0 s ~pos:0
     ~len:(String.length s) = string s], and checksums compose over
-    concatenation. *)
+    concatenation. Reads eight bytes per step (slice-by-8); the result
+    is the bytewise CRC-32 exactly.
+    @raise Invalid_argument unless [0 <= pos], [0 <= len] and
+    [pos + len <= String.length s]. *)

@@ -29,6 +29,18 @@ let record_of msg ~resp =
   | Server.Cancel_marker { cls; mid }, _ -> Some (Codec.R_cancel { cls; mid })
   | Server.Remove _, None | Server.Mem_read _, _ -> None
 
+(* Checkpoint one machine's full server state and account the outcome;
+   the bytes written, or 0 on a failed (unverified) write. *)
+let checkpoint_machine sys wals machine =
+  let stats = System.stats sys in
+  let bytes = Wal.checkpoint wals.(machine) (System.server_snapshot sys ~machine) in
+  if bytes > 0 then begin
+    Sim.Stats.incr stats "durable.checkpoints";
+    Sim.Stats.add stats "durable.checkpoint_bytes" (float_of_int bytes)
+  end
+  else Sim.Stats.incr stats "durable.checkpoint_failures";
+  bytes
+
 let attach ?(policy = default_policy) ?disks sys =
   if policy.checkpoint_every < 0 then invalid_arg "Manager.attach: negative checkpoint_every";
   if policy.disk_alpha < 0.0 || policy.disk_beta < 0.0 then
@@ -44,16 +56,6 @@ let attach ?(policy = default_policy) ?disks sys =
     | None -> Array.init n (fun machine -> Disk.create ~machine)
   in
   let wals = Array.init n (fun m -> Wal.create ~fps ~machine:m ~disk:disks.(m)) in
-  let checkpoint_machine machine =
-    let snap, _ = System.server_snapshot sys ~machine in
-    let bytes = Wal.checkpoint wals.(machine) snap in
-    if bytes > 0 then begin
-      Sim.Stats.incr stats "durable.checkpoints";
-      Sim.Stats.add stats "durable.checkpoint_bytes" (float_of_int bytes)
-    end
-    else Sim.Stats.incr stats "durable.checkpoint_failures";
-    bytes
-  in
   let du_append ~machine msg ~resp =
     match record_of msg ~resp with
     | None -> 0.0
@@ -67,7 +69,7 @@ let attach ?(policy = default_policy) ?disks sys =
             policy.checkpoint_every > 0
             && Wal.records_since_checkpoint wals.(machine) >= policy.checkpoint_every
           then begin
-            let cb = checkpoint_machine machine in
+            let cb = checkpoint_machine sys wals machine in
             work +. policy.disk_alpha +. (policy.disk_beta *. float_of_int cb)
           end
           else work
@@ -93,19 +95,11 @@ let attach ?(policy = default_policy) ?disks sys =
      inside the vsync install continuation, which has no work-return
      channel, so (unlike appends) it adds no node busy time — an
      idealisation noted in DESIGN.md §9. *)
-  let du_resync ~machine = ignore (checkpoint_machine machine) in
+  let du_resync ~machine = ignore (checkpoint_machine sys wals machine) in
   System.set_durability sys { System.du_append; du_crash; du_recover; du_resync };
   { sys; policy; wals }
 
 let policy t = t.policy
 let wal t ~machine = t.wals.(machine)
 let disk t ~machine = Wal.disk t.wals.(machine)
-let checkpoint_now t ~machine =
-  let stats = System.stats t.sys in
-  let bytes = Wal.checkpoint t.wals.(machine) (fst (System.server_snapshot t.sys ~machine)) in
-  if bytes > 0 then begin
-    Sim.Stats.incr stats "durable.checkpoints";
-    Sim.Stats.add stats "durable.checkpoint_bytes" (float_of_int bytes)
-  end
-  else Sim.Stats.incr stats "durable.checkpoint_failures";
-  bytes
+let checkpoint_now t ~machine = checkpoint_machine t.sys t.wals machine

@@ -42,9 +42,6 @@ let append t rcd =
   t.records_since <- t.records_since + 1;
   String.length written
 
-let verified bytes =
-  match Codec.read_frames bytes with [ _ ], `Clean -> true | _ -> false
-
 let checkpoint t snap =
   let bytes = Codec.encode_snapshot snap in
   let full = String.length bytes in
@@ -59,7 +56,7 @@ let checkpoint t snap =
     | _ -> Some bytes
   in
   match written with
-  | Some w when verified w ->
+  | Some w when Codec.is_single_frame w ->
       Disk.set_checkpoint t.disk w;
       Disk.wal_clear t.disk;
       t.records_since <- 0;
@@ -96,7 +93,7 @@ type rstate = {
   mutable classes : string list; (* first-seen, reversed *)
   robjs : (string, Pobj.t list ref) Hashtbl.t;
   rmarks : (string, Server.marker list ref) Hashtbl.t;
-  rtombs : (string, unit Uid.Tbl.t) Hashtbl.t;
+  rtombs : (string, Uid.Set.t ref) Hashtbl.t;
 }
 
 let rs_class st cls =
@@ -104,7 +101,7 @@ let rs_class st cls =
     st.classes <- cls :: st.classes;
     Hashtbl.add st.robjs cls (ref []);
     Hashtbl.add st.rmarks cls (ref []);
-    Hashtbl.add st.rtombs cls (Uid.Tbl.create 8)
+    Hashtbl.add st.rtombs cls (ref Uid.Set.empty)
   end;
   (Hashtbl.find st.robjs cls, Hashtbl.find st.rmarks cls)
 
@@ -116,7 +113,8 @@ let rs_apply st = function
   | Codec.R_remove { cls; uid } ->
       let objs, _ = rs_class st cls in
       objs := List.filter (fun o -> not (Uid.equal (Pobj.uid o) uid)) !objs;
-      Uid.Tbl.replace (Hashtbl.find st.rtombs cls) uid ()
+      let tombs = Hashtbl.find st.rtombs cls in
+      tombs := Uid.Set.add uid !tombs
   | Codec.R_mark { cls; mid; machine; tmpl } ->
       let _, marks = rs_class st cls in
       if not (List.exists (fun m -> m.Server.mk_id = mid) !marks) then
@@ -150,8 +148,7 @@ let recover t =
                   let o, m = rs_class st cls in
                   o := List.rev objs;
                   m := marks;
-                  let tt = Hashtbl.find st.rtombs cls in
-                  List.iter (fun u -> Uid.Tbl.replace tt u ()) tombs)
+                  Hashtbl.find st.rtombs cls := Uid.Set.of_list tombs)
                 snap;
               (String.length bytes, false)
           | exception Codec.Corrupt _ -> (0, true))
@@ -170,14 +167,10 @@ let recover t =
     let snapshot =
       List.sort compare st.classes
       |> List.map (fun cls ->
-             let tombs =
-               Uid.Tbl.fold (fun u () acc -> u :: acc) (Hashtbl.find st.rtombs cls) []
-               |> List.sort Uid.compare
-             in
              ( cls,
                ( List.rev !(Hashtbl.find st.robjs cls),
                  !(Hashtbl.find st.rmarks cls),
-                 tombs ) ))
+                 Uid.Set.elements !(Hashtbl.find st.rtombs cls) ) ))
     in
     let objects =
       List.fold_left

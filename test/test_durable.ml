@@ -34,6 +34,48 @@ let test_crc_single_byte () =
         (Durable.Crc.string (Bytes.to_string b) <> reference))
     s
 
+(* Out-of-range arguments are rejected before any byte is read. *)
+let test_crc_bounds () =
+  let s = "0123456789" in
+  List.iter
+    (fun (pos, len) ->
+      Alcotest.check_raises
+        (Printf.sprintf "pos %d len %d" pos len)
+        (Invalid_argument "Crc.update")
+        (fun () -> ignore (Durable.Crc.update 0 s ~pos ~len)))
+    [ (-1, 2); (0, -1); (0, 11); (5, 6); (11, 0); (10, 1); (max_int, 1); (1, max_int) ];
+  Alcotest.(check int) "empty range at the end" 7 (Durable.Crc.update 7 s ~pos:10 ~len:0)
+
+(* The bytewise table-driven CRC-32, kept as the reference the
+   slice-by-8 [Crc.update] must reproduce exactly. *)
+let reference_crc =
+  let table =
+    Array.init 256 (fun n ->
+        let c = ref n in
+        for _ = 0 to 7 do
+          if !c land 1 = 1 then c := 0xEDB88320 lxor (!c lsr 1) else c := !c lsr 1
+        done;
+        !c)
+  in
+  fun crc s ~pos ~len ->
+    let crc = ref (crc lxor 0xFFFFFFFF) in
+    for i = pos to pos + len - 1 do
+      crc := table.((!crc lxor Char.code s.[i]) land 0xFF) lxor (!crc lsr 8)
+    done;
+    !crc lxor 0xFFFFFFFF
+
+let test_crc_slice8_prop =
+  QCheck2.Test.make ~name:"slice-by-8 update = bytewise reference" ~count:1000
+    QCheck2.Gen.(
+      quad
+        (string_size (int_range 0 200))
+        (int_range 0 max_int) (int_range 0 max_int) (int_range 0 0xFFFFFFFF))
+    (fun (s, a, b, seed) ->
+      let n = String.length s in
+      let pos = a mod (n + 1) in
+      let len = b mod (n - pos + 1) in
+      Durable.Crc.update seed s ~pos ~len = reference_crc seed s ~pos ~len)
+
 (* --- frames ----------------------------------------------------------------- *)
 
 let test_frames_round_trip () =
@@ -65,6 +107,43 @@ let test_frames_any_byte_corruption () =
           if got = [ "first"; "second" ] then
             Alcotest.failf "corruption at byte %d went undetected" i)
     stream
+
+(* [is_single_frame] must give [read_frames]' verdict on exactly one
+   clean frame, over valid frames, truncations, appended bytes and
+   single-bit flips. *)
+let test_single_frame_prop =
+  let damage =
+    QCheck2.Gen.(
+      oneof
+        [
+          pure `None;
+          map (fun k -> `Cut k) (int_range 0 max_int);
+          map (fun s -> `Append s) (string_size (int_range 1 20));
+          map2 (fun p b -> `Flip (p, b)) (int_range 0 max_int) (int_range 0 7);
+          pure `Second;
+        ])
+  in
+  QCheck2.Test.make ~name:"is_single_frame = read_frames' one clean frame" ~count:1000
+    QCheck2.Gen.(pair (string_size (int_range 0 64)) damage)
+    (fun (payload, d) ->
+      let f = Durable.Codec.frame payload in
+      let n = String.length f in
+      let s =
+        match d with
+        | `None -> f
+        | `Cut k -> String.sub f 0 (k mod n)
+        | `Append tail -> f ^ tail
+        | `Flip (p, bit) ->
+            let b = Bytes.of_string f in
+            let p = p mod n in
+            Bytes.set b p (Char.chr (Char.code (Bytes.get b p) lxor (1 lsl bit)));
+            Bytes.to_string b
+        | `Second -> f ^ Durable.Codec.frame payload
+      in
+      let expected =
+        match Durable.Codec.read_frames s with [ _ ], `Clean -> true | _ -> false
+      in
+      Durable.Codec.is_single_frame s = expected)
 
 (* --- record codec ----------------------------------------------------------- *)
 
@@ -375,6 +454,129 @@ let test_wal_marker_replay () =
         (List.map (fun m -> m.Server.mk_id) marks)
   | _ -> Alcotest.fail "expected exactly class a"
 
+(* --- byte-identity pins ------------------------------------------------------ *)
+
+(* The checkpoint image is a wire format: its exact bytes are what
+   [durable.checkpoint_bytes], disk time and every virtual-time figure
+   downstream are computed from. These digests were taken from the
+   original Buffer-based encoder; any change to them is a format
+   change. *)
+
+let pin_snapshot () : Server.snapshot =
+  List.init 3 (fun c ->
+      let cls = Printf.sprintf "pin/%d" c in
+      let objs =
+        List.init 40 (fun i ->
+            obj ~machine:(i mod 8) ~serial:((c * 1000) + i)
+              [
+                Value.Sym cls;
+                Value.Int (i - 20);
+                Value.Str (String.make (i mod 7) 'p');
+                Value.Float (float_of_int i /. 3.0);
+                Value.Bool (i mod 2 = 0);
+              ])
+      in
+      let marks =
+        List.init 3 (fun k ->
+            {
+              Server.mk_id = (c * 10) + k;
+              mk_machine = k;
+              mk_tmpl =
+                Template.headed cls
+                  [ Template.Range (Value.Int 0, Value.Int k); Template.Any ];
+            })
+      in
+      let tombs =
+        List.init 1500 (fun i -> uid ~machine:(i mod 8) ~serial:(10_000 + (c * 3000) + i))
+        |> List.sort Uid.compare
+      in
+      (cls, (objs, marks, tombs)))
+
+let hex s = Digest.to_hex (Digest.string s)
+
+let test_pin_snapshot_image () =
+  Alcotest.(check string) "encode_snapshot digest" "7ecaae9a2c441d41f445b9893fe6f739"
+    (hex (Durable.Codec.encode_snapshot (pin_snapshot ())))
+
+(* A churn-shaped durable run: counter-policy joins and evictions (each
+   followed by a resync checkpoint), periodic checkpoints, reads,
+   removes that leave tombstones, and rolling crashes with recovery.
+   Deterministic from its seed. *)
+let churn_disks () =
+  let n = 8 in
+  let sys =
+    System.create
+      {
+        System.default_config with
+        n;
+        lambda = 2;
+        policy = Adaptive.Live_policy.counter ~k:4.0 ();
+      }
+  in
+  let mgr = Durable.Manager.attach sys in
+  let heads = Array.init 6 (Printf.sprintf "h%d") in
+  let tmpls = Array.map (fun h -> Template.headed h [ Template.Any ]) heads in
+  Array.iteri
+    (fun c h ->
+      for j = 0 to 47 do
+        System.insert sys ~machine:((c + j) mod n) [ Value.Sym h; Value.Int (-1 - j) ]
+          ~on_done:ignore
+      done)
+    heads;
+  System.run sys;
+  let rs = Random.State.make [| 42 |] in
+  let t0 = System.now sys in
+  let rec live m k =
+    if k = n || System.is_up sys m then m else live ((m + 1) mod n) (k + 1)
+  in
+  for i = 0 to 1499 do
+    System.run_until sys (t0 +. (float_of_int i *. 2000.0));
+    if i mod 250 = 100 then System.crash sys ~machine:(i / 250 mod n);
+    if i mod 250 = 200 then System.recover sys ~machine:(i / 250 mod n);
+    let m = live (Random.State.int rs n) 0 in
+    let c = Random.State.int rs (Array.length heads) in
+    match Random.State.int rs 10 with
+    | 0 ->
+        System.insert sys ~machine:m [ Value.Sym heads.(c); Value.Int i ] ~on_done:ignore
+    | w when w < 8 -> System.read sys ~machine:m tmpls.(c) ~on_done:ignore
+    | _ -> System.read_del sys ~machine:m tmpls.(c) ~on_done:ignore
+  done;
+  System.run sys;
+  let images =
+    List.init n (fun m -> Durable.Disk.checkpoint (Durable.Manager.disk mgr ~machine:m))
+  in
+  let tombs =
+    List.fold_left
+      (fun acc img ->
+        match img with
+        | None -> acc
+        | Some img ->
+            List.fold_left
+              (fun acc (_, (_, _, ts)) -> acc + List.length ts)
+              acc (Durable.Codec.decode_snapshot img))
+      0 images
+  in
+  ( List.map (function Some img -> hex img | None -> "none") images,
+    Sim.Stats.count (System.stats sys) "durable.checkpoints",
+    tombs )
+
+let test_pin_churn_images () =
+  let images, checkpoints, tombs = churn_disks () in
+  Alcotest.(check int) "checkpoints taken" 142 checkpoints;
+  Alcotest.(check int) "tombstones on disk" 1034 tombs;
+  Alcotest.(check (list string)) "per-machine checkpoint digests"
+    [
+      "e86c744a118d8a302d8c0e70f21acaf7";
+      "519caeeb374d326df92968dd56d40b74";
+      "09e34dfba60bdd58cb6b87c928871ce7";
+      "c4bf8637f635e39979671453b4bed5f3";
+      "39f23aa1d68bc2fdbe1563aee6bf030c";
+      "9879a08f6017a7c88c978929e2a183ba";
+      "c917ceef97d9353f3246f30f0b722ace";
+      "d059b29897ab74e45a992f8833757d6d";
+    ]
+    images
+
 let () =
   Alcotest.run "durable"
     [
@@ -383,6 +585,8 @@ let () =
           Alcotest.test_case "known vectors" `Quick test_crc_known;
           Alcotest.test_case "update composes" `Quick test_crc_compose;
           Alcotest.test_case "single-byte flips detected" `Quick test_crc_single_byte;
+          Alcotest.test_case "out-of-range pos/len rejected" `Quick test_crc_bounds;
+          QCheck_alcotest.to_alcotest test_crc_slice8_prop;
         ] );
       ( "frames",
         [
@@ -390,6 +594,7 @@ let () =
           Alcotest.test_case "torn tail" `Quick test_frames_torn_tail;
           Alcotest.test_case "any byte corruption detected" `Quick
             test_frames_any_byte_corruption;
+          QCheck_alcotest.to_alcotest test_single_frame_prop;
         ] );
       ( "records",
         [ Alcotest.test_case "all four variants round trip" `Quick test_record_round_trip ] );
@@ -415,5 +620,10 @@ let () =
             test_wal_bad_checkpoint_fallback;
           Alcotest.test_case "marker replay mirrors the server" `Quick
             test_wal_marker_replay;
+        ] );
+      ( "pins",
+        [
+          Alcotest.test_case "snapshot image" `Quick test_pin_snapshot_image;
+          Alcotest.test_case "churn disk images" `Quick test_pin_churn_images;
         ] );
     ]

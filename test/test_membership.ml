@@ -37,11 +37,11 @@ let make ?(n = 6) ?(lambda = 1) () =
       resp_size = (function None -> 0 | Some o -> Pobj.size o);
       state_of =
         (fun ~node ~group ->
-          let snapshot, size =
+          let snapshot =
             Server.snapshot servers.(node)
               ~classes:(Membership.classes_of_group mem group)
           in
-          (Membership.Full snapshot, size));
+          (Membership.Full snapshot, Server.snapshot_bytes snapshot));
       state_delta = (fun ~node:_ ~group:_ ~joiner:_ -> None);
       install_state =
         (fun ~node ~group:_ -> function

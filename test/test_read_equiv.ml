@@ -185,7 +185,7 @@ let oracle_agrees sys result =
       match List.filter (System.is_up sys) (System.write_group sys ~cls) with
       | [] -> resp = None
       | m :: _ -> (
-          let snap, _ = System.server_snapshot sys ~machine:m in
+          let snap = System.server_snapshot sys ~machine:m in
           let held =
             match List.assoc_opt cls snap with Some (objs, _, _) -> objs | None -> []
           in

@@ -156,7 +156,9 @@ let test_delta_cheaper_than_full () =
     Sim.Stats.total stats "durable.basis_bytes"
     +. Sim.Stats.total stats "durable.delta_bytes"
   in
-  let full = float_of_int (snd (System.server_snapshot sys ~machine:m)) in
+  let full =
+    float_of_int (Server.snapshot_bytes (System.server_snapshot sys ~machine:m))
+  in
   Alcotest.(check bool)
     (Printf.sprintf "basis+delta (%g) < full snapshot (%g)" moved full)
     true (moved > 0.0 && moved < full);
