@@ -727,16 +727,14 @@ let adaptive_profile () =
 
 (* ---- cluster-local marker wakes (E13) ----
 
-   The satellite score for [cluster_markers]: a 3-cluster WAN ensemble
-   parks a blocking taker on every machine, then a single producer
-   satisfies them one at a time — each insert wakes every parked
-   marker, so the wake path dominates the run's WAN traffic. Virtual
-   time only, so the off/on rows are deterministic on any host. The
-   knob reroutes each wake to a write-group member in the waiter's own
-   cluster when one exists; it never moves the markers themselves
-   (every write-group member keeps one — a restricted placement would
-   lose wakes across leader changes). *)
-let cluster_markers_run ~on =
+   The WAN wake path: a 3-cluster ensemble parks a blocking taker on
+   every machine, then a single producer satisfies them one at a time —
+   each insert wakes every parked marker, so the wake path dominates
+   the run's WAN traffic. On a WAN the router sends each wake from a
+   write-group member in the waiter's own cluster when one exists
+   ([Router.wake_agent]); the markers themselves stay on every member.
+   Virtual time only, so the row is deterministic on any host. *)
+let markers_run () =
   let n = 12 in
   let clusters = Array.init n (fun m -> m / 4) in
   let sys =
@@ -745,7 +743,6 @@ let cluster_markers_run ~on =
         System.default_config with
         n;
         lambda = 5;
-        cluster_markers = on;
         topology =
           System.Wan { clusters; remote = Net.Cost_model.v ~alpha:5000.0 ~beta:4.0 };
       }
@@ -764,21 +761,13 @@ let cluster_markers_run ~on =
   (!woken, Sim.Stats.count (System.stats sys) "net.wan_msgs", System.wan_cost sys)
 
 let markers_profile () =
-  let report on =
-    let woken, wan_msgs, wan_cost = cluster_markers_run ~on in
-    if woken <> 12 then begin
-      Printf.eprintf "markers: %d of 12 takers woke (cluster_markers %b)\n" woken on;
-      exit 1
-    end;
-    Printf.printf "  markers cluster_markers=%-5b wan msgs %6d  wan cost %12.0f\n%!" on
-      wan_msgs wan_cost;
-    ( (if on then "on" else "off"),
-      J.Obj [ ("wan_msgs", J.Num (float_of_int wan_msgs)); ("wan_cost", J.Num wan_cost) ]
-    )
-  in
-  let off = report false in
-  let on = report true in
-  J.Obj [ off; on ]
+  let woken, wan_msgs, wan_cost = markers_run () in
+  if woken <> 12 then begin
+    Printf.eprintf "markers: %d of 12 takers woke\n" woken;
+    exit 1
+  end;
+  Printf.printf "  markers wan msgs %6d  wan cost %12.0f\n%!" wan_msgs wan_cost;
+  J.Obj [ ("wan_msgs", J.Num (float_of_int wan_msgs)); ("wan_cost", J.Num wan_cost) ]
 
 (* ---- profile assembly ---- *)
 
@@ -936,13 +925,20 @@ let gate_against ~path ~tol fresh =
           | Some cores, Some f, Some b when cores >= 4.0 ->
               check_throughput "rebalance.skewed.ops_per_s" f b
           | _ -> ());
+          (* A gated path the baseline has must be in the fresh profile
+             whenever the fresh run computed its section at all — so a
+             renamed or dropped row fails loudly, while an [--only slo]
+             run still passes over the sections it skipped. *)
           List.iter
             (fun path ->
+              let name = String.concat "." path in
               match
                 (Bench_json.get_num fresh path, Bench_json.get_num base path)
               with
-              | Some f, Some b ->
-                  check_sim_metric (String.concat "." path) f b
+              | Some f, Some b -> check_sim_metric name f b
+              | None, Some _ when J.get fresh (List.hd path) <> None ->
+                  Printf.printf "  %-28s missing from the fresh profile  MISSING\n" name;
+                  failures := name :: !failures
               | _ -> ())
             ([
                [ "e8_mix"; "msgs_per_op" ];
@@ -961,9 +957,9 @@ let gate_against ~path ~tol fresh =
                  within their theorem bounds before the gate runs *)
               [ "adaptive"; "counter"; "worst_ratio" ];
               [ "adaptive"; "doubling"; "worst_ratio" ];
-              (* E13: WAN wake traffic with cluster-local marker wakes
-                 on must never regress *)
-              [ "markers"; "on"; "wan_msgs" ];
+              (* E13: WAN wake traffic (cluster-local wakes) must never
+                 regress *)
+              [ "markers"; "wan_msgs" ];
             ]
             (* SLO rows: tail latency of every shipped traffic scenario.
                Virtual-time quantiles, so the fixed sim tolerance
@@ -1055,8 +1051,8 @@ let () =
           [ ("rebalance", rebalance_profile ~reps:(if !fast then 2 else 3) ~fast:!fast) ]
     | "adaptive" ->
         (* just the deterministic E15 competitiveness rows and the E13
-           cluster-marker wake scoring — both virtual-time only, with
-           the theorem-bound asserts armed *)
+           WAN wake row — both virtual-time only, with the
+           theorem-bound asserts armed *)
         J.Obj [ ("adaptive", adaptive_profile ()); ("markers", markers_profile ()) ]
     | s ->
         Printf.eprintf

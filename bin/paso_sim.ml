@@ -46,7 +46,9 @@ let batch_ops_arg =
   Arg.(value & opt int 0
        & info [ "batch-ops" ] ~docv:"K"
            ~doc:"Gcast batching: cut a frame after K operations (0 = default cap; \
-                 batching stays off unless some --batch-* flag is non-zero).")
+                 batching stays off unless some --batch-* flag is non-zero). Does not \
+                 combine with $(b,--eager): $(b,run) refuses the pair, $(b,check) \
+                 forces batching only onto configurations without eager reads.")
 
 let batch_bytes_arg =
   Arg.(value & opt int 0
@@ -159,20 +161,24 @@ let run_cmd =
           else Adaptive.Live_policy.counter ~k ()
     in
     let sys =
-      Paso.System.create ~tracing:trace
-        {
-          Paso.System.default_config with
-          n;
-          lambda;
-          storage;
-          policy = pol;
-          seed;
-          eager_reads = eager;
-          repair;
-          topology;
-          batch = batch_cfg ~ops:batch_ops ~bytes:batch_bytes ~hold:batch_hold;
-          fast_read;
-        }
+      try
+        Paso.System.create ~tracing:trace
+          {
+            Paso.System.default_config with
+            n;
+            lambda;
+            storage;
+            policy = pol;
+            seed;
+            eager_reads = eager;
+            repair;
+            topology;
+            batch = batch_cfg ~ops:batch_ops ~bytes:batch_bytes ~hold:batch_hold;
+            fast_read;
+          }
+      with Invalid_argument msg ->
+        Printf.eprintf "run: %s\n" msg;
+        exit 2
     in
     let rng = Sim.Rng.make seed in
     let p =
@@ -539,11 +545,13 @@ let check_cmd =
             }
           in
           (* like --durable: with --matrix, force batching onto every
-             configuration that doesn't already set its own knobs *)
+             configuration that doesn't already set its own knobs — and
+             not onto eager ones, which System.create refuses batched *)
           let c =
             if
               (batch_ops > 0 || batch_bytes > 0 || batch_hold > 0.0)
-              && not (Check.Schedule.batching c)
+              && (not (Check.Schedule.batching c))
+              && not c.Check.Schedule.eager
             then
               { c with Check.Schedule.batch_ops = batch_ops; batch_bytes; batch_hold }
             else c

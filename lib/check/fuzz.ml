@@ -114,8 +114,8 @@ let matrix ?(n = 8) ?(lambda = 2) () =
        policy's joins/leaves must stay deterministic across domains *)
     { base with shards = 4; rebalance = true; policy = "doubling" };
     (* crash-resets-counters: kill the issuing machine mid-stream so
-       recovered machines restart their §5.1 counters from zero (and
-       feed the BGOP failure history) rather than resuming stale state *)
+       recovered machines restart their §5.1 counters from zero rather
+       than resuming stale state *)
     {
       base with
       policy = "counter:4";

@@ -18,9 +18,6 @@ type config = {
   use_read_groups : bool;
   eager_reads : bool;
   fast_read : bool;
-  wan_latency_aware : bool;
-  bgop_reads : bool;
-  cluster_markers : bool;
   batch : Net.Batch.cfg option;
   policy : Policy.t;
   init_delay : float;
@@ -44,9 +41,6 @@ let default_config =
     use_read_groups = true;
     eager_reads = false;
     fast_read = false;
-    wan_latency_aware = false;
-    bgop_reads = false;
-    cluster_markers = false;
     batch = None;
     policy = Policy.static;
     init_delay = 5000.0;
@@ -62,6 +56,10 @@ let validate cfg =
   if cfg.lambda < 0 then invalid_arg "System.create: negative lambda";
   if cfg.lambda + 1 > cfg.n then invalid_arg "System.create: lambda + 1 > n";
   if cfg.unit_work < 0.0 then invalid_arg "System.create: negative unit_work";
+  (* Eager forwarding needs the per-gcast response path; a batched frame
+     piggybacks every response on one ack, so the pair cannot compose. *)
+  if cfg.eager_reads && cfg.batch <> None then
+    invalid_arg "System.create: eager_reads cannot be combined with batch";
   (match cfg.op_deadline with
   | Some d when d <= 0.0 -> invalid_arg "System.create: op_deadline must be positive"
   | Some _ | None -> ());

@@ -17,21 +17,8 @@ type t = {
   lambda : int;
   topology : topology;
   batching : bool;
-  latency_aware : bool;
-  (* Reliability ordering of read candidates, supplied by
-     [Replication.order_reads] (BGOP tiers over observed crash
-     history). The identity unless [config.bgop_reads] is on AND
-     failure histories actually differ, so the default pick is
-     byte-identical to the unordered router. *)
-  order_reads : int list -> int list;
-  cluster_markers : bool;
-  (* Per-machine EWMA of observed read-response latency (virtual time),
-     fed by [fan_out_read] when [latency_aware]; [lat_n.(m) = 0] means
-     never observed, which sorts as 0 — optimistic, so unprobed
-     replicas still get tried and an all-zero table leaves the
-     restriction byte-identical to the latency-blind one. *)
-  lat : float array;
-  lat_n : int array;
+  use_read_groups : bool;
+  eager : bool;
   mem : Membership.t;
   mutable r_vs : Membership.vsync option;
   (* sc-list memoisation: the classing strategy is fixed per system, so
@@ -49,18 +36,14 @@ type t = {
   c_marker_placements : Sim.Stats.counter;
 }
 
-let create ~classing ~lambda ~topology ~batching ~latency_aware ~order_reads
-    ~cluster_markers ~n ~mem ~stats =
+let create ~classing ~lambda ~topology ~batching ~use_read_groups ~eager ~mem ~stats =
   {
     classing;
     lambda;
     topology;
     batching;
-    latency_aware;
-    order_reads;
-    cluster_markers;
-    lat = Array.make n 0.0;
-    lat_n = Array.make n 0;
+    use_read_groups;
+    eager;
     mem;
     r_vs = None;
     sc_cache = Hashtbl.create 64;
@@ -173,48 +156,21 @@ let sc_list r tmpl =
 
 (* --- read-group restriction --------------------------------------------- *)
 
-(* Latency-weighted replica observation (WAN read steering, §4.3): the
-   read fan-out records how long each restricted pick took to answer;
-   the EWMA feeds the ordering below. Virtual-time observations, so the
-   table — like everything else — is deterministic. *)
-let observe_read_latency r ~machine dt =
-  if machine >= 0 && machine < Array.length r.lat then
-    if r.lat_n.(machine) = 0 then begin
-      r.lat_n.(machine) <- 1;
-      r.lat.(machine) <- dt
-    end
-    else begin
-      r.lat_n.(machine) <- r.lat_n.(machine) + 1;
-      r.lat.(machine) <- (0.8 *. r.lat.(machine)) +. (0.2 *. dt)
-    end
-
-let observed_latency r ~machine =
-  if machine >= 0 && machine < Array.length r.lat && r.lat_n.(machine) > 0 then
-    Some r.lat.(machine)
-  else None
-
+(* rg(C), §4.3. LAN: the operational basic support, falling back to the
+   first λ+1 members. WAN: the first λ+1 members in the reader's own
+   cluster when it has any — any replica's answer is valid for a read,
+   so this is the natural wide-area refinement of rg(C) (the paper's
+   closing open problem) — else the LAN rule. *)
 let read_restrict r ~basic ~machine =
-  (* Stable, so ties — including the virgin all-zero table — preserve
-     member order and the restriction stays byte-identical to the
-     latency-blind path until observations actually differ. *)
-  let order ms =
-    if not r.latency_aware then ms
-    else List.stable_sort (fun a b -> Float.compare r.lat.(a) r.lat.(b)) ms
-  in
   let basic_rg members =
     let basic_up = List.filter (fun m -> List.mem m basic) members in
     if basic_up <> [] then basic_up
     else List.filteri (fun i _ -> i <= r.lambda) members
   in
   match r.topology with
-  (* [order_reads] (BGOP reliability tiers) runs after the latency
-     order, so reliability is the primary key and observed latency
-     breaks ties within a tier. Both orderings are stable identities
-     until their inputs actually differ. *)
-  | Lan -> fun members -> basic_rg (r.order_reads members)
+  | Lan -> basic_rg
   | Wan { clusters; _ } ->
       fun members ->
-        let members = r.order_reads (order members) in
         let near = List.filter (fun m -> clusters.(m) = clusters.(machine)) members in
         if near <> [] then List.filteri (fun i _ -> i <= r.lambda) near
         else basic_rg members
@@ -229,9 +185,9 @@ let crossed_wan r ~machine ~members =
    the gcast costs 2 messages (copy + response) instead of the full
    α(2g+1) fan-out. The pick rotates with the issuing machine to spread
    concurrent readers over the read group. Safety is the caller's
-   problem: it tags the request with the class's freshness token
-   ([Membership.fresh_guard]) and falls back to the quorum restriction
-   when the token moved. A crashed pick degrades gracefully — the vsync
+   problem: it captures the class's freshness token
+   ([Membership.fresh_guard]) and re-reads without [fast] when the
+   token moved. A crashed pick degrades gracefully — the vsync
    exec-time rule (restrict filtered against live members, empty → all)
    turns it back into a full fan-out. *)
 let fast_restrict r ~basic ~machine =
@@ -247,39 +203,6 @@ let fan_out_batched r ~group ~from msg ~on_done =
   Vsync.gcast_batch (vs r) ~group ~from ~msg_size:(Server.msg_size msg)
     ~on_done:(fun ~resp ~work:_ ~responders -> on_done resp responders)
     msg
-
-let fan_out_read r ~restrict ~eager ~group ~from msg ~on_done =
-  (* Under [latency_aware], wrap the restriction to capture the set it
-     actually picked (computed at gcast exec time) and the completion to
-     credit the issue→response interval to each pick. The wrap changes
-     no pick and no message — observation only. *)
-  let restrict, on_done =
-    if not r.latency_aware then (restrict, on_done)
-    else begin
-      let clock () = Sim.Engine.now (Vsync.engine (vs r)) in
-      let chosen = ref [] in
-      let t0 = clock () in
-      let restrict' ms =
-        let picks = restrict ms in
-        chosen := picks;
-        picks
-      in
-      let on_done' resp responders =
-        let dt = clock () -. t0 in
-        List.iter (fun m -> observe_read_latency r ~machine:m dt) !chosen;
-        on_done resp responders
-      in
-      (restrict', on_done')
-    end
-  in
-  if r.batching then
-    Vsync.gcast_batch (vs r) ~restrict ~group ~from ~msg_size:(Server.msg_size msg)
-      ~on_done:(fun ~resp ~work:_ ~responders -> on_done resp responders)
-      msg
-  else
-    Vsync.gcast (vs r) ~restrict ~eager ~group ~from ~msg_size:(Server.msg_size msg)
-      ~on_done:(fun ~resp ~work:_ ~responders -> on_done resp responders)
-      msg
 
 let fan_out_ordered r ~group ~from msg ~on_done =
   Vsync.gcast (vs r) ~group ~from ~msg_size:(Server.msg_size msg)
@@ -311,20 +234,20 @@ let place_markers r (w : Op.waiter) =
 (* The member that serves a marker's wake-up once a matching store
    fires it. Markers are replicated to the full write group (a marker
    missing at a future leader would lose the wake), so every member may
-   volunteer; by default the leader — the head of the member list —
-   does. Under [cluster_markers] on a WAN the preference moves to the
-   first member in the waiter's own cluster, keeping the α-cost wake
-   message off the remote links. Deterministic: every replica computes
-   the same agent from the same view, so exactly one member sends. *)
+   volunteer. On the LAN the leader — the head of the member list —
+   does; on a WAN the first member in the waiter's own cluster does
+   when there is one, keeping the α-cost wake message off the remote
+   links. Deterministic: every replica computes the same agent from the
+   same view, so exactly one member sends. *)
 let wake_agent r ~group ~machine =
   let members = Vsync.members (vs r) ~group in
-  let default = match members with m :: _ -> m | [] -> -1 in
+  let head = match members with m :: _ -> m | [] -> -1 in
   match r.topology with
-  | Wan { clusters; _ } when r.cluster_markers -> (
+  | Lan -> head
+  | Wan { clusters; _ } -> (
       match List.find_opt (fun m -> clusters.(m) = clusters.(machine)) members with
       | Some m -> m
-      | None -> default)
-  | Wan _ | Lan -> default
+      | None -> head)
 
 let cancel_markers r (w : Op.waiter) =
   if Vsync.is_up (vs r) w.w_machine then
@@ -346,15 +269,14 @@ let arm_new_class r waiters ~cls =
       end)
     waiters
 
-(* --- read coalescing (batching only) ------------------------------------- *)
+(* --- remote mem-read ------------------------------------------------------ *)
 
 (* Coalescing key for a remote mem-read, or [None] when the read must
    go out itself: batching off, uncacheable template ([Pred] has no
    structural identity), or — via the embedded mutation serial — any
    replicated mutation of the class delivered since the would-be
    primary was issued. The serial is read from [Membership]'s per-class
-   freshness token, the one generation source of truth (the router used
-   to keep its own batching-gated copy). *)
+   freshness token, the one generation source of truth. *)
 let dedup_key r ~machine ~cls tmpl =
   if not r.batching then None
   else
@@ -364,8 +286,29 @@ let dedup_key r ~machine ~cls tmpl =
         let serial = Membership.mutation_serial r.mem ~cls in
         Some (Printf.sprintf "%d|%s|%d|%s" machine cls serial tk)
 
-let coalesced_issue r ~machine ~cls tmpl ~handle ~issue =
+(* Restricted gcast of one mem-read: through the batcher when batching
+   is on (eager is refused with batching by [Config.validate], so no
+   flag is dropped here), eager-capable plain gcast otherwise. *)
+let fan_out_read r ~restrict ~group ~from ~cls tmpl ~on_done =
+  let msg = Server.Mem_read { cls; tmpl } in
+  let on_done ~resp ~work:_ ~responders = on_done resp responders in
+  if r.batching then
+    Vsync.gcast_batch (vs r) ~restrict ~group ~from ~msg_size:(Server.msg_size msg)
+      ~on_done msg
+  else
+    Vsync.gcast (vs r) ~restrict ~eager:r.eager ~group ~from
+      ~msg_size:(Server.msg_size msg) ~on_done msg
+
+let remote_read r ~fast (cs : Membership.cls) ~machine tmpl ~on_done =
+  let cls = cs.Membership.info.Obj_class.name in
+  let group = cs.Membership.group in
+  let restrict =
+    if fast then fast_restrict r ~basic:cs.Membership.basic ~machine
+    else if r.use_read_groups then read_restrict r ~basic:cs.Membership.basic ~machine
+    else Fun.id
+  in
   match dedup_key r ~machine ~cls tmpl with
+  | None -> fan_out_read r ~restrict ~group ~from:machine ~cls tmpl ~on_done
   | Some key -> (
       match Hashtbl.find_opt r.read_coalesce key with
       | Some rc ->
@@ -373,16 +316,16 @@ let coalesced_issue r ~machine ~cls tmpl ~handle ~issue =
              in the same window: piggyback on its response instead of
              gcasting again. *)
           Sim.Stats.incr_counter r.c_reads_coalesced;
-          rc.rc_waiters <- handle :: rc.rc_waiters
+          rc.rc_waiters <- on_done :: rc.rc_waiters
       | None ->
           let rc = { rc_machine = machine; rc_waiters = [] } in
           Hashtbl.add r.read_coalesce key rc;
-          issue (fun resp responders ->
+          fan_out_read r ~restrict ~group ~from:machine ~cls tmpl
+            ~on_done:(fun resp responders ->
               Hashtbl.remove r.read_coalesce key;
               let waiters = List.rev rc.rc_waiters in
-              handle resp responders;
+              on_done resp responders;
               List.iter (fun k -> k resp responders) waiters))
-  | None -> issue handle
 
 let drop_machine r machine =
   let stale =

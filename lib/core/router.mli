@@ -3,14 +3,11 @@
 
     Owns the {e read-side} of the §4 macro expansions: the memoised
     [sc-list] derivation (candidate classes per structural template
-    signature), the read-group restriction actually applied to a gcast
-    — including the WAN refinement that prefers replicas in the
-    reader's own cluster — and the batching hand-off: every fan-out
-    goes through this module, which picks {!Vsync.gcast_batch} or
-    plain {!Vsync.gcast} per the configured batching mode, and under
-    batching coalesces duplicate remote mem-reads (same machine, class
-    and structural template, no interleaved mutation of the class)
-    onto one outstanding request.
+    signature), the one remote mem-read entry point ({!remote_read}:
+    restriction choice, eager flag, coalescing, fan-out) and the
+    batching hand-off: every fan-out goes through this module, which
+    picks {!Vsync.gcast_batch} or plain {!Vsync.gcast} per the
+    configured batching mode.
 
     It also owns the {e marker fan-out} of §4.3's blocking reads: the
     placement, cancellation and new-class arming gcasts for parked
@@ -35,29 +32,13 @@ val create :
   lambda:int ->
   topology:topology ->
   batching:bool ->
-  latency_aware:bool ->
-  order_reads:(int list -> int list) ->
-  cluster_markers:bool ->
-  n:int ->
+  use_read_groups:bool ->
+  eager:bool ->
   mem:Membership.t ->
   stats:Sim.Stats.t ->
   t
-(** [order_reads] is the reliability ordering
-    of read candidates — [System] wires {!Replication.order_reads}, the
-    BGOP tiers over observed crash history, which is itself the
-    identity unless [config.bgop_reads] is on and failure histories
-    differ. It is applied {e after} the latency order, so reliability
-    is the primary key and latency breaks ties within a tier.
-    [cluster_markers] (default off) moves a marker's wake-up duty to a
-    member in the waiter's own cluster — see {!wake_agent}.
-
-    [latency_aware] turns on latency-weighted replica
-    choice for WAN reads: the router keeps a per-machine EWMA of
-    observed read-response latency (virtual time, fed by its own read
-    fan-outs) and orders restriction candidates fastest-first before
-    the cluster-local filter. Off, the tables are never consulted and
-    every pick is byte-identical to the latency-blind router. [n] is
-    the machine count (sizes the observation tables). *)
+(** [use_read_groups] and [eager] are [config.use_read_groups] and
+    [config.eager_reads]: they shape every {!remote_read}. *)
 
 val attach_vsync : t -> Membership.vsync -> unit
 (** Wire the vsync instance (exactly once) — fan-outs need it. *)
@@ -82,36 +63,41 @@ val invalidate : t -> unit
 (** The class universe changed: drop the memoised universe and every
     cached sc-list (the only invalidation point). *)
 
-(** {1 Read-group restriction} *)
+(** {1 Remote reads} *)
 
-val read_restrict : t -> basic:int list -> machine:int -> int list -> int list
-(** The restriction applied to a read fan-out's recipient set. LAN:
-    operational basic support, falling back to the first λ+1 members
-    (§4.3). WAN: replicas in the reader's own cluster first — any
-    replica's answer is valid for a read, and this is the natural
-    wide-area refinement of the rg(C) optimisation (the paper's
-    closing open problem). Under [latency_aware], WAN candidates are
-    first stably ordered by observed-latency EWMA (ties, including
-    never-observed replicas, keep member order — so the pick only
-    moves once real observations differ). *)
+val remote_read :
+  t ->
+  fast:bool ->
+  Membership.cls ->
+  machine:int ->
+  Template.t ->
+  on_done:(Pobj.t option -> int -> unit) ->
+  unit
+(** Gcast a [mem-read] of the class from [machine], which is not a
+    write-group member. [on_done] receives the response and the
+    responder count. The recipients are restricted to:
+    - [fast]: ONE read-group member, rotating with [machine] — 2
+      messages instead of the full fan-out. Only sound when the caller
+      captured the class's freshness token ({!Membership.fresh_guard})
+      and re-reads without [fast] on a stale or probational response;
+      a crashed pick degrades to the full fan-out via the vsync
+      exec-time restrict rule;
+    - otherwise, with [use_read_groups], rg(C) (§4.3): on the LAN the
+      operational basic support, falling back to the first λ+1
+      members; on a WAN the first λ+1 members in [machine]'s own
+      cluster when it has any, else the LAN rule;
+    - otherwise the whole write group.
 
-val observed_latency : t -> machine:int -> float option
-(** The machine's read-latency EWMA (virtual time), [None] until its
-    first observation or when [latency_aware] is off. *)
+    Batching on, the read rides the batcher, and an identical read
+    (same machine, class, structural template, mutation serial)
+    already outstanding absorbs this one (counted under
+    ["paso.reads_coalesced"]). Batching off, it is a plain gcast,
+    eager under [eager]. *)
 
 val crossed_wan : t -> machine:int -> members:int list -> bool
 (** Does a read from [machine] have to cross the wide area? True iff
     no write-group member shares the reader's cluster; always false on
     the LAN. *)
-
-val fast_restrict : t -> basic:int list -> machine:int -> int list -> int list
-(** Single-replica fast read: the read-group restriction collapsed to
-    ONE member (rotating with the issuing machine), so the gcast costs
-    2 messages instead of the full rg(C) fan-out. Only sound when the
-    caller tags the request with the class's freshness token
-    ({!Membership.fresh_guard}) and falls back to {!read_restrict} on a
-    stale or probational response; a crashed pick degrades to the full
-    fan-out via the vsync exec-time restrict rule. *)
 
 (** {1 Fan-out (batching hand-off)} *)
 
@@ -126,20 +112,6 @@ val fan_out_batched :
     accumulation window when batching is configured, and is exactly
     [gcast] otherwise. [on_done] receives the response and the
     responder count. *)
-
-val fan_out_read :
-  t ->
-  restrict:(int list -> int list) ->
-  eager:bool ->
-  group:string ->
-  from:int ->
-  Server.msg ->
-  on_done:(Pobj.t option -> int -> unit) ->
-  unit
-(** Remote mem-read fan-out: restricted gcast through the batcher when
-    batching is on (the eager flag does not compose with piggybacked
-    batch responses, so it is dropped on that path), eager-capable
-    plain gcast otherwise. *)
 
 val fan_out_ordered :
   t -> group:string -> from:int -> Server.msg -> on_done:(Pobj.t option -> unit) -> unit
@@ -158,11 +130,10 @@ val place_markers : t -> Op.waiter -> unit
 val wake_agent : t -> group:string -> machine:int -> int
 (** The member that serves a marker's wake-up when a matching store
     fires it (markers are replicated to the whole write group, so any
-    member could; exactly one must). The group leader — the head of
-    the live member list — by default, and byte-identical to the
-    pre-existing leader rule; under [cluster_markers] on a WAN, the
-    first member in the waiter [machine]'s own cluster when one
-    exists, keeping the wake message off the remote links. [-1] if
+    member could; exactly one must). On the LAN, the group leader —
+    the head of the live member list. On a WAN, the first member in
+    the waiter [machine]'s own cluster, keeping the wake message off
+    the remote links, or the leader when the cluster has none. [-1] if
     the group has no members. *)
 
 val cancel_markers : t -> Op.waiter -> unit
@@ -173,25 +144,6 @@ val arm_new_class : t -> Op.waiter list -> cls:string -> unit
 (** A class was just created: place markers in it for every parked
     waiter whose template covers it (waiters park against templates,
     which may match classes that do not exist yet). *)
-
-(** {1 Read coalescing (batching only)} *)
-
-val coalesced_issue :
-  t ->
-  machine:int ->
-  cls:string ->
-  Template.t ->
-  handle:(Pobj.t option -> int -> unit) ->
-  issue:((Pobj.t option -> int -> unit) -> unit) ->
-  unit
-(** Issue a remote mem-read, deduplicating under batching: if an
-    identical read (same machine, class, structural template, mutation
-    serial) is already outstanding, piggyback [handle] on its response
-    (counted under ["paso.reads_coalesced"]) instead of calling
-    [issue]; otherwise register the read as the window's primary and
-    [issue] it with a wrapped handler that fans the response out to
-    every piggybacked duplicate. With batching off (or an uncacheable
-    template) this is exactly [issue handle]. *)
 
 val drop_machine : t -> int -> unit
 (** Crash cleanup: coalesced reads are the machine's local memory —

@@ -18,15 +18,12 @@ type t = {
   servers : Server.t array;
   opctl : Op.ctl;
   hs : Config.hot_stats;
-  use_read_groups : bool;
-  eager_reads : bool;
   unit_work : float;
   mutable seq : int;
   mutable records : Config.snapshot_record list; (* newest first *)
 }
 
-let create ~engine ~failpoints ~mem ~router ~servers ~opctl ~hs ~use_read_groups
-    ~eager_reads ~unit_work =
+let create ~engine ~failpoints ~mem ~router ~servers ~opctl ~hs ~unit_work =
   {
     eng = engine;
     fps = failpoints;
@@ -35,8 +32,6 @@ let create ~engine ~failpoints ~mem ~router ~servers ~opctl ~hs ~use_read_groups
     servers;
     opctl;
     hs;
-    use_read_groups;
-    eager_reads;
     unit_work;
     seq = 0;
     records = [];
@@ -124,31 +119,21 @@ let snapshot t ~machine tmpl ~on_done =
                       record serial0 issue_time resp)
                 end
                 else begin
-                  let msg = Server.Mem_read { cls; tmpl } in
-                  let restrict =
-                    if t.use_read_groups then
-                      Router.read_restrict t.router ~basic:cs.Membership.basic ~machine
-                    else fun members -> members
-                  in
                   Sim.Stats.incr_counter t.hs.h_remote_reads;
-                  let handle resp responders =
-                    match resp with
-                    | Some _ -> record serial0 issue_time resp
-                    | None ->
-                        (* Same distrust rules as [System.read]: a miss
-                           across a loss, or a zero-responder gcast
-                           against a non-empty group, is re-collected. *)
-                        if
-                          straddled ()
-                          || responders = 0
-                             && Vsync.members vs ~group:cs.Membership.group <> []
-                        then retry one
-                        else record serial0 issue_time None
-                  in
-                  Router.coalesced_issue t.router ~machine ~cls tmpl ~handle
-                    ~issue:(fun h ->
-                      Router.fan_out_read t.router ~restrict ~eager:t.eager_reads
-                        ~group:cs.Membership.group ~from:machine msg ~on_done:h)
+                  Router.remote_read t.router ~fast:false cs ~machine tmpl
+                    ~on_done:(fun resp responders ->
+                      match resp with
+                      | Some _ -> record serial0 issue_time resp
+                      | None ->
+                          (* Same distrust rules as [System.read]: a miss
+                             across a loss, or a zero-responder gcast
+                             against a non-empty group, is re-collected. *)
+                          if
+                            straddled ()
+                            || responders = 0
+                               && Vsync.members vs ~group:cs.Membership.group <> []
+                          then retry one
+                          else record serial0 issue_time None)
                 end
         in
         one ()

@@ -27,8 +27,6 @@ val create :
   servers:Server.t array ->
   opctl:Op.ctl ->
   hs:Config.hot_stats ->
-  use_read_groups:bool ->
-  eager_reads:bool ->
   unit_work:float ->
   t
 

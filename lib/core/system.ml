@@ -1,10 +1,9 @@
 include Config
 
-(* The composition root: [Membership] owns classes/groups/probation,
-   [Replication] live policy dispatch and the BGOP failure history,
-   [Router] candidate derivation + fan-out + markers, [Snapshot] the
-   atomic multi-class scan, [Op] per-operation lifecycle and the
-   blocking-op waiter registry. *)
+(* The composition root: [Membership] owns classes/groups/probation
+   and executes policy verdicts, [Router] candidate derivation +
+   fan-out + markers, [Snapshot] the atomic multi-class scan, [Op]
+   per-operation lifecycle and the blocking-op waiter registry. *)
 type t = {
   cfg : config;
   eng : Sim.Engine.t;
@@ -17,7 +16,12 @@ type t = {
   mutable durable : durability option;
   has_recovered : bool array; (* rebuilt durable state since last crash *)
   mem : Membership.t;
-  repl : Replication.t;
+  (* [cfg.policy == Policy.static]: the hot paths skip policy event
+     construction and dispatch entirely. Physical equality is exact for
+     every construction path in the repo (config default, the runner's
+     "static" decoding, [Policy.static.clone]); a hand-rolled no-op
+     policy merely misses the shortcut. *)
+  static : bool;
   router : Router.t;
   opctl : Op.ctl;
   waiters : Op.Waiters.t;
@@ -58,12 +62,10 @@ let waiter_count t = Op.Waiters.count t.waiters
 let wan_cost t = Sim.Stats.total t.sstats "net.wan_cost"
 let check_quiescent t = Vsync.pending_groups t.vs
 
-let apply_policy t ~machine ~cls event = Replication.feed t.repl ~machine ~cls event
-let take_class_loads t = Membership.take_loads t.mem
+let apply_policy t ~machine ~cls event =
+  Membership.apply_policy t.mem ~policy:t.cfg.policy ~machine ~cls event
 
-let static_policy t = Replication.is_static t.repl
-let read_order t members = Replication.order_reads t.repl members
-let failure_counts t = Replication.failure_counts t.repl
+let take_class_loads t = Membership.take_loads t.mem
 
 let require_up t machine op =
   if machine < 0 || machine >= t.cfg.n then invalid_arg (op ^ ": bad machine id");
@@ -169,14 +171,13 @@ let read_gen t ~machine ~kind tmpl ~on_done =
                       let resp, _ = Server.local_read t.servers.(machine) ~cls tmpl in
                       Sim.Stats.incr_counter t.hs.h_local_reads;
                       Op.collecting op;
-                      if not (static_policy t) then
+                      if not t.static then
                         apply_policy t ~machine ~cls
                           (Policy.Local_read
                              { ell = Server.live_count t.servers.(machine) ~cls });
                       match resp with Some o -> finish (Some o) | None -> go rest)
               | History.Read ->
                   Membership.note_load_cs cs (Membership.op_weight cs);
-                  let msg = Server.Mem_read { cls; tmpl } in
                   (* [fast]: restrict to a single replica, tagging the
                      request with the class's freshness token; a stale or
                      probational responder falls back — transparently, no
@@ -184,13 +185,6 @@ let read_gen t ~machine ~kind tmpl ~on_done =
                      so the result is always quorum-equivalent. *)
                   let rec attempt ~fast =
                     let straddled = Membership.straddle_guard t.mem cs.Membership.group in
-                    let restrict =
-                      if fast then
-                        Router.fast_restrict t.router ~basic:cs.Membership.basic ~machine
-                      else if t.cfg.use_read_groups then
-                        Router.read_restrict t.router ~basic:cs.Membership.basic ~machine
-                      else fun members -> members
-                    in
                     let fresh =
                       if fast then
                         Membership.fresh_guard t.mem ~cls ~group:cs.Membership.group
@@ -202,14 +196,14 @@ let read_gen t ~machine ~kind tmpl ~on_done =
                        member walk is not free) under the static
                        policy, which never reads it. *)
                     let crossed_wan =
-                      (not (static_policy t))
+                      (not t.static)
                       && Router.crossed_wan t.router ~machine
                            ~members:(Vsync.members t.vs ~group:cs.Membership.group)
                     in
                     let handle resp responders =
                       Op.collecting op;
                       (* ell piggybacked on the response (§5.1). *)
-                      if not (static_policy t) then
+                      if not t.static then
                         apply_policy t ~machine ~cls
                           (Policy.Remote_read
                              { responders; ell = live_count t ~cls; wan = crossed_wan });
@@ -250,10 +244,7 @@ let read_gen t ~machine ~kind tmpl ~on_done =
                             end
                     in
                     Op.fan_out op;
-                    Router.coalesced_issue t.router ~machine ~cls tmpl ~handle
-                      ~issue:(fun h ->
-                        Router.fan_out_read t.router ~restrict ~eager:t.cfg.eager_reads
-                          ~group:cs.Membership.group ~from:machine msg ~on_done:h)
+                    Router.remote_read t.router ~fast cs ~machine tmpl ~on_done:handle
                   in
                   attempt ~fast:t.cfg.fast_read
               | History.Read_del | History.Insert ->
@@ -325,8 +316,8 @@ let crash t ~machine =
     t.has_recovered.(machine) <- false;
     (* The simulated disk survives (tail damage: ["durable.crash.tail"]). *)
     (match t.durable with Some d -> d.du_crash ~machine | None -> ());
-    (* Counters die with the machine; feeds the BGOP history too. *)
-    Replication.machine_crashed t.repl ~machine;
+    (* Policy counters die with the machine. *)
+    t.cfg.policy.Policy.reset_machine ~machine;
     Repair.note_failure t.repair_state ~machine ~now:(now t);
     (match t.cfg.repair with
     | Some strategy -> Membership.repair_all t.mem t.repair_state strategy ~failed:machine
@@ -539,12 +530,10 @@ let create ?(tracing = false) ?failpoints cfg =
       ~use_read_groups:cfg.use_read_groups ~group_map:cfg.group_map ~servers ~engine:eng
       ~stats:sstats ~trace:strace
   in
-  let repl = Replication.create ~policy:cfg.policy ~bgop_reads:cfg.bgop_reads ~n:cfg.n ~mem in
   let router =
     Router.create ~classing:cfg.classing ~lambda:cfg.lambda ~topology:cfg.topology
-      ~batching:(cfg.batch <> None) ~latency_aware:cfg.wan_latency_aware
-      ~order_reads:(Replication.order_reads repl) ~cluster_markers:cfg.cluster_markers
-      ~n:cfg.n ~mem ~stats:sstats
+      ~batching:(cfg.batch <> None) ~use_read_groups:cfg.use_read_groups
+      ~eager:cfg.eager_reads ~mem ~stats:sstats
   in
   let opctl =
     Op.ctl ~engine:eng ~stats:sstats ~trace:strace
@@ -555,7 +544,6 @@ let create ?(tracing = false) ?failpoints cfg =
   let hs = hot_stats sstats in
   let snap =
     Snapshot.create ~engine:eng ~failpoints:fps ~mem ~router ~servers ~opctl ~hs
-      ~use_read_groups:cfg.use_read_groups ~eager_reads:cfg.eager_reads
       ~unit_work:cfg.unit_work
   in
   let tref = ref None in
@@ -606,7 +594,7 @@ let create ?(tracing = false) ?failpoints cfg =
                token: closes its read-coalescing window, invalidates
                in-flight fast reads, retries straddled snapshots. *)
             Membership.note_mutation mem ~cls;
-            if not (static_policy t) then
+            if not t.static then
               apply_policy t ~machine:node ~cls
                 (Policy.Update { ell = Server.live_count servers.(node) ~cls })
         | Server.Mem_read _ | Server.Place_marker _ | Server.Cancel_marker _ -> ()
@@ -680,7 +668,8 @@ let create ?(tracing = false) ?failpoints cfg =
   Router.attach_vsync router vs;
   let t =
     { cfg; eng; fabric; fps; sstats; strace; vs; servers; durable = None;
-      has_recovered = Array.make cfg.n false; mem; repl; router; opctl; waiters; snap;
+      has_recovered = Array.make cfg.n false; mem; static = cfg.policy == Policy.static;
+      router; opctl; waiters; snap;
       serials = Array.make cfg.n 0;
       repair_state = Repair.create ~n:cfg.n ~seed:(cfg.seed + 1); hist; hs }
   in

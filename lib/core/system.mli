@@ -34,12 +34,17 @@ type config = {
       (** duration of one abstract I/Q/D work unit, in the same units
           as message costs *)
   use_read_groups : bool;
-      (** gcast reads to rg(C) ⊆ wg(C), |rg| = λ+1−|F| (§4.3) *)
+      (** gcast reads to rg(C) ⊆ wg(C), |rg| = λ+1−|F| (§4.3); under
+          {!Wan}, rg(C) prefers members in the reader's own cluster
+          ({!Router.remote_read}). Blocking-read wake-ups follow the
+          topology too: the leader sends them on the LAN, a member in
+          the waiter's own cluster on a WAN ({!Router.wake_agent}) *)
   eager_reads : bool;
       (** response-time optimisation: forward the first successful
           remote-read response without waiting for the whole read
           group to acknowledge (same message cost, lower latency).
-          Ignored on gcasts routed through the batcher (see [batch]) *)
+          Does not compose with [batch] (a frame piggybacks every
+          response on one ack): {!create} refuses the pair *)
   fast_read : bool;
       (** single-replica fast reads: a remote [read] is gcast to ONE
           live read-group member (rotating with the issuing machine) —
@@ -54,36 +59,6 @@ type config = {
           fallbacks under ["paso.fast_read_fallbacks"]. [false] (the
           default) leaves every message and event byte-identical to
           the quorum-only system. *)
-  wan_latency_aware : bool;
-      (** latency-weighted WAN replica choice: the router keeps a
-          per-machine EWMA of observed read-response latency (virtual
-          time, fed by its own read fan-outs) and orders WAN read
-          restriction candidates fastest-first — cluster-local picks
-          before cross-WAN, then by measured speed within a tier
-          ({!Router.read_restrict}). No effect on the LAN topology.
-          [false] (the default) never consults or feeds the tables,
-          leaving every pick byte-identical to the latency-blind
-          router. *)
-  bgop_reads : bool;
-      (** BGOP reliability-ordered reads (§5.2, live): the
-          {!Replication} layer keeps a per-machine crash history
-          (last-failure clock + lifetime count, fed by {!crash}) and
-          stably orders read-restriction candidates by the
-          [Adaptive.Support_selection.Bgop] tier rule —
-          best/good/ok/poor — before the router's subset selection,
-          with observed latency breaking ties under
-          [wan_latency_aware]. [false] (the default) never consults
-          the history, leaving every pick byte-identical; on, picks
-          only move once real crash histories differ. *)
-  cluster_markers : bool;
-      (** cluster-local marker wake-ups on a WAN: a fired marker's
-          wake message is sent by a write-group member in the waiter's
-          own cluster when one exists ({!Router.wake_agent}), instead
-          of always by the group leader — keeping the per-wake α-cost
-          message off the remote links. Markers themselves are still
-          replicated to the whole write group (a marker missing at a
-          future leader would lose the wake). [false] (the default)
-          keeps the leader rule, byte-identical. No effect on LAN. *)
   batch : Net.Batch.cfg option;
       (** opt-in gcast batching: inserts, marker traffic and remote
           read fan-outs join a per-group accumulation window
@@ -146,7 +121,8 @@ val create : ?tracing:bool -> ?failpoints:Sim.Failpoint.t -> config -> t
     {!Sim.Failpoint} for the planted sites. A fresh inert registry is
     created when omitted; {!failpoints} retrieves it either way so
     sites can be armed after construction.
-    @raise Invalid_argument if [lambda + 1 > n] or [lambda < 0]. *)
+    @raise Invalid_argument if [lambda + 1 > n] or [lambda < 0], or if
+    [eager_reads] is set together with [batch]. *)
 
 (** {1 Simulation control} *)
 
@@ -454,16 +430,6 @@ val audit_replicas : t -> (string * string) list
 
 val wan_cost : t -> float
 (** Total inter-cluster message cost so far (0 under {!Lan}). *)
-
-val read_order : t -> int list -> int list
-(** The {!Replication.order_reads} ordering this system's router
-    applies to read candidates: stable BGOP reliability tiers over the
-    observed crash history. The identity when [config.bgop_reads] is
-    off or no crash has happened yet. Exposed for tests and demos. *)
-
-val failure_counts : t -> int array
-(** Per-machine lifetime crash counts as observed by the
-    {!Replication} layer (a copy). *)
 
 val check_fault_tolerance : t -> (string * int) list
 (** Classes currently violating the §4.1 fault-tolerance condition,

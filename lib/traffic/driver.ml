@@ -126,7 +126,6 @@ let config_of (sc : Scenario.t) =
     lambda = sc.sc_lambda;
     topology;
     op_deadline = sc.sc_deadline;
-    wan_latency_aware = sc.sc_wan_latency_aware;
     (* A fresh policy instance per run: live policies carry mutable
        counters, so sharing one across runs would leak state. The
        sharded backend further clones it per shard. *)

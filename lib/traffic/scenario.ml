@@ -26,7 +26,6 @@ type t = {
   sc_lambda : int;
   sc_clusters : int list;
   sc_remote_mult : float;
-  sc_wan_latency_aware : bool;
   sc_policy : string;
   sc_deadline : float option;
   sc_faults : faults;
@@ -251,7 +250,6 @@ let to_json t =
        ("lambda", J.Num (float_of_int t.sc_lambda));
        ("clusters", J.Arr (List.map (fun s -> J.Num (float_of_int s)) t.sc_clusters));
        ("remote_mult", J.Num t.sc_remote_mult);
-       ("wan_latency_aware", J.Bool t.sc_wan_latency_aware);
      ]
     @ (match t.sc_deadline with
       | Some d -> [ ("deadline", J.Num d) ]
@@ -280,10 +278,6 @@ let int_f j k =
 let str j k =
   let* v = field j k in
   J.to_str v
-
-let bool_f j k =
-  let* v = field j k in
-  J.to_bool v
 
 let arrival_of_json j =
   let* kind = str j "kind" in
@@ -358,7 +352,6 @@ let of_json j =
   let* cl = J.to_list cj in
   let* sc_clusters = map_result J.to_int cl in
   let* sc_remote_mult = num j "remote_mult" in
-  let* sc_wan_latency_aware = bool_f j "wan_latency_aware" in
   let* sc_policy =
     match J.get j "policy" with
     | None | Some J.Null -> Ok "static"
@@ -388,7 +381,6 @@ let of_json j =
       sc_lambda;
       sc_clusters;
       sc_remote_mult;
-      sc_wan_latency_aware;
       sc_policy;
       sc_deadline;
       sc_faults;
@@ -430,7 +422,6 @@ let base name ~seed =
     sc_lambda = 2;
     sc_clusters = [];
     sc_remote_mult = 1.0;
-    sc_wan_latency_aware = false;
     sc_policy = "static";
     sc_deadline = None;
     sc_faults = No_faults;
@@ -497,7 +488,6 @@ let wan_partition =
     sc_lambda = 2;
     sc_clusters = [ 2; 2; 2 ];
     sc_remote_mult = 4.0;
-    sc_wan_latency_aware = true;
     sc_deadline = Some 1.2e5;
     sc_faults = Partition { cluster = 1; from_t = 1.2e7; until_t = 2.4e7 };
     sc_phases =

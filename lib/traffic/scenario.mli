@@ -54,8 +54,6 @@ type t = {
       (** [[]] = LAN; else WAN cluster sizes summing to [sc_n] *)
   sc_remote_mult : float;
       (** WAN inter-cluster cost multiplier over the §3.3 defaults *)
-  sc_wan_latency_aware : bool;
-      (** arm {!Paso.Router}'s latency-weighted WAN replica choice *)
   sc_policy : string;
       (** adaptive replication policy, [Check.Runner.policy_of_string]
           spelling: ["static"] (the default), ["counter"],

@@ -479,39 +479,6 @@ let test_live_crash_resets_counters () =
   Alcotest.(check bool) "rejoined after re-earning K" true
     (List.mem reader (Paso.System.write_group sys ~cls))
 
-(* The BGOP-backed read-group ordering: replicas with crash history are
-   demoted behind never-failed ones, and the whole feature is inert by
-   default (identity ordering, so every existing pin holds). *)
-let test_live_bgop_tier_demotion () =
-  let make bgop_reads =
-    Paso.System.create { Paso.System.default_config with n = 8; lambda = 2; bgop_reads }
-  in
-  let sys = make true in
-  let flaky = 5 in
-  for _ = 1 to 3 do
-    Paso.System.crash sys ~machine:flaky;
-    Paso.System.run sys;
-    Paso.System.recover sys ~machine:flaky;
-    Paso.System.run sys
-  done;
-  Alcotest.(check int) "failure history recorded" 3
-    (Paso.System.failure_counts sys).(flaky);
-  Alcotest.(check (list int)) "flaky replica demoted behind clean ones" [ 1; 6; flaky ]
-    (Paso.System.read_order sys [ flaky; 1; 6 ]);
-  Alcotest.(check (list int)) "clean replicas keep their order" [ 2; 7; 3 ]
-    (Paso.System.read_order sys [ 2; 7; 3 ]);
-  (* Default off: same crash history, but the ordering hook is the
-     identity — the determinism contract every replay pin leans on. *)
-  let off = make false in
-  for _ = 1 to 3 do
-    Paso.System.crash off ~machine:flaky;
-    Paso.System.run off;
-    Paso.System.recover off ~machine:flaky;
-    Paso.System.run off
-  done;
-  Alcotest.(check (list int)) "bgop_reads off is identity" [ flaky; 1; 6 ]
-    (Paso.System.read_order off [ flaky; 1; 6 ])
-
 let () =
   Alcotest.run "adaptive"
     [
@@ -576,7 +543,5 @@ let () =
             test_live_counter_policy_semantics_clean;
           Alcotest.test_case "crash resets counters" `Quick
             test_live_crash_resets_counters;
-          Alcotest.test_case "bgop read ordering demotes flaky replicas" `Quick
-            test_live_bgop_tier_demotion;
         ] );
     ]

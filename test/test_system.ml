@@ -358,6 +358,17 @@ let test_eager_reads_lower_latency () =
     (Printf.sprintf "eager %.0f < standard %.0f" fast slow)
     true (fast < slow)
 
+(* Eager forwarding cannot ride a batched frame (one ack carries every
+   response), so the pair is refused up front rather than the eager flag
+   silently dropped on the batched path. *)
+let test_eager_reads_refused_with_batching () =
+  Alcotest.check_raises "eager + batch"
+    (Invalid_argument "System.create: eager_reads cannot be combined with batch")
+    (fun () ->
+      ignore
+        (System.create
+           { System.default_config with eager_reads = true; batch = Some (Net.Batch.cfg ()) }))
+
 let test_ttl_marker_expires () =
   let sys = make () in
   let result = ref (Some (Pobj.make ~uid:(Uid.make ~machine:9 ~serial:9) [ v_int 0 ])) in
@@ -538,6 +549,38 @@ let test_wan_cluster_validation () =
         (System.create
            { System.default_config with
              topology = System.Wan { clusters = [| 0 |]; remote = Net.Cost_model.default } }))
+
+(* The WAN wake path (E13): 3 clusters of 4, λ = 5 so every class's
+   write group spans all three, one blocking taker parked on every
+   machine and 12 inserts from machine 0 — each insert wakes every
+   parked marker. On a WAN each wake is sent by a write-group member in
+   the waiter's own cluster, so the wake messages stay off the remote
+   links; the WAN totals are E13's cluster-local figures. *)
+let test_wan_cluster_local_wakes () =
+  let n = 12 in
+  let clusters = Array.init n (fun m -> m / 4) in
+  let sys =
+    System.create
+      { System.default_config with
+        n;
+        lambda = 5;
+        topology = System.Wan { clusters; remote = Net.Cost_model.v ~alpha:5000.0 ~beta:4.0 } }
+  in
+  let woken = ref 0 in
+  for m = 0 to n - 1 do
+    System.read_del_blocking sys ~machine:m (Template.headed "tok" [ Template.Any ])
+      ~on_done:(fun _ -> incr woken)
+  done;
+  System.run sys;
+  for i = 1 to n do
+    System.insert sys ~machine:0 [ v_sym "tok"; v_int i ] ~on_done:(fun () -> ());
+    System.run sys
+  done;
+  Alcotest.(check int) "every taker woke" n !woken;
+  Alcotest.(check int) "net.wan_msgs" 1359
+    (Sim.Stats.count (System.stats sys) "net.wan_msgs");
+  Alcotest.(check (float 0.0)) "wan_cost" 6917040.0 (System.wan_cost sys);
+  check_no_violations sys
 
 (* --- coalesced write groups ------------------------------------------------------ *)
 
@@ -873,6 +916,8 @@ let () =
         [
           Alcotest.test_case "eager reads lower latency" `Quick
             test_eager_reads_lower_latency;
+          Alcotest.test_case "eager reads refused with batching" `Quick
+            test_eager_reads_refused_with_batching;
           Alcotest.test_case "ttl marker expires" `Quick test_ttl_marker_expires;
           Alcotest.test_case "ttl marker satisfied" `Quick test_ttl_marker_satisfied_in_time;
           Alcotest.test_case "expired take re-inserts" `Quick
@@ -891,6 +936,8 @@ let () =
           Alcotest.test_case "link-aware policy joins fast" `Quick
             test_wan_link_aware_policy_joins_fast;
           Alcotest.test_case "cluster validation" `Quick test_wan_cluster_validation;
+          Alcotest.test_case "cluster-local marker wakes" `Quick
+            test_wan_cluster_local_wakes;
         ] );
       ( "coalesced groups",
         [

@@ -198,7 +198,6 @@ let small =
     sc_lambda = 2;
     sc_clusters = [ 3; 3 ];
     sc_remote_mult = 2.0;
-    sc_wan_latency_aware = false;
     sc_policy = "static";
     sc_deadline = Some 1.5e5;
     sc_faults = Storm { at = 8.0e5; down = 2; outage = 3.0e5; stagger = 5.0e4 };
