@@ -647,7 +647,7 @@ let recover_cmd =
   let checkpoint_every =
     Arg.(value & opt int 64
          & info [ "checkpoint-every" ] ~docv:"K"
-             ~doc:"Checkpoint a machine's state every K WAL appends (0 = never).")
+             ~doc:"Checkpoint a machine's state every K WAL records (0 = never).")
   in
   let torn_tail =
     Arg.(value & opt int 0
@@ -717,12 +717,16 @@ let recover_cmd =
       (match scenario with `Blackout -> "blackout" | `Crash -> "single crash")
       (List.length crashed) n lambda length;
     if durable then begin
-      Printf.printf "durable      on (checkpoint every %d appends%s)\n" checkpoint_every
+      Printf.printf "durable      on (checkpoint every %d records%s)\n" checkpoint_every
         (if torn_tail > 0 then Printf.sprintf ", torn tails of %d B armed" torn_tail
          else "");
-      Printf.printf "wal          %d appends (%.0f B), %d checkpoints (%.0f B, %d failed)\n"
+      Printf.printf
+        "wal          %d appends (%.0f B), %d resync records (%.0f B), %d checkpoints \
+         (%.0f B, %d failed)\n"
         (Sim.Stats.count stats "durable.appends")
         (Sim.Stats.total stats "durable.wal_bytes")
+        (Sim.Stats.count stats "durable.resync_records")
+        (Sim.Stats.total stats "durable.resync_bytes")
         (Sim.Stats.count stats "durable.checkpoints")
         (Sim.Stats.total stats "durable.checkpoint_bytes")
         (Sim.Stats.count stats "durable.checkpoint_failures");

@@ -51,6 +51,25 @@ let matrix ?(n = 8) ?(lambda = 2) () =
           };
         ];
     };
+    (* torn WAL appends: the first appends of a run are mostly the
+       resync records of group formation, so this tears install
+       records mid-frame as well as mutations. The manager must repair
+       the damaged log before a later record strands behind the torn
+       frame. *)
+    {
+      base with
+      durable = true;
+      policy = "counter:4";
+      arms =
+        [
+          {
+            Schedule.arm_site = "durable.wal.append";
+            arm_skip = 0;
+            arm_times = 2;
+            arm_action = "torn:5";
+          };
+        ];
+    };
     (* single-replica fast reads: the freshness-token fallback must keep
        every result quorum-equivalent under the full fault mix *)
     { base with fast_read = true };

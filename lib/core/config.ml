@@ -98,7 +98,7 @@ type durability = {
   du_append : machine:int -> Server.msg -> resp:Pobj.t option -> float;
   du_crash : machine:int -> unit;
   du_recover : machine:int -> Server.snapshot option;
-  du_resync : machine:int -> unit;
+  du_resync : machine:int -> classes:string list -> unit;
 }
 
 (* Stat handles for the per-operation hot path, interned once at

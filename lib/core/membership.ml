@@ -474,14 +474,17 @@ let reconcile_delta m ~du_resync ~node ~group ~joiner =
     let d, delta_bytes, rc =
       Server.delta_against m.servers.(node) ~classes ~basis:b ~joiner_objs
     in
+    (* The donor merged the joiner's tombstones and applied any
+       verdicts to itself: resync it, or a later replay would undo
+       them. *)
+    (match du_resync with Some f -> f ~machine:node ~classes | None -> ());
     (* Propagate the reconciliation verdicts to the remaining members
        so the group converges: adopted objects are installed
        everywhere, purged uids tombstoned everywhere. This runs at
        join-exec time, serialised with the group's op stream, so it is
        atomic like a delivered gcast; the object bytes ride the
-       joiner's delta legs. Every member the verdicts touched — donor
-       included — gets a durable resync, or a later replay would undo
-       them. *)
+       joiner's delta legs. Every member the verdicts touched gets a
+       durable resync too. *)
     if rc.Server.rc_adopted <> [] || rc.Server.rc_purged <> [] then begin
       let others =
         List.filter
@@ -507,7 +510,7 @@ let reconcile_delta m ~du_resync ~node ~group ~joiner =
             uids)
         rc.Server.rc_purged;
       match du_resync with
-      | Some f -> List.iter (fun mach -> f ~machine:mach) (node :: others)
+      | Some f -> List.iter (fun mach -> f ~machine:mach ~classes) others
       | None -> ()
     end;
     Sim.Stats.incr m.stats "durable.delta_joins";

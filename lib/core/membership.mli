@@ -269,7 +269,7 @@ val apply_policy : t -> policy:Policy.t -> machine:int -> cls:string -> Policy.e
 
 val reconcile_delta :
   t ->
-  du_resync:(machine:int -> unit) option ->
+  du_resync:(machine:int -> classes:string list -> unit) option ->
   node:int ->
   group:string ->
   joiner:int ->
@@ -279,6 +279,7 @@ val reconcile_delta :
     classes, compute the donor's delta against the joiner's basis,
     propagate adoption/purge verdicts to the remaining members (object
     bytes counted under ["durable.adopt_bytes"]/["durable.purge_bytes"],
-    durable resync on every member touched), and return
+    durable resync of the group's classes on the donor and every
+    member the verdicts touched), and return
     [(delta, basis_bytes, delta_bytes)]. [None] selects the ordinary
     full-snapshot transfer. *)

@@ -125,6 +125,8 @@ let query_work t ~cls =
   let s = store_for t cls in
   s.Storage.cost.query_cost (s.Storage.size ())
 
+let holds t ~cls = Hashtbl.mem t.stores cls
+
 let classes t =
   Hashtbl.fold (fun cls _ acc -> cls :: acc) t.stores [] |> List.sort compare
 

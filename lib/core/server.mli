@@ -55,6 +55,10 @@ val live_count : t -> cls:string -> int
 val query_work : t -> cls:string -> float
 (** Q(ℓ) for the class's local store, in abstract work units. *)
 
+val holds : t -> cls:string -> bool
+(** The class has a local store (it is one of {!classes}); constant
+    time. *)
+
 val classes : t -> string list
 (** Classes with a local store, sorted. *)
 

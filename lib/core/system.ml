@@ -367,11 +367,16 @@ let set_durability t d =
 
 let durability_attached t = t.durable <> None
 
-let server_snapshot t ~machine =
+let server_snapshot ?classes t ~machine =
   if machine < 0 || machine >= t.cfg.n then
     invalid_arg "System.server_snapshot: bad machine id";
   let s = t.servers.(machine) in
-  Server.snapshot s ~classes:(Server.classes s)
+  let classes =
+    match classes with
+    | None -> Server.classes s
+    | Some cs -> List.filter (fun cls -> Server.holds s ~cls) cs
+  in
+  Server.snapshot s ~classes
 
 (* --- class migration between shards (coordinator-only) ------------------- *)
 
@@ -444,9 +449,14 @@ let extract_class t ~cls =
   let view_id = Vsync.admin_dissolve t.vs ~group in
   List.iter (fun m -> Server.evict t.servers.(m) ~cls) members;
   (* The durable image must follow the evict, or a later replay would
-     resurrect the migrated-away replicas here. *)
+     resurrect the migrated-away replicas here — on every disk that may
+     hold the class: the members', and any down machine's. *)
   (match t.durable with
-  | Some d -> List.iter (fun m -> d.du_resync ~machine:m) members
+  | Some d ->
+      for m = 0 to t.cfg.n - 1 do
+        if List.mem m members || not (Vsync.is_up t.vs m) then
+          d.du_resync ~machine:m ~classes:[ cls ]
+      done
   | None -> ());
   (* End the migrated objects' alive intervals in THIS history: later
      template-matched fails here must not be judged against objects now
@@ -495,7 +505,7 @@ let install_class t mg =
   let live = List.filter (fun m -> Vsync.is_up t.vs m) mg.mg_members in
   List.iter (fun m -> Server.install t.servers.(m) snapshot) live;
   (match t.durable with
-  | Some d -> List.iter (fun m -> d.du_resync ~machine:m) live
+  | Some d -> List.iter (fun m -> d.du_resync ~machine:m ~classes:[ cls ]) live
   | None -> ());
   Router.invalidate t.router;
   Router.arm_new_class t.router (Op.Waiters.sorted t.waiters) ~cls;
@@ -631,23 +641,23 @@ let create ?(tracing = false) ?failpoints cfg =
           ~node ~group ~joiner
     | Some _ | None -> None
   in
-  let install_state ~node ~group:_ xfer =
+  let install_state ~node ~group xfer =
     (match xfer with
     | Membership.Full snapshot -> Server.install servers.(node) snapshot
     | Membership.Delta d -> Server.install_delta servers.(node) d);
     (* The durable image must follow the installed state, or a later
        replay would resurrect what the transfer superseded. *)
     match !tref with
-    | Some { durable = Some d; _ } -> d.du_resync ~machine:node
+    | Some { durable = Some d; _ } ->
+        d.du_resync ~machine:node ~classes:(Membership.classes_of_group mem group)
     | Some { durable = None; _ } | None -> ()
   in
   let on_view ~node:_ _view = Membership.flush_probation mem in
   let on_evict ~node ~group =
-    List.iter
-      (fun cls -> Server.evict servers.(node) ~cls)
-      (Membership.classes_of_group mem group);
+    let classes = Membership.classes_of_group mem group in
+    List.iter (fun cls -> Server.evict servers.(node) ~cls) classes;
     match !tref with
-    | Some { durable = Some d; _ } -> d.du_resync ~machine:node
+    | Some { durable = Some d; _ } -> d.du_resync ~machine:node ~classes
     | Some { durable = None; _ } | None -> ()
   in
   let on_group_lost ~group =

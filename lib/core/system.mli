@@ -278,11 +278,14 @@ type durability = {
       (** The machine is recovering: replay checkpoint+log and return
           the rebuilt state to pre-install before rejoin ([None] =
           nothing durable). *)
-  du_resync : machine:int -> unit;
-      (** The machine's in-memory state was replaced outside the
-          replicated-operation stream (state-transfer install, class
-          evict): bring the durable image level with it, or a later
-          replay would resurrect superseded state. *)
+  du_resync : machine:int -> classes:string list -> unit;
+      (** The machine's in-memory state of [classes] was replaced
+          outside the replicated-operation stream (state-transfer
+          install, class evict, reconciliation, shard migration): bring
+          the durable image of those classes level with it, or a later
+          replay would resurrect superseded state. Classes the server
+          no longer holds were evicted. A machine that is down (a
+          migration's evict) gets the resync when it recovers. *)
 }
 
 val set_durability : t -> durability -> unit
@@ -291,10 +294,11 @@ val set_durability : t -> durability -> unit
 
 val durability_attached : t -> bool
 
-val server_snapshot : t -> machine:int -> Server.snapshot
-(** Snapshot of every class the machine's server currently holds —
-    checkpoint support for the durable layer. Its state-transfer wire
-    size is {!Server.snapshot_bytes}. *)
+val server_snapshot : ?classes:string list -> t -> machine:int -> Server.snapshot
+(** Snapshot of every class the machine's server currently holds, or
+    of those among [classes] it holds — checkpoint and resync support
+    for the durable layer. Its state-transfer wire size is
+    {!Server.snapshot_bytes}. *)
 
 (** {1 Class migration between shards}
 
@@ -336,11 +340,12 @@ val class_migratable : t -> cls:string -> bool
 val extract_class : t -> cls:string -> migrated
 (** Remove the class from this System and return its full portable
     state: replicas are evicted (with a durable resync so replay
-    cannot resurrect them), the vsync group dissolved administratively,
-    the registry entry forgotten, routing caches invalidated, and the
-    migrated objects' alive intervals ended in this history (later
-    template-matched fails here must not be judged against objects now
-    living elsewhere).
+    cannot resurrect them — on every member's disk, and on the disk of
+    every machine that is down, applied when it recovers), the vsync
+    group dissolved administratively, the registry entry forgotten,
+    routing caches invalidated, and the migrated objects' alive
+    intervals ended in this history (later template-matched fails here
+    must not be judged against objects now living elsewhere).
     @raise Invalid_argument if not {!class_migratable}. *)
 
 val install_class : t -> migrated -> unit

@@ -22,6 +22,13 @@ type record =
   | R_remove of { cls : string; uid : Uid.t }
   | R_mark of { cls : string; mid : int; machine : int; tmpl : Template.t }
   | R_cancel of { cls : string; mid : int }
+  | R_install of {
+      cls : string;
+      objs : Pobj.t list;
+      marks : Server.marker list;
+      tombs : Uid.t list;
+    }
+  | R_evict of { cls : string }
 
 (* --- primitive writers -------------------------------------------------- *)
 
@@ -208,34 +215,38 @@ let get_marker r =
   let mk_tmpl = get_template r in
   { Server.mk_id; mk_machine; mk_tmpl }
 
+(* One class section — a checkpoint is a count and a run of these, and
+   an [R_install] record carries exactly one. *)
+let add_class b cls objs marks tombs =
+  add_str b cls;
+  add_u32 b (List.length objs);
+  List.iter (add_pobj b) objs;
+  add_u32 b (List.length marks);
+  List.iter (add_marker b) marks;
+  add_u32 b (List.length tombs);
+  List.iter (add_uid b) tombs
+
+let get_class r =
+  let cls = get_str r in
+  let nobjs = get_u32 r in
+  if nobjs > 0xFFFFFF then corrupt "bad object count %d" nobjs;
+  let objs = List.init nobjs (fun _ -> get_pobj r) in
+  let nmarks = get_u32 r in
+  if nmarks > 0xFFFFFF then corrupt "bad marker count %d" nmarks;
+  let marks = List.init nmarks (fun _ -> get_marker r) in
+  let ntombs = get_u32 r in
+  if ntombs > 0xFFFFFF then corrupt "bad tombstone count %d" ntombs;
+  let tombs = List.init ntombs (fun _ -> get_uid r) in
+  (cls, (objs, marks, tombs))
+
 let add_snapshot b (snap : Server.snapshot) =
   add_u32 b (List.length snap);
-  List.iter
-    (fun (cls, (objs, marks, tombs)) ->
-      add_str b cls;
-      add_u32 b (List.length objs);
-      List.iter (add_pobj b) objs;
-      add_u32 b (List.length marks);
-      List.iter (add_marker b) marks;
-      add_u32 b (List.length tombs);
-      List.iter (add_uid b) tombs)
-    snap
+  List.iter (fun (cls, (objs, marks, tombs)) -> add_class b cls objs marks tombs) snap
 
 let get_snapshot r : Server.snapshot =
   let nclasses = get_u32 r in
   if nclasses > 0xFFFFFF then corrupt "bad class count %d" nclasses;
-  List.init nclasses (fun _ ->
-      let cls = get_str r in
-      let nobjs = get_u32 r in
-      if nobjs > 0xFFFFFF then corrupt "bad object count %d" nobjs;
-      let objs = List.init nobjs (fun _ -> get_pobj r) in
-      let nmarks = get_u32 r in
-      if nmarks > 0xFFFFFF then corrupt "bad marker count %d" nmarks;
-      let marks = List.init nmarks (fun _ -> get_marker r) in
-      let ntombs = get_u32 r in
-      if ntombs > 0xFFFFFF then corrupt "bad tombstone count %d" ntombs;
-      let tombs = List.init ntombs (fun _ -> get_uid r) in
-      (cls, (objs, marks, tombs)))
+  List.init nclasses (fun _ -> get_class r)
 
 let add_record b = function
   | R_store { cls; obj } -> add_u8 b 0; add_str b cls; add_pobj b obj
@@ -247,6 +258,8 @@ let add_record b = function
       add_i64 b machine;
       add_template b tmpl
   | R_cancel { cls; mid } -> add_u8 b 3; add_str b cls; add_i64 b mid
+  | R_install { cls; objs; marks; tombs } -> add_u8 b 4; add_class b cls objs marks tombs
+  | R_evict { cls } -> add_u8 b 5; add_str b cls
 
 let get_record r =
   match get_u8 r with
@@ -268,6 +281,10 @@ let get_record r =
       let cls = get_str r in
       let mid = get_i64 r in
       R_cancel { cls; mid }
+  | 4 ->
+      let cls, (objs, marks, tombs) = get_class r in
+      R_install { cls; objs; marks; tombs }
+  | 5 -> R_evict { cls = get_str r }
   | t -> corrupt "bad record tag %d" t
 
 let all_consumed ~what r =
@@ -310,19 +327,20 @@ let marker_size (m : Server.marker) = 16 + template_size m.Server.mk_tmpl
 
 let sum f l = List.fold_left (fun acc x -> acc + f x) 0 l
 
+let class_size cls objs marks tombs =
+  str_size cls + 12 + sum pobj_size objs + sum marker_size marks
+  + (uid_size * List.length tombs)
+
 let snapshot_size (snap : Server.snapshot) =
-  4
-  + sum
-      (fun (cls, (objs, marks, tombs)) ->
-        str_size cls + 12 + sum pobj_size objs + sum marker_size marks
-        + (uid_size * List.length tombs))
-      snap
+  4 + sum (fun (cls, (objs, marks, tombs)) -> class_size cls objs marks tombs) snap
 
 let record_size = function
   | R_store { cls; obj } -> 1 + str_size cls + pobj_size obj
   | R_remove { cls; _ } -> 1 + str_size cls + uid_size
   | R_mark { cls; tmpl; _ } -> 1 + str_size cls + 16 + template_size tmpl
   | R_cancel { cls; _ } -> 1 + str_size cls + 8
+  | R_install { cls; objs; marks; tombs } -> 1 + class_size cls objs marks tombs
+  | R_evict { cls } -> 1 + str_size cls
 
 (* --- framing ------------------------------------------------------------ *)
 

@@ -23,14 +23,26 @@ exception Corrupt of string
     corrupt record frame as the torn tail of the log; a corrupt
     checkpoint falls back to log-only replay. *)
 
-(** One replayable mutation. [Remove] is logged by the uid it actually
-    removed (not its template), so replay is exact even for
-    higher-order templates. *)
+(** One replayable log record. The first four are mutations; [Remove]
+    is logged by the uid it actually removed (not its template), so
+    replay is exact even for higher-order templates. The last two are
+    resync records, written when a class's state changed outside the
+    mutation stream: [R_install] carries the class's whole post-install
+    image (the same section a checkpoint holds for it) and replaces
+    the class on replay; [R_evict] drops a class the server no longer
+    holds. *)
 type record =
   | R_store of { cls : string; obj : Pobj.t }
   | R_remove of { cls : string; uid : Uid.t }
   | R_mark of { cls : string; mid : int; machine : int; tmpl : Template.t }
   | R_cancel of { cls : string; mid : int }
+  | R_install of {
+      cls : string;
+      objs : Pobj.t list;
+      marks : Server.marker list;
+      tombs : Uid.t list;
+    }
+  | R_evict of { cls : string }
 
 val encode_record : record -> string
 (** One framed WAL record, ready to append. *)

@@ -16,7 +16,9 @@ let machine t = t.machine
 let wal_append t bytes = Buffer.add_string t.wal bytes
 let wal_contents t = Buffer.contents t.wal
 let wal_bytes t = Buffer.length t.wal
-let wal_clear t = Buffer.clear t.wal
+(* [reset], not [clear]: a truncated log gives its high-water capacity
+   back instead of pinning it for the machine's lifetime. *)
+let wal_clear t = Buffer.reset t.wal
 
 let wal_truncate t k =
   if k > 0 then Buffer.truncate t.wal (max 0 (Buffer.length t.wal - k))

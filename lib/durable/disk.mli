@@ -15,7 +15,8 @@ val wal_contents : t -> string
 val wal_bytes : t -> int
 
 val wal_clear : t -> unit
-(** Truncate the log to empty (after a verified checkpoint). *)
+(** Truncate the log to empty (after a verified checkpoint), releasing
+    its buffer. *)
 
 val wal_truncate : t -> int -> unit
 (** Drop the last [k] bytes (an unsynced tail lost at crash). *)

@@ -29,11 +29,15 @@ let record_of msg ~resp =
   | Server.Cancel_marker { cls; mid }, _ -> Some (Codec.R_cancel { cls; mid })
   | Server.Remove _, None | Server.Mem_read _, _ -> None
 
-(* Checkpoint one machine's full server state and account the outcome;
-   the bytes written, or 0 on a failed (unverified) write. *)
-let checkpoint_machine sys wals machine =
+(* Checkpoint one machine's image — by default its full server state —
+   and account the outcome; the bytes written, or 0 on a failed
+   (unverified) write. *)
+let checkpoint_machine ?snap sys wals machine =
   let stats = System.stats sys in
-  let bytes = Wal.checkpoint wals.(machine) (System.server_snapshot sys ~machine) in
+  let snap =
+    match snap with Some s -> s | None -> System.server_snapshot sys ~machine
+  in
+  let bytes = Wal.checkpoint wals.(machine) snap in
   if bytes > 0 then begin
     Sim.Stats.incr stats "durable.checkpoints";
     Sim.Stats.add stats "durable.checkpoint_bytes" (float_of_int bytes)
@@ -64,10 +68,13 @@ let attach ?(policy = default_policy) ?disks sys =
         Sim.Stats.incr stats "durable.appends";
         Sim.Stats.add stats "durable.wal_bytes" (float_of_int bytes);
         let work = policy.disk_alpha +. (policy.disk_beta *. float_of_int bytes) in
+        (* A damaged log strands every later record: repair it with a
+           checkpoint at once, as a periodic one is taken. *)
         let work =
           if
-            policy.checkpoint_every > 0
-            && Wal.records_since_checkpoint wals.(machine) >= policy.checkpoint_every
+            Wal.damaged wals.(machine)
+            || policy.checkpoint_every > 0
+               && Wal.records_since_checkpoint wals.(machine) >= policy.checkpoint_every
           then begin
             let cb = checkpoint_machine sys wals machine in
             work +. policy.disk_alpha +. (policy.disk_beta *. float_of_int cb)
@@ -78,7 +85,14 @@ let attach ?(policy = default_policy) ?disks sys =
         work
   in
   let du_crash ~machine = Wal.on_crash wals.(machine) in
+  (* Resyncs that found their machine down: a class migrated away while
+     it was down. Its disk still holds the class's old image, so its
+     recovery drops those classes and re-images the disk without them,
+     or a later rejoin would offer the stale objects for adoption. *)
+  let pending = Array.make n [] in
   let du_recover ~machine =
+    let moved = pending.(machine) in
+    pending.(machine) <- [];
     match Wal.recover wals.(machine) with
     | None -> None
     | Some r ->
@@ -87,15 +101,50 @@ let attach ?(policy = default_policy) ?disks sys =
         Sim.Stats.add stats "durable.recovered_objects" (float_of_int r.Wal.r_objects);
         if r.Wal.r_torn then Sim.Stats.incr stats "durable.torn_tails";
         if r.Wal.r_bad_checkpoint then Sim.Stats.incr stats "durable.bad_checkpoints";
-        Some r.Wal.r_snapshot
+        if moved = [] then Some r.Wal.r_snapshot
+        else begin
+          let snap =
+            List.filter (fun (cls, _) -> not (List.mem cls moved)) r.Wal.r_snapshot
+          in
+          if checkpoint_machine ~snap sys wals machine = 0 then pending.(machine) <- moved;
+          Some snap
+        end
   in
-  (* State-transfer installs and evictions replace server state outside
-     the logged mutation stream: re-checkpoint so a later replay starts
-     from the installed state. Bytes are accounted; the write happens
-     inside the vsync install continuation, which has no work-return
-     channel, so (unlike appends) it adds no node busy time — an
-     idealisation noted in DESIGN.md §9. *)
-  let du_resync ~machine = ignore (checkpoint_machine sys wals machine) in
+  (* State-transfer installs and evictions replace class state outside
+     the logged mutation stream: log each changed class as one resync
+     record (its post-install image, or its eviction) so a later replay
+     rebuilds the installed state — a per-class cost, not a re-image of
+     the machine. Once the log outgrows the machine's last checkpoint
+     image (or is damaged), the resync compacts it with a checkpoint,
+     so replay work and log memory stay within about twice the image.
+     Bytes are accounted; the writes happen inside the vsync install
+     continuation, which has no work-return channel, so (unlike
+     appends) they add no node busy time — an idealisation noted in
+     DESIGN.md §9. *)
+  let du_resync ~machine ~classes =
+    if not (System.is_up sys machine) then pending.(machine) <- classes @ pending.(machine)
+    else begin
+      let wal = wals.(machine) in
+      let held = System.server_snapshot sys ~machine ~classes in
+      List.iter
+        (fun cls ->
+          let rcd =
+            match List.assoc_opt cls held with
+            | Some (objs, marks, tombs) -> Codec.R_install { cls; objs; marks; tombs }
+            | None -> Codec.R_evict { cls }
+          in
+          let bytes = Wal.append wal rcd in
+          Sim.Stats.incr stats "durable.resync_records";
+          Sim.Stats.add stats "durable.resync_bytes" (float_of_int bytes))
+        classes;
+      let disk = Wal.disk wal in
+      let image =
+        match Disk.checkpoint disk with Some img -> String.length img | None -> 0
+      in
+      if Wal.damaged wal || Disk.wal_bytes disk > image then
+        ignore (checkpoint_machine sys wals machine)
+    end
+  in
   System.set_durability sys { System.du_append; du_crash; du_recover; du_resync };
   { sys; policy; wals }
 

@@ -8,15 +8,31 @@
       operation completes, charging [disk_alpha + disk_beta·bytes]
       work on that machine's serial processor (disk latency in the
       cost model);
-    - every [checkpoint_every] appends, the machine checkpoints its
-      full server snapshot and truncates its log (verified write —
-      see {!Wal});
+    - a class whose state changed outside that stream (state-transfer
+      install, eviction, reconciliation, shard migration) is appended
+      as one resync record: {!Codec.R_install} with the class's
+      post-install image, or {!Codec.R_evict}. Resync records charge
+      no disk time;
+    - every [checkpoint_every] log records (mutations and resyncs
+      alike), the next mutation append checkpoints the machine's full
+      server snapshot and truncates its log (verified write — see
+      {!Wal}). A resync that leaves the log larger than the machine's
+      last checkpoint image also checkpoints, uncharged, so replay
+      work and log memory stay within about twice the image;
+    - an append onto a damaged log ({!Wal.damaged}: a torn or dropped
+      append, or a torn tail found at recovery) checkpoints at once,
+      so no record stays stranded behind a damaged frame;
+    - a resync for a machine that is down (a class migrated away while
+      it was down) waits for its recovery, which drops those classes
+      from the replayed state and re-images the disk without them;
     - on [System.recover] the machine replays checkpoint+log, rejoins
       with the rebuilt state, and reconciles with live members by
       delta transfer instead of a full snapshot.
 
     Stats recorded into the system's {!Sim.Stats.t}:
-    ["durable.appends"/"durable.wal_bytes"] (log traffic),
+    ["durable.appends"/"durable.wal_bytes"] (mutation records and
+    their bytes), ["durable.resync_records"/"durable.resync_bytes"]
+    (resync records and their bytes),
     ["durable.checkpoints"/"durable.checkpoint_bytes"/
     "durable.checkpoint_failures"],
     ["durable.disk_time"] (work charged),
@@ -30,8 +46,8 @@ open Paso
 
 type policy = {
   checkpoint_every : int;
-      (** appends between periodic checkpoints; 0 disables periodic
-          checkpointing (resync checkpoints still happen) *)
+      (** log records between periodic checkpoints; 0 disables
+          periodic checkpointing (resync compaction still happens) *)
   disk_alpha : float;  (** per-write disk latency, in work units *)
   disk_beta : float;  (** per-byte disk latency, in work units *)
 }

@@ -5,7 +5,8 @@
    - every replicated mutation is appended as one CRC-framed record
      before the delivering operation completes (synchronous append —
      an un-logged applied mutation can only arise from an armed
-     failpoint);
+     failpoint), and so is every resync record (a class installed or
+     evicted outside the mutation stream);
    - a checkpoint serialises the server's full snapshot, is verified
      by read-back, and only then truncates the log (a torn or dropped
      checkpoint write leaves the previous image and the whole log in
@@ -19,13 +20,19 @@ type t = {
   fps : Sim.Failpoint.t;
   machine : int;
   disk : Disk.t;
-  mutable records_since : int; (* appends since the last durable checkpoint *)
+  mutable records_since : int; (* records since the last durable checkpoint *)
+  mutable damaged : bool;
+      (* a record reached the log short, or recovery stopped at a torn
+         frame: the log no longer replays to the server's state, and a
+         record appended behind a torn frame is unreachable *)
 }
 
-let create ~fps ~machine ~disk = { fps; machine; disk; records_since = 0 }
+let create ~fps ~machine ~disk =
+  { fps; machine; disk; records_since = 0; damaged = false }
 
 let disk t = t.disk
 let records_since_checkpoint t = t.records_since
+let damaged t = t.damaged
 
 let append t rcd =
   let bytes = Codec.encode_record rcd in
@@ -40,6 +47,7 @@ let append t rcd =
   in
   Disk.wal_append t.disk written;
   t.records_since <- t.records_since + 1;
+  if String.length written < full then t.damaged <- true;
   String.length written
 
 let checkpoint t snap =
@@ -60,6 +68,7 @@ let checkpoint t snap =
       Disk.set_checkpoint t.disk w;
       Disk.wal_clear t.disk;
       t.records_since <- 0;
+      t.damaged <- false;
       String.length w
   | Some _ | None -> 0
 
@@ -86,11 +95,11 @@ type recovery = {
 (* Replay state: per-class object sequence (reversed), marker list
    (oldest first) and remove-tombstone set, mirroring [Server.handle]'s
    mutation semantics — except removal, which the log records by exact
-   uid. Tombstones are evidence for the post-recovery reconciliation:
-   a replayed remove must survive even if the removed object's store
+   uid — and [Server.install]/[Server.evict] for resync records.
+   Tombstones are evidence for the post-recovery reconciliation: a
+   replayed remove must survive even if the removed object's store
    record predates the surviving checkpoint. *)
 type rstate = {
-  mutable classes : string list; (* first-seen, reversed *)
   robjs : (string, Pobj.t list ref) Hashtbl.t;
   rmarks : (string, Server.marker list ref) Hashtbl.t;
   rtombs : (string, Uid.Set.t ref) Hashtbl.t;
@@ -98,12 +107,19 @@ type rstate = {
 
 let rs_class st cls =
   if not (Hashtbl.mem st.robjs cls) then begin
-    st.classes <- cls :: st.classes;
     Hashtbl.add st.robjs cls (ref []);
     Hashtbl.add st.rmarks cls (ref []);
     Hashtbl.add st.rtombs cls (ref Uid.Set.empty)
   end;
   (Hashtbl.find st.robjs cls, Hashtbl.find st.rmarks cls)
+
+(* Replace one class with a whole image: a checkpoint section or an
+   [R_install] record. *)
+let rs_install st cls objs marks tombs =
+  let o, m = rs_class st cls in
+  o := List.rev objs;
+  m := marks;
+  Hashtbl.find st.rtombs cls := Uid.Set.of_list tombs
 
 let rs_apply st = function
   | Codec.R_store { cls; obj } ->
@@ -123,6 +139,11 @@ let rs_apply st = function
   | Codec.R_cancel { cls; mid } ->
       let _, marks = rs_class st cls in
       marks := List.filter (fun m -> m.Server.mk_id <> mid) !marks
+  | Codec.R_install { cls; objs; marks; tombs } -> rs_install st cls objs marks tombs
+  | Codec.R_evict { cls } ->
+      Hashtbl.remove st.robjs cls;
+      Hashtbl.remove st.rmarks cls;
+      Hashtbl.remove st.rtombs cls
 
 let recover t =
   let log = Disk.wal_contents t.disk in
@@ -130,12 +151,7 @@ let recover t =
   if ckpt = None && String.length log = 0 then None
   else begin
     let st =
-      {
-        classes = [];
-        robjs = Hashtbl.create 8;
-        rmarks = Hashtbl.create 8;
-        rtombs = Hashtbl.create 8;
-      }
+      { robjs = Hashtbl.create 8; rmarks = Hashtbl.create 8; rtombs = Hashtbl.create 8 }
     in
     let checkpoint_bytes, bad_checkpoint =
       match ckpt with
@@ -144,11 +160,7 @@ let recover t =
           match Codec.decode_snapshot bytes with
           | snap ->
               List.iter
-                (fun (cls, (objs, marks, tombs)) ->
-                  let o, m = rs_class st cls in
-                  o := List.rev objs;
-                  m := marks;
-                  Hashtbl.find st.rtombs cls := Uid.Set.of_list tombs)
+                (fun (cls, (objs, marks, tombs)) -> rs_install st cls objs marks tombs)
                 snap;
               (String.length bytes, false)
           | exception Codec.Corrupt _ -> (0, true))
@@ -164,8 +176,10 @@ let recover t =
          payloads
      with Codec.Corrupt _ -> torn := true);
     t.records_since <- !replayed;
+    t.damaged <- !torn;
     let snapshot =
-      List.sort compare st.classes
+      Hashtbl.fold (fun cls _ acc -> cls :: acc) st.robjs []
+      |> List.sort compare
       |> List.map (fun cls ->
              ( cls,
                ( List.rev !(Hashtbl.find st.robjs cls),

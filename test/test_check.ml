@@ -196,6 +196,41 @@ let test_probation_straddle () =
         (List.length o.Check.Runner.violations))
     [ { config with batch_ops = 2; batch_hold = 200.0 }; config ]
 
+(* Regression: a class migrated away while one of its members was down
+   left its old image on that member's disk. The class migrated back,
+   the member recovered the stale image, and its delta rejoin offered
+   an object that had been removed meanwhile; the tombstones had not
+   travelled with the class, so the donor adopted it and a second take
+   returned it (A2). The durable layer now drops a class that moved
+   away while the machine was down from its recovered state and its
+   disk. Found by the sharded fuzz sweep (seed 7, schedule 296,
+   shrunk). *)
+let test_migrated_while_down () =
+  let config =
+    {
+      Check.Schedule.default with
+      n = 8;
+      lambda = 2;
+      classing = "head";
+      durable = true;
+      shards = 4;
+      rebalance = true;
+      seed = 459489;
+    }
+  in
+  let steps =
+    Check.Schedule.
+      [
+        Insert (37, 4); Insert (27, 7); Advance; Advance; Crash 44; Read (22, 7);
+        Take (29, 4); Insert (20, 6); Advance; Advance; Advance; Insert (56, 0);
+        Advance; Insert (58, 7); Take (51, 4); Advance; Take (33, 1); Recover; Advance;
+        Take (26, 4);
+      ]
+  in
+  let o = Check.Runner.run config steps in
+  Alcotest.(check (list string)) "no violations" []
+    (List.map (fun r -> r.Check.Invariants.inv) o.Check.Runner.violations)
+
 (* ---- Mutation tests: corrupt a valid history, the checker must see it ---- *)
 
 let tmpl_a = Template.headed "a" [ Template.Any ]
@@ -280,6 +315,8 @@ let () =
           Alcotest.test_case "clean sweep across the matrix" `Quick test_campaign_clean;
           Alcotest.test_case "probation straddle regression" `Quick
             test_probation_straddle;
+          Alcotest.test_case "class migrated away while a member was down" `Quick
+            test_migrated_while_down;
         ] );
       ( "mutations",
         [

@@ -291,6 +291,52 @@ let test_snapshot_corruption_prop =
       | _ -> false
       | exception Durable.Codec.Corrupt _ -> true)
 
+(* Every record kind, resync records included, through frame + decode. *)
+let gen_record =
+  let open QCheck2.Gen in
+  let cls = map (Printf.sprintf "c/%d") (int_range 0 9) in
+  oneof
+    [
+      map2 (fun cls obj -> Durable.Codec.R_store { cls; obj }) cls gen_obj;
+      map2 (fun cls uid -> Durable.Codec.R_remove { cls; uid }) cls gen_uid;
+      map2
+        (fun cls (m : Server.marker) ->
+          Durable.Codec.R_mark
+            { cls; mid = m.mk_id; machine = m.mk_machine; tmpl = m.mk_tmpl })
+        cls gen_marker;
+      map2 (fun cls mid -> Durable.Codec.R_cancel { cls; mid }) cls (int_range 0 1000);
+      map2
+        (fun cls (objs, marks, tombs) ->
+          Durable.Codec.R_install { cls; objs; marks; tombs })
+        cls
+        (triple
+           (list_size (int_range 0 8) gen_obj)
+           (list_size (int_range 0 3) gen_marker)
+           (list_size (int_range 0 5) gen_uid));
+      map (fun cls -> Durable.Codec.R_evict { cls }) cls;
+    ]
+
+let record_eq a b =
+  match (a, b) with
+  | Durable.Codec.R_store a, Durable.Codec.R_store b ->
+      a.cls = b.cls && obj_eq a.obj b.obj
+  | Durable.Codec.R_remove a, Durable.Codec.R_remove b ->
+      a.cls = b.cls && Uid.equal a.uid b.uid
+  | Durable.Codec.R_mark a, Durable.Codec.R_mark b ->
+      a.cls = b.cls && a.mid = b.mid && a.machine = b.machine
+      && Template.specs a.tmpl = Template.specs b.tmpl
+  | Durable.Codec.R_cancel a, Durable.Codec.R_cancel b -> a.cls = b.cls && a.mid = b.mid
+  | Durable.Codec.R_install a, Durable.Codec.R_install b ->
+      snapshot_eq
+        [ (a.cls, (a.objs, a.marks, a.tombs)) ]
+        [ (b.cls, (b.objs, b.marks, b.tombs)) ]
+  | Durable.Codec.R_evict a, Durable.Codec.R_evict b -> a.cls = b.cls
+  | _ -> false
+
+let test_record_round_trip_prop =
+  QCheck2.Test.make ~name:"record codec: decode (encode r) = r, all six kinds" ~count:500
+    gen_record (fun rcd -> record_eq rcd (record_round_trip rcd))
+
 (* --- Disk ------------------------------------------------------------------- *)
 
 let test_disk_discipline () =
@@ -454,6 +500,74 @@ let test_wal_marker_replay () =
         (List.map (fun m -> m.Server.mk_id) marks)
   | _ -> Alcotest.fail "expected exactly class a"
 
+(* Resync records replay as [Server.install]/[Server.evict] do: a log
+   of mutations, an install, and an eviction of a class the checkpoint
+   holds rebuilds exactly the live server's state. *)
+let test_wal_resync_replay () =
+  let wal, _, _ = mk_wal () in
+  let srv = Server.create ~machine:0 ~kind:Storage.Hash () in
+  Server.enable_tombstones srv;
+  let log_install cls =
+    match Server.snapshot srv ~classes:[ cls ] with
+    | [ (_, (objs, marks, tombs)) ] ->
+        ignore
+          (Durable.Wal.append wal (Durable.Codec.R_install { cls; objs; marks; tombs }))
+    | _ -> Alcotest.fail "one class expected"
+  in
+  let apply msg =
+    let resp, _, _ = Server.handle srv msg in
+    match (msg, resp) with
+    | Server.Store { cls; obj }, _ ->
+        ignore (Durable.Wal.append wal (R_store { cls; obj }))
+    | Server.Remove { cls; _ }, Some o ->
+        ignore (Durable.Wal.append wal (R_remove { cls; uid = Pobj.uid o }))
+    | _ -> ()
+  in
+  let o serial cls v = obj ~machine:0 ~serial [ Value.Sym cls; Value.Int v ] in
+  apply (Server.Store { cls = "a"; obj = o 0 "a" 1 });
+  apply (Server.Store { cls = "b"; obj = o 1 "b" 2 });
+  ignore
+    (Durable.Wal.checkpoint wal (Server.snapshot srv ~classes:(Server.classes srv)));
+  apply (Server.Store { cls = "a"; obj = o 2 "a" 3 });
+  (* a state transfer replaces class a wholesale: one object dropped,
+     two others and a tombstone arrive *)
+  Server.install srv
+    [ ("a", ([ o 2 "a" 3; o 3 "a" 4; o 4 "a" 5 ], [], [ uid ~machine:0 ~serial:0 ])) ];
+  log_install "a";
+  apply (Server.Remove { cls = "a"; tmpl = Template.headed "a" [ Template.Any ] });
+  Server.evict srv ~cls:"b";
+  ignore (Durable.Wal.append wal (Durable.Codec.R_evict { cls = "b" }));
+  let r = recover_exn wal in
+  Alcotest.(check int) "records replayed" 4 r.Durable.Wal.r_replayed;
+  Alcotest.(check bool) "clean" false r.Durable.Wal.r_torn;
+  Alcotest.(check (list string)) "evicted class gone" [ "a" ]
+    (List.map fst r.Durable.Wal.r_snapshot);
+  Alcotest.(check bool) "replay = live server" true
+    (snapshot_eq
+       (Server.snapshot srv ~classes:(Server.classes srv))
+       r.Durable.Wal.r_snapshot)
+
+let test_wal_torn_install () =
+  let wal, fps, _ = mk_wal () in
+  ignore (Durable.Wal.append wal (store ~serial:0 1));
+  Failpoint.arm fps ~site:"durable.wal.append" ~times:1 (fun _ -> Failpoint.Truncate 9);
+  let written =
+    Durable.Wal.append wal
+      (Durable.Codec.R_install
+         {
+           cls = "a";
+           objs = [ obj ~machine:0 ~serial:5 [ Value.Sym "a"; Value.Int 9 ] ];
+           marks = [];
+           tombs = [ uid ~machine:0 ~serial:0 ];
+         })
+  in
+  Alcotest.(check bool) "the frame was cut mid-record" true (written > 8);
+  let r = recover_exn wal in
+  Alcotest.(check bool) "torn tail detected" true r.Durable.Wal.r_torn;
+  Alcotest.(check int) "only the clean prefix replays" 1 r.Durable.Wal.r_replayed;
+  Alcotest.(check (list (testable Value.pp Value.equal)))
+    "prefix state" [ Value.Int 1 ] (objects_of r)
+
 (* --- byte-identity pins ------------------------------------------------------ *)
 
 (* The checkpoint image is a wire format: its exact bytes are what
@@ -499,9 +613,12 @@ let test_pin_snapshot_image () =
     (hex (Durable.Codec.encode_snapshot (pin_snapshot ())))
 
 (* A churn-shaped durable run: counter-policy joins and evictions (each
-   followed by a resync checkpoint), periodic checkpoints, reads,
-   removes that leave tombstones, and rolling crashes with recovery.
-   Deterministic from its seed. *)
+   logged as resync records), periodic and compaction checkpoints,
+   reads, removes that leave tombstones, and rolling crashes with
+   recovery. Deterministic from its seed. At every crash instant and at
+   the end, each live machine's disk must replay to exactly the state
+   its server holds: that is what a resync record owes a later
+   recovery. *)
 let churn_disks () =
   let n = 8 in
   let sys =
@@ -514,6 +631,22 @@ let churn_disks () =
       }
   in
   let mgr = Durable.Manager.attach sys in
+  let audits = ref 0 in
+  let audit () =
+    for m = 0 to n - 1 do
+      if System.is_up sys m then begin
+        incr audits;
+        let replayed =
+          match Durable.Wal.recover (Durable.Manager.wal mgr ~machine:m) with
+          | Some r -> r.Durable.Wal.r_snapshot
+          | None -> []
+        in
+        if not (snapshot_eq (System.server_snapshot sys ~machine:m) replayed) then
+          Alcotest.failf "machine %d: disk replay differs from its server at %g" m
+            (System.now sys)
+      end
+    done
+  in
   let heads = Array.init 6 (Printf.sprintf "h%d") in
   let tmpls = Array.map (fun h -> Template.headed h [ Template.Any ]) heads in
   Array.iteri
@@ -531,7 +664,10 @@ let churn_disks () =
   in
   for i = 0 to 1499 do
     System.run_until sys (t0 +. (float_of_int i *. 2000.0));
-    if i mod 250 = 100 then System.crash sys ~machine:(i / 250 mod n);
+    if i mod 250 = 100 then begin
+      audit ();
+      System.crash sys ~machine:(i / 250 mod n)
+    end;
     if i mod 250 = 200 then System.recover sys ~machine:(i / 250 mod n);
     let m = live (Random.State.int rs n) 0 in
     let c = Random.State.int rs (Array.length heads) in
@@ -542,40 +678,38 @@ let churn_disks () =
     | _ -> System.read_del sys ~machine:m tmpls.(c) ~on_done:ignore
   done;
   System.run sys;
-  let images =
-    List.init n (fun m -> Durable.Disk.checkpoint (Durable.Manager.disk mgr ~machine:m))
+  audit ();
+  let disks =
+    List.init n (fun m ->
+        let d = Durable.Manager.disk mgr ~machine:m in
+        let img =
+          match Durable.Disk.checkpoint d with Some img -> hex img | None -> "none"
+        in
+        img ^ "+" ^ hex (Durable.Disk.wal_contents d))
   in
-  let tombs =
-    List.fold_left
-      (fun acc img ->
-        match img with
-        | None -> acc
-        | Some img ->
-            List.fold_left
-              (fun acc (_, (_, _, ts)) -> acc + List.length ts)
-              acc (Durable.Codec.decode_snapshot img))
-      0 images
-  in
-  ( List.map (function Some img -> hex img | None -> "none") images,
-    Sim.Stats.count (System.stats sys) "durable.checkpoints",
-    tombs )
+  let stats = System.stats sys in
+  ( !audits,
+    disks,
+    Sim.Stats.count stats "durable.checkpoints",
+    Sim.Stats.count stats "durable.resync_records" )
 
 let test_pin_churn_images () =
-  let images, checkpoints, tombs = churn_disks () in
-  Alcotest.(check int) "checkpoints taken" 142 checkpoints;
-  Alcotest.(check int) "tombstones on disk" 1034 tombs;
-  Alcotest.(check (list string)) "per-machine checkpoint digests"
+  let audits, disks, checkpoints, resyncs = churn_disks () in
+  Alcotest.(check int) "live machines audited" 56 audits;
+  Alcotest.(check int) "checkpoints taken" 58 checkpoints;
+  Alcotest.(check int) "resync records logged" 146 resyncs;
+  Alcotest.(check (list string)) "per-machine checkpoint+log digests"
     [
-      "e86c744a118d8a302d8c0e70f21acaf7";
-      "519caeeb374d326df92968dd56d40b74";
-      "09e34dfba60bdd58cb6b87c928871ce7";
-      "c4bf8637f635e39979671453b4bed5f3";
-      "39f23aa1d68bc2fdbe1563aee6bf030c";
-      "9879a08f6017a7c88c978929e2a183ba";
-      "c917ceef97d9353f3246f30f0b722ace";
-      "d059b29897ab74e45a992f8833757d6d";
+      "9333752cde7c9e22484742a2b6b9a343+7d37931c4d9f34e9ebad0875e19f6867";
+      "519caeeb374d326df92968dd56d40b74+d41d8cd98f00b204e9800998ecf8427e";
+      "9b58611236790a342514f2b02f69d6b5+810b34c1934729a96b5947ec386d9975";
+      "cd8a322f18fc55704bbc3e8f76185726+f74d9484b64177c876644802b94fcaab";
+      "29afa897556ebc97bed05c337c9f82da+ec0ec0194ee79930340f8718e9103a6c";
+      "707a9da68efcd8487089809935873227+1f1fb8bfd22ee33e05292e060925571e";
+      "3fe34aa2ee47832c157c3c00ea06572c+452fa420d331a722ce2c9562e7db9f9f";
+      "21a5c38269844410ad423cfff71596fb+649f8ecc7f0c6538722f73296fddb226";
     ]
-    images
+    disks
 
 let () =
   Alcotest.run "durable"
@@ -597,7 +731,10 @@ let () =
           QCheck_alcotest.to_alcotest test_single_frame_prop;
         ] );
       ( "records",
-        [ Alcotest.test_case "all four variants round trip" `Quick test_record_round_trip ] );
+        [
+          Alcotest.test_case "all four variants round trip" `Quick test_record_round_trip;
+          QCheck_alcotest.to_alcotest test_record_round_trip_prop;
+        ] );
       ( "snapshot codec",
         [
           QCheck_alcotest.to_alcotest test_snapshot_round_trip_prop;
@@ -620,6 +757,9 @@ let () =
             test_wal_bad_checkpoint_fallback;
           Alcotest.test_case "marker replay mirrors the server" `Quick
             test_wal_marker_replay;
+          Alcotest.test_case "resync records replay as install/evict" `Quick
+            test_wal_resync_replay;
+          Alcotest.test_case "torn install = torn tail" `Quick test_wal_torn_install;
         ] );
       ( "pins",
         [

@@ -257,6 +257,43 @@ let test_stale_checkpoint_blackout () =
     (Sim.Stats.count (System.stats sys) "durable.checkpoint_failures" >= 4);
   check_clean sys "after stale-checkpoint blackout"
 
+(* Torn appends on every replica: the first insert after arming tears
+   its record on both members of the class's write group. Replay stops
+   at a torn frame, so unless the manager repairs the log at once,
+   every later record is unreachable too, and a blackout loses all
+   four objects inserted after the tear. *)
+let test_torn_appends_repaired () =
+  let sys, fps, mgr = mk ~n:4 ~lambda:1 () in
+  let mgr = manager mgr in
+  for v = 0 to 3 do
+    insert sys ~machine:(v mod 4) v
+  done;
+  System.run sys;
+  Failpoint.arm fps ~site:"durable.wal.append" ~times:2 (fun _ -> Failpoint.Truncate 5);
+  for v = 4 to 7 do
+    insert sys ~machine:(v mod 4) v
+  done;
+  System.run sys;
+  Alcotest.(check bool) "both appends were torn" false
+    (Failpoint.armed fps ~site:"durable.wal.append");
+  for m = 0 to 3 do
+    Alcotest.(check bool)
+      (Printf.sprintf "machine %d's log is whole again" m)
+      false
+      (Durable.Wal.damaged (Durable.Manager.wal mgr ~machine:m))
+  done;
+  crash_all sys ~n:4;
+  System.run sys;
+  recover_all sys ~n:4;
+  System.run sys;
+  for v = 0 to 7 do
+    Alcotest.(check bool)
+      (Printf.sprintf "object %d survives the blackout" v)
+      true
+      (read_v sys ~machine:0 v <> None)
+  done;
+  check_clean sys "after torn appends and a blackout"
+
 (* Attaching durability must charge disk time into the cost model. *)
 let test_disk_time_charged () =
   let sys, _, _ = mk ~n:4 ~lambda:1 () in
@@ -292,6 +329,8 @@ let () =
             test_torn_tail_within_lambda;
           Alcotest.test_case "stale checkpoints never lose the log" `Quick
             test_stale_checkpoint_blackout;
+          Alcotest.test_case "torn appends are repaired before they strand" `Quick
+            test_torn_appends_repaired;
         ] );
       ( "cost model",
         [ Alcotest.test_case "disk time is charged" `Quick test_disk_time_charged ] );
