@@ -51,12 +51,11 @@ let median xs =
    clock involved; lower-edge reporting, ≤ 1/128 relative error. *)
 let p99_of_history h = Traffic.Hist.p99 (Traffic.Hist.of_history h)
 
-let run_once ?batch ~n ~lambda ~classes ~ops () =
-  let sys = System.create { System.default_config with n; lambda; batch } in
+(* Drive [ops] mix operations into [sys] (machine, class and kind
+   drawn from a fixed seed) and run it to quiescence. *)
+let drive sys ~n ~classes ~ops =
   let rng = Sim.Rng.make 99 in
   let heads = Array.init classes (fun i -> Printf.sprintf "c%d" i) in
-  let a0 = Gc.allocated_bytes () in
-  let t0 = now_s () in
   for i = 1 to ops do
     let m = Sim.Rng.int rng n in
     let head = Sim.Rng.choice rng heads in
@@ -75,7 +74,13 @@ let run_once ?batch ~n ~lambda ~classes ~ops () =
           ~on_done:(fun _ -> ()));
     if i mod 64 = 0 then System.run sys
   done;
-  System.run sys;
+  System.run sys
+
+let run_once ?batch ~n ~lambda ~classes ~ops () =
+  let sys = System.create { System.default_config with n; lambda; batch } in
+  let a0 = Gc.allocated_bytes () in
+  let t0 = now_s () in
+  drive sys ~n ~classes ~ops;
   let wall = now_s () -. t0 in
   let alloc = Gc.allocated_bytes () -. a0 in
   let stats = System.stats sys in

@@ -123,14 +123,6 @@ let stats_total_add iters =
   done;
   ignore (Sys.opaque_identity (Sim.Stats.total s "net.msg_cost"))
 
-let stats_observe iters =
-  let s = Sim.Stats.create () in
-  let sr = Sim.Stats.series s "lat" in
-  for i = 1 to iters do
-    Sim.Stats.observe_series sr (float_of_int (i * 7919 mod 104729));
-    if i land 1023 = 0 then ignore (Sim.Stats.percentile s "lat" 99.0)
-  done
-
 let event_heap_churn iters =
   let h = Sim.Event_heap.create () in
   for i = 1 to 1000 do
@@ -239,7 +231,6 @@ let kernel_specs =
     ("calibration", calibration, 2_000_000);
     ("stats_counter_incr", stats_counter_incr, 2_000_000);
     ("stats_total_add", stats_total_add, 2_000_000);
-    ("stats_observe", stats_observe, 200_000);
     ("event_heap_churn", event_heap_churn, 500_000);
     ("event_heap_cancel", event_heap_cancel, 500_000);
     ("trace_emit", trace_emit, 500_000);
@@ -328,34 +319,12 @@ let recovery_profile ~reps ~ops =
    Record-only, like "recovery": absent from the committed baseline, so
    the gate ignores it. One standard E8 mix run counts the stage flow
    (every transition lands in the paso.op.stage.* counter bank); a
-   second run arms a tight per-op deadline and a small retry budget to
-   exercise the expiry and refusal paths end-to-end under real load. *)
+   second run arms a tight per-op deadline to exercise the expiry path
+   end-to-end under real load. *)
 
-let op_lifecycle_run ?op_deadline ?retry_budget ~n ~lambda ~classes ~ops () =
-  let sys =
-    System.create { System.default_config with n; lambda; op_deadline; retry_budget }
-  in
-  let rng = Sim.Rng.make 99 in
-  let heads = Array.init classes (fun i -> Printf.sprintf "c%d" i) in
-  for i = 1 to ops do
-    let m = Sim.Rng.int rng n in
-    let head = Sim.Rng.choice rng heads in
-    (match Sim.Rng.int rng 3 with
-    | 0 ->
-        System.insert sys ~machine:m
-          [ Value.Sym head; Value.Int i ]
-          ~on_done:(fun () -> ())
-    | 1 ->
-        System.read sys ~machine:m
-          (Template.headed head [ Template.Any ])
-          ~on_done:(fun _ -> ())
-    | _ ->
-        System.read_del sys ~machine:m
-          (Template.headed head [ Template.Any ])
-          ~on_done:(fun _ -> ()));
-    if i mod 64 = 0 then System.run sys
-  done;
-  System.run sys;
+let op_lifecycle_run ?op_deadline ~n ~lambda ~classes ~ops () =
+  let sys = System.create { System.default_config with n; lambda; op_deadline } in
+  Mix.drive sys ~n ~classes ~ops;
   let stats = System.stats sys in
   let c k = J.Num (float_of_int (Sim.Stats.count stats k)) in
   J.Obj
@@ -369,7 +338,6 @@ let op_lifecycle_run ?op_deadline ?retry_budget ~n ~lambda ~classes ~ops () =
       ("failed", c "paso.op.stage.failed");
       ("retries", c "paso.op.retries");
       ("deadline_expired", c "paso.op.deadline_expired");
-      ("budget_exhausted", c "paso.op.budget_exhausted");
     ]
 
 let op_lifecycle_profile ~ops =
@@ -385,12 +353,9 @@ let op_lifecycle_profile ~ops =
     | _ -> ()
   in
   let default = op_lifecycle_run ~n:8 ~lambda:2 ~classes:8 ~ops () in
-  (* Deadline below the one-α fan-out round trip and a zero budget:
-     every remote op expires, every re-query is refused — the knobs'
-     worst case, priced under the same mix. *)
-  let tight =
-    op_lifecycle_run ~op_deadline:50.0 ~retry_budget:0 ~n:8 ~lambda:2 ~classes:8 ~ops ()
-  in
+  (* Deadline below the one-α fan-out round trip: every remote op
+     expires — the knob's worst case, priced under the same mix. *)
+  let tight = op_lifecycle_run ~op_deadline:50.0 ~n:8 ~lambda:2 ~classes:8 ~ops () in
   show "default" default;
   show "tight" tight;
   J.Obj [ ("default", default); ("tight", tight) ]
@@ -986,12 +951,34 @@ let gate_against ~path ~tol fresh =
    as a series rather than a single before/after pair. The gate always
    compares against the latest accepted BENCH_PERF.json baseline; the
    trajectory is the record of how that baseline moved. *)
+(* Host-speed reference for [e8_ops_per_s_norm]: the calibration
+   kernel's ns per iteration on a reference host. The normalised figure
+   is e8 ops/s x kernel ns / this constant — the throughput that host
+   would see if the simulator slows down and speeds up with the kernel —
+   so rows measured on hosts of different speed compare. *)
+let calibration_reference_ns = 25.0
+
 let trajectory_row label p =
-  let num path = match Bench_json.get_num p path with Some x -> J.Num x | None -> J.Null in
+  let opt_num = function Some x -> J.Num x | None -> J.Null in
+  let num path = opt_num (Bench_json.get_num p path) in
+  let kernel_ns name = List.assoc_opt name (Bench_json.kernels p) in
+  let calibration_ns = kernel_ns "calibration" in
+  (* A D = 4 figure from a host with fewer than 4 cores measures
+     oversubscription, not sharding: record it as null. *)
+  let d4 section path =
+    match Bench_json.get_num p [ section; "cores" ] with
+    | Some cores when cores >= 4.0 -> num (section :: path)
+    | Some _ | None -> J.Null
+  in
   J.Obj
     [
       ("pr", J.Str label);
       ("ops_per_s", num [ "e8_mix"; "ops_per_s" ]);
+      ("calibration_ns", opt_num calibration_ns);
+      ( "e8_ops_per_s_norm",
+        match (Bench_json.get_num p [ "e8_mix"; "ops_per_s" ], calibration_ns) with
+        | Some ops, Some ns -> J.Num (ops *. ns /. calibration_reference_ns)
+        | _ -> J.Null );
       ("events_per_s", num [ "e8_mix"; "events_per_s" ]);
       ("msgs_per_op", num [ "e8_mix"; "msgs_per_op" ]);
       ("msg_cost_per_op", num [ "e8_mix"; "msg_cost_per_op" ]);
@@ -999,20 +986,17 @@ let trajectory_row label p =
       ("batched_msg_cost_per_op", num [ "batching"; "on"; "msg_cost_per_op" ]);
       ("fast_read_msgs_per_op", num [ "read_path"; "on"; "msgs_per_op" ]);
       ("fast_read_msgs_reduction", num [ "read_path"; "msgs_reduction" ]);
-      ("sharded_ops_per_s_d4", num [ "sharding"; "ops_per_s_d4" ]);
-      ("shard_speedup_d4", num [ "sharding"; "speedup_d4" ]);
-      ("rebalance_skewed_ops_per_s", num [ "rebalance"; "skewed"; "ops_per_s" ]);
-      ("rebalance_speedup", num [ "rebalance"; "speedup" ]);
+      ("sharded_ops_per_s_d4", d4 "sharding" [ "ops_per_s_d4" ]);
+      ("shard_speedup_d4", d4 "sharding" [ "speedup_d4" ]);
+      ("rebalance_skewed_ops_per_s", d4 "rebalance" [ "skewed"; "ops_per_s" ]);
+      ("rebalance_speedup", d4 "rebalance" [ "speedup" ]);
       ("rebalance_migrations", num [ "rebalance"; "migrations" ]);
       ("adaptive_counter_worst_ratio", num [ "adaptive"; "counter"; "worst_ratio" ]);
       ("adaptive_doubling_worst_ratio", num [ "adaptive"; "doubling"; "worst_ratio" ]);
       ("p99_sim_latency", num [ "e8_mix"; "p99_sim_latency" ]);
       ("slo_ramp_p99", num [ "slo"; "ramp"; "p99" ]);
       ("slo_ramp_p999", num [ "slo"; "ramp"; "p999" ]);
-      ( "checkpoint_encode_verify_ns",
-        match List.assoc_opt "checkpoint_encode_verify" (Bench_json.kernels p) with
-        | Some ns -> J.Num ns
-        | None -> J.Null );
+      ("checkpoint_encode_verify_ns", opt_num (kernel_ns "checkpoint_encode_verify"));
     ]
 
 let append_trajectory ~path ~label p =

@@ -47,10 +47,6 @@ let set_k t k =
   t.kv <- k;
   if t.c > k then t.c <- k
 
-let reset t =
-  t.c <- 0.0;
-  t.member <- false
-
 let restore t ~k ~counter ~member =
   if k <= 0.0 then invalid_arg "Counter.restore: k <= 0";
   t.kv <- k;

@@ -47,9 +47,6 @@ val on_update : t -> outcome
 val set_k : t -> float -> unit
 (** Doubling/halving support: replace [K] and clamp [c ≤ K]. *)
 
-val reset : t -> unit
-(** Forget all state (machine crashed). *)
-
 val restore : t -> k:float -> counter:float -> member:bool -> unit
 (** Re-install externally saved state exactly — [K], the counter value
     (clamped to [0, K]) and the membership flag — so a class migrating

@@ -36,18 +36,6 @@ let validate_sequence p events =
 
 let remote_read_cost p ~failed = p.q *. float_of_int (p.lambda + 1 - failed)
 
-let relevant_to p ~machine events =
-  Array.of_list
-    (List.filter
-       (fun e ->
-         match e with
-         | Read m -> m = machine
-         | Update _ | Fail _ | Recover _ -> true)
-       (Array.to_list events))
-  |> fun a ->
-  ignore p;
-  a
-
 let adaptive_machines p =
   List.filter (fun m -> not (List.mem m p.basic)) (List.init p.n Fun.id)
 

@@ -41,11 +41,6 @@ val validate_sequence : params -> event array -> unit
 val remote_read_cost : params -> failed:int -> float
 (** [q·(λ+1−|F|)]: work done by the read group for one remote read. *)
 
-val relevant_to : params -> machine:int -> event array -> event array
-(** The subsequence that affects [machine]'s marginal cost: its own
-    reads, everyone's updates, and the fail/recover events (which set
-    |F| at each read). *)
-
 val adaptive_machines : params -> int list
 (** Machines outside B(C) — the ones an algorithm controls. *)
 

@@ -61,7 +61,6 @@ let create ?(seed = 1) ?future ~algo ~cache () =
   }
 
 let cached t page = IntSet.mem page t.cache
-let contents t = IntSet.elements t.cache
 let faults t = t.faults
 
 let metric tbl page = match Hashtbl.find_opt tbl page with Some v -> v | None -> -1

@@ -26,8 +26,6 @@ val access : t -> int -> bool
     the [future] sequence. *)
 
 val cached : t -> int -> bool
-val contents : t -> int list
-(** Cached pages, ascending. *)
 
 val faults : t -> int
 

@@ -20,12 +20,9 @@ type config = {
   fast_read : bool;
   batch : Net.Batch.cfg option;
   policy : Policy.t;
-  init_delay : float;
   group_map : (string -> string) option;
   repair : Repair.strategy option;
   op_deadline : float option;
-  retry_budget : int option;
-  retry_backoff : float;
   seed : int;
 }
 
@@ -43,14 +40,15 @@ let default_config =
     fast_read = false;
     batch = None;
     policy = Policy.static;
-    init_delay = 5000.0;
     group_map = None;
     repair = None;
     op_deadline = None;
-    retry_budget = None;
-    retry_backoff = 0.0;
     seed = 42;
   }
+
+(* §3.1 initialisation phase: how long a recovered machine waits
+   before re-joining its groups. *)
+let init_delay = 5000.0
 
 let validate cfg =
   if cfg.lambda < 0 then invalid_arg "System.create: negative lambda";
@@ -60,13 +58,9 @@ let validate cfg =
      piggybacks every response on one ack, so the pair cannot compose. *)
   if cfg.eager_reads && cfg.batch <> None then
     invalid_arg "System.create: eager_reads cannot be combined with batch";
-  (match cfg.op_deadline with
+  match cfg.op_deadline with
   | Some d when d <= 0.0 -> invalid_arg "System.create: op_deadline must be positive"
-  | Some _ | None -> ());
-  (match cfg.retry_budget with
-  | Some b when b < 0 -> invalid_arg "System.create: negative retry_budget"
-  | Some _ | None -> ());
-  if cfg.retry_backoff < 0.0 then invalid_arg "System.create: negative retry_backoff"
+  | Some _ | None -> ()
 
 (* Evidence a completed snapshot leaves behind for the checker: per
    candidate class, the mutation serial captured when its accepted

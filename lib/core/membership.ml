@@ -449,9 +449,17 @@ let apply_policy m ~policy ~machine ~cls event =
           tracef m "policy: machine %d joins wg(%s)" machine cls;
           Vsync.join (vs m) ~group:cs.group ~node:machine ~on_done:(fun () -> ())
       | Policy.Leave, true, false ->
-          Sim.Stats.incr m.stats "policy.leaves";
-          tracef m "policy: machine %d leaves wg(%s)" machine cls;
-          Vsync.leave (vs m) ~group:cs.group ~node:machine ~on_done:(fun () -> ())
+          (* The policy may shed a non-basic copy, never the last one: with
+             every basic member down, the leaver can hold the class's only
+             copy. A member whose leave is already queued counts as gone. *)
+          let queued = Vsync.leaving (vs m) ~group:cs.group in
+          let stays mach = mach <> machine && not (List.mem mach queued) in
+          if List.exists stays (operational_members m cs) then begin
+            Sim.Stats.incr m.stats "policy.leaves";
+            tracef m "policy: machine %d leaves wg(%s)" machine cls;
+            Vsync.leave (vs m) ~group:cs.group ~node:machine ~on_done:(fun () -> ())
+          end
+          else tracef m "policy: machine %d keeps wg(%s), its last member" machine cls
       | (Policy.Stay | Policy.Join | Policy.Leave), _, _ -> ())
 
 (* --- join-time state transfer ------------------------------------------- *)

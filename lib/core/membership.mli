@@ -263,7 +263,10 @@ val apply_policy : t -> policy:Policy.t -> machine:int -> cls:string -> Policy.e
     verdict: [Join] brings the machine into the class's write group
     (["policy.joins"]), [Leave] removes it (["policy.leaves"]) —
     refused for basic-support members, which are the class's permanent
-    core (§4.1). Unknown classes are ignored. *)
+    core (§4.1), and for the group's last operational member (a member
+    whose leave is still queued counts as gone), which may hold the
+    class's only copy when every basic member is down. Unknown classes
+    are ignored. *)
 
 (** {1 Join-time state transfer} *)
 

@@ -16,32 +16,26 @@ let stage_index = function
   | Done -> 4
   | Failed -> 5
 
-type cfg = { deadline : float option; retry_budget : int option; retry_backoff : float }
-
-let default_cfg = { deadline = None; retry_budget = None; retry_backoff = 0.0 }
-
 type ctl = {
   engine : Sim.Engine.t;
   trace : Sim.Trace.t;
-  cfg : cfg;
+  deadline : float option;
   (* one interned counter per stage, indexed by [stage_index] *)
   stages : Sim.Stats.counter array;
   c_retries : Sim.Stats.counter;
   c_deadline_expired : Sim.Stats.counter;
-  c_budget_exhausted : Sim.Stats.counter;
 }
 
-let ctl ~engine ~stats ~trace cfg =
+let ctl ~engine ~stats ~trace ~deadline =
   {
     engine;
     trace;
-    cfg;
+    deadline;
     stages =
       Sim.Stats.counter_bank stats ~prefix:"paso.op.stage"
         [| "issued"; "fanned_out"; "collecting"; "retrying"; "done"; "failed" |];
     c_retries = Sim.Stats.counter stats "paso.op.retries";
     c_deadline_expired = Sim.Stats.counter stats "paso.op.deadline_expired";
-    c_budget_exhausted = Sim.Stats.counter stats "paso.op.budget_exhausted";
   }
 
 type t = {
@@ -90,32 +84,16 @@ let finish op ~ok =
 
 let retry op k =
   if terminal op then false
-  else
-    match op.ctl.cfg.retry_budget with
-    | Some budget when op.o_retries >= budget ->
-        Sim.Stats.incr_counter op.ctl.c_budget_exhausted;
-        tracef op "op %d (machine %d): retry budget %d exhausted" op.o_id op.o_machine
-          budget;
-        false
-    | Some _ | None ->
-        op.o_retries <- op.o_retries + 1;
-        enter op Retrying;
-        Sim.Stats.incr_counter op.ctl.c_retries;
-        let backoff = op.ctl.cfg.retry_backoff in
-        if backoff <= 0.0 then k ()
-        else begin
-          (* Exponential backoff; the event is dropped (not cancelled)
-             if the op terminates first — the [terminal] guard makes a
-             stale re-query a no-op. *)
-          let delay = backoff *. Float.pow 2.0 (float_of_int (op.o_retries - 1)) in
-          ignore
-            (Sim.Engine.schedule op.ctl.engine ~delay (fun () ->
-                 if not (terminal op) then k ()))
-        end;
-        true
+  else begin
+    op.o_retries <- op.o_retries + 1;
+    enter op Retrying;
+    Sim.Stats.incr_counter op.ctl.c_retries;
+    k ();
+    true
+  end
 
 let arm_deadline op ~on_expire =
-  match op.ctl.cfg.deadline with
+  match op.ctl.deadline with
   | None -> ()
   | Some d ->
       op.o_deadline_ev <-

@@ -13,18 +13,14 @@
     Before this module the shape was implicit in a tangle of closures
     inside [System]; here it is explicit, observable (every transition
     lands in a ["paso.op.stage.*"] counter bank), and carries the
-    op-scoped robustness knobs the closures could not express:
+    op-scoped robustness knob the closures could not express: an
+    optional {b deadline}, virtual time after which the op terminates
+    with fail whatever is still in flight.
 
-    - an optional {b deadline} — virtual time after which the op
-      terminates with fail whatever is still in flight;
-    - an optional {b retry budget} — a cap on re-queries (probation
-      straddles, zero-responder retries), with exponential
-      {b backoff} between them.
-
-    All three default to {e off} ({!default_cfg}), in which state this
-    module schedules nothing and never refuses a transition — the
-    system's event schedule is byte-identical to the pre-Op code, which
-    is what keeps the pinned determinism artifacts valid. *)
+    Without a deadline this module schedules nothing and never refuses
+    a transition of a live op — the system's event schedule is
+    byte-identical to the pre-Op code, which is what keeps the pinned
+    determinism artifacts valid. *)
 
 (** {1 Lifecycle} *)
 
@@ -34,29 +30,22 @@ type stage =
   | Collecting  (** a response arrived; candidate walk continues *)
   | Retrying  (** a re-query was granted (straddle / zero responders) *)
   | Done  (** terminated with a result *)
-  | Failed  (** terminated with fail (absence, budget, or deadline) *)
+  | Failed  (** terminated with fail (absence or deadline) *)
 
 val stage_name : stage -> string
 
-type cfg = {
-  deadline : float option;
-      (** virtual-time budget per op, [None] = unbounded (default) *)
-  retry_budget : int option;
-      (** max re-queries per op, [None] = unbounded (default) *)
-  retry_backoff : float;
-      (** delay before the [k]-th re-query: [backoff * 2^(k-1)];
-          [0.0] (default) re-queries immediately, preserving the
-          pre-Op event schedule exactly *)
-}
-
-val default_cfg : cfg
-(** Everything off: no deadline, unbounded retries, no backoff. *)
-
 type ctl
-(** Per-system controller: the engine that schedules deadlines and
-    backoffs, the interned stage-counter bank, and the {!cfg}. *)
+(** Per-system controller: the engine that schedules deadlines, the
+    interned stage-counter bank, and the deadline. *)
 
-val ctl : engine:Sim.Engine.t -> stats:Sim.Stats.t -> trace:Sim.Trace.t -> cfg -> ctl
+val ctl :
+  engine:Sim.Engine.t ->
+  stats:Sim.Stats.t ->
+  trace:Sim.Trace.t ->
+  deadline:float option ->
+  ctl
+(** [deadline] is the virtual-time budget per op; [None] is
+    unbounded. *)
 
 type t
 (** One operation in flight. *)
@@ -88,16 +77,13 @@ val finish : t -> ok:bool -> bool
     armed deadline event, if any. *)
 
 val retry : t -> (unit -> unit) -> bool
-(** Request a re-query. Within budget: transitions to {!Retrying},
-    counts ["paso.op.retries"], runs the continuation — immediately
-    when [retry_backoff] is [0.0] (no event scheduled), else after the
-    exponential-backoff delay. Out of budget: counts
-    ["paso.op.budget_exhausted"], returns [false], and the caller
-    terminates the op with fail. Always [true] with the default
-    (unbounded) budget. *)
+(** Request a re-query: transitions to {!Retrying}, counts
+    ["paso.op.retries"], runs the continuation immediately and returns
+    [true]. Returns [false] — running nothing — if the op already
+    terminated; the caller then fails it (a no-op on a terminal op). *)
 
 val arm_deadline : t -> on_expire:(unit -> unit) -> unit
-(** With [cfg.deadline = Some d]: schedule an expiry event at
+(** With [deadline = Some d]: schedule an expiry event at
     [now + d]; if the op is still live when it fires, it transitions
     to {!Failed}, counts ["paso.op.deadline_expired"], and runs
     [on_expire] (which delivers the fail to the caller — late real

@@ -39,8 +39,9 @@ type t = {
   name : string;
   on_event : machine:int -> cls:string -> is_member:bool -> event -> decision;
       (** Consulted after every event. The system ignores [Join] when
-          already a member and [Leave] when not a member or when the
-          machine is in the class's basic support B(C). *)
+          already a member and [Leave] when not a member, when the
+          machine is in the class's basic support B(C), or when it is
+          the write group's last operational member. *)
   reset_machine : machine:int -> unit;
       (** The machine crashed: forget its counters. *)
   clone : unit -> t;

@@ -38,7 +38,6 @@ type t = {
   cfg : cfg;
   shards : int;
   classes : (string, entry) Hashtbl.t;
-  cum : float array;  (* cumulative per-shard load, for observability *)
   mutable rounds : int;
   mutable pending : move list;  (* selected but deferred (in-flight ops) *)
   mutable migrations : int;
@@ -54,14 +53,12 @@ let create ?(cfg = default_cfg) ~shards () =
     cfg;
     shards;
     classes = Hashtbl.create 64;
-    cum = Array.make shards 0.0;
     rounds = 0;
     pending = [];
     migrations = 0;
     deferrals = 0;
   }
 
-let shard_loads t = Array.copy t.cum
 let migrations t = t.migrations
 let deferrals t = t.deferrals
 
@@ -156,7 +153,6 @@ let round t ~loads ~eligible =
   t.rounds <- t.rounds + 1;
   List.iter
     (fun (cls, load, shard) ->
-      t.cum.(shard) <- t.cum.(shard) +. load;
       let e = entry t cls ~shard in
       e.e_window <- e.e_window +. load)
     loads;

@@ -44,10 +44,6 @@ val round : t -> loads:(string * float * int) list -> eligible:(string -> bool) 
     per refused round, and is retried next round. Returns the moves to
     execute now; the caller must apply every one of them. *)
 
-val shard_loads : t -> float array
-(** Cumulative per-shard drained load since creation (the
-    ["shard.load[s]"] observability surface). *)
-
 val migrations : t -> int
 (** Moves handed out by {!round} so far. *)
 

@@ -46,7 +46,6 @@ let create ?stats ~machine ~kind () =
     c_removes = Sim.Stats.counter stats "server.removes";
   }
 let machine t = t.machine
-let storage_kind t = t.kind
 let enable_tombstones t = t.track_tombs <- true
 
 let store_for t cls =

@@ -32,7 +32,6 @@ val create : ?stats:Sim.Stats.t -> machine:int -> kind:Storage.kind -> unit -> t
     through handles interned at creation (one field write per op). *)
 
 val machine : t -> int
-val storage_kind : t -> Storage.kind
 
 val enable_tombstones : t -> unit
 (** Start recording remove-tombstones (see {!tombstones}). Called when

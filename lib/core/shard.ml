@@ -88,8 +88,6 @@ let create ?(tracing = false) ~shards ?(domains = 1) ?rebalance cfg =
     ndeferred = 0;
   }
 
-let shard_count t = t.shards
-let domain_count t = t.domains
 let sub t k = t.sys.(k)
 let systems t = t.sys
 
@@ -99,7 +97,6 @@ let owner t cls =
   | None -> shard_of_class ~shards:t.shards cls
 
 let cross_retries t = t.xretries
-let rebalancing t = t.rb <> None
 let failpoints t = t.fp
 let shard_loads t = Array.copy t.cum_load
 let migrations t = t.nmigrations
@@ -409,7 +406,6 @@ let snapshot t ~machine tmpl ~on_done =
 let crash t ~machine = Array.iter (fun s -> System.crash s ~machine) t.sys
 let recover t ~machine = Array.iter (fun s -> System.recover s ~machine) t.sys
 let is_up t machine = System.is_up t.sys.(0) machine
-let up_count t = System.up_count t.sys.(0)
 
 (* --- merged observation ------------------------------------------------- *)
 
@@ -439,8 +435,6 @@ let rendered_trace t =
         (Sim.Trace.records (System.trace s)))
     t.sys;
   Buffer.contents b
-
-let waiter_count t = Array.fold_left (fun acc s -> acc + System.waiter_count s) 0 t.sys
 
 let concat_over t f = Array.to_list t.sys |> List.concat_map f
 let audit_replicas t = concat_over t System.audit_replicas

@@ -72,9 +72,6 @@ val create :
     ["policy.joins"] / ["policy.leaves"] like every other merged stat.
     @raise Invalid_argument if [shards < 1] or [domains < 1]. *)
 
-val shard_count : t -> int
-val domain_count : t -> int
-
 val sub : t -> int -> System.t
 (** Shard [k]'s sub-system, e.g. for arming per-shard failpoints. *)
 
@@ -84,9 +81,6 @@ val owner : t -> string -> int
     [shard_of_class]. *)
 
 (** {1 Rebalancing observability} *)
-
-val rebalancing : t -> bool
-(** Whether load-aware class migration is enabled. *)
 
 val shard_loads : t -> float array
 (** Cumulative §4-weighted load drained per shard at round barriers
@@ -176,7 +170,6 @@ val crash : t -> machine:int -> unit
 
 val recover : t -> machine:int -> unit
 val is_up : t -> int -> bool
-val up_count : t -> int
 
 (** {1 Merged observation} *)
 
@@ -193,7 +186,6 @@ val rendered_trace : t -> string
 (** The shards' rendered traces concatenated in shard-index order —
     the canonical merged trace the sharded determinism pins digest. *)
 
-val waiter_count : t -> int
 val audit_replicas : t -> (string * string) list
 (** Per-shard {!System.audit_replicas}, concatenated in shard-index
     order. *)

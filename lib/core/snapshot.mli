@@ -38,11 +38,10 @@ val snapshot :
   unit
 (** Run one atomic multi-class scan from [machine]: per candidate
     class (in sorted sc-list order), the class's [mem-read] answer at
-    the snapshot's cut; [None] = the op failed (deadline expired or
-    retry budget exhausted before a consistent cut was found). Counted
-    under ["ops.snapshot"]; confirm-phase re-collections under
-    ["paso.snapshot_retries"]. The caller has already validated the
-    machine. *)
+    the snapshot's cut; [None] = the op failed (its deadline expired
+    before a consistent cut was found). Counted under ["ops.snapshot"];
+    confirm-phase re-collections under ["paso.snapshot_retries"]. The
+    caller has already validated the machine. *)
 
 val records : t -> Config.snapshot_record list
 (** Evidence of every completed snapshot, oldest first. *)

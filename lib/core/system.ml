@@ -180,8 +180,8 @@ let read_gen t ~machine ~kind tmpl ~on_done =
                   Membership.note_load_cs cs (Membership.op_weight cs);
                   (* [fast]: restrict to a single replica, tagging the
                      request with the class's freshness token; a stale or
-                     probational responder falls back — transparently, no
-                     retry budget spent — to the quorum read-group path,
+                     probational responder falls back — transparently, not
+                     an op retry — to the quorum read-group path,
                      so the result is always quorum-equivalent. *)
                   let rec attempt ~fast =
                     let straddled = Membership.straddle_guard t.mem cs.Membership.group in
@@ -333,7 +333,7 @@ let recover t ~machine =
   if machine < 0 || machine >= t.cfg.n then invalid_arg "System.recover: bad machine id";
   if not (Vsync.is_up t.vs machine) then begin
     Sim.Stats.incr t.sstats "faults.recoveries";
-    tracef t "machine %d recovering (init phase %g)" machine t.cfg.init_delay;
+    tracef t "machine %d recovering (init phase %g)" machine init_delay;
     Vsync.recover t.vs ~node:machine;
     (* Rebuild the local stores from checkpoint+log replay before
        rejoining, so the join can reconcile by delta (or, for a group
@@ -353,7 +353,7 @@ let recover t ~machine =
               snapshot
         | None -> ())
     | None -> ());
-    Membership.schedule_rejoin t.mem ~machine ~delay:t.cfg.init_delay
+    Membership.schedule_rejoin t.mem ~machine ~delay:init_delay
   end
 
 let set_durability t d =
@@ -545,11 +545,7 @@ let create ?(tracing = false) ?failpoints cfg =
       ~batching:(cfg.batch <> None) ~use_read_groups:cfg.use_read_groups
       ~eager:cfg.eager_reads ~mem ~stats:sstats
   in
-  let opctl =
-    Op.ctl ~engine:eng ~stats:sstats ~trace:strace
-      { Op.deadline = cfg.op_deadline; retry_budget = cfg.retry_budget;
-        retry_backoff = cfg.retry_backoff }
-  in
+  let opctl = Op.ctl ~engine:eng ~stats:sstats ~trace:strace ~deadline:cfg.op_deadline in
   let waiters = Op.Waiters.create ~engine:eng ~stats:sstats in
   let hs = hot_stats sstats in
   let snap =

@@ -53,8 +53,8 @@ type config = {
           ({!Membership.class_token}: mutation serial, write-group
           view id, loss generation). A response arriving after the
           token moved, or from a probational group, transparently
-          falls back to the quorum read-group path (no retry budget
-          spent), so results are always quorum-equivalent. Trusted
+          falls back to the quorum read-group path (not counted as an
+          op retry), so results are always quorum-equivalent. Trusted
           fast responses are counted under ["paso.fast_reads"],
           fallbacks under ["paso.fast_read_fallbacks"]. [false] (the
           default) leaves every message and event byte-identical to
@@ -73,9 +73,6 @@ type config = {
           system. Trades the hold-window δ of latency for message-cost
           savings; the semantics checker verdicts are unaffected. *)
   policy : Policy.t;  (** adaptive replication policy (§5) *)
-  init_delay : float;
-      (** §3.1 initialisation phase: delay between machine recovery and
-          its re-joining of groups *)
   group_map : (string -> string) option;
       (** coalesce write groups: classes mapping to the same name share
           one write group (the paper's wg : C → Names is many-to-one);
@@ -96,22 +93,16 @@ type config = {
           ["paso.op.late_reinserts"]). Expiries are counted under
           ["paso.op.deadline_expired"]. [None] (the default) schedules
           nothing, leaving event schedules byte-identical. *)
-  retry_budget : int option;
-      (** cap on per-op re-queries (probation straddles,
-          zero-responder retries): an op out of budget terminates with
-          fail (counted under ["paso.op.budget_exhausted"]). [None]
-          (the default) is unbounded — the pre-existing behaviour. *)
-  retry_backoff : float;
-      (** delay before the [k]-th re-query of an op:
-          [backoff * 2^(k-1)]. [0.0] (the default) re-queries
-          immediately in the same event, preserving the pre-existing
-          event schedule exactly. *)
   seed : int;  (** seeds basic-support placement *)
 }
 
 val default_config : config
 (** 8 machines, λ = 2, [By_head] classing, hash stores, default cost
     model, read groups on, static policy, no repair. *)
+
+val init_delay : float
+(** §3.1 initialisation phase: the delay (5000 time units) between a
+    machine's recovery and its re-joining of groups. *)
 
 type t
 
@@ -154,13 +145,11 @@ val stats : t -> Sim.Stats.t
     request under batching), the ["paso.op.stage.*"] lifecycle
     counters (issued / fanned_out / collecting / retrying / done /
     failed transitions of the {!Op} state machine) with
-    ["paso.op.retries"/"paso.op.deadline_expired"/
-    "paso.op.budget_exhausted"/"paso.op.late_reinserts"] when
-    deadlines or retry budgets are configured, and the ["vsync.*"]
-    protocol counters
-    (gcasts, joins, leaves, view_changes, state_bytes, crashes,
-    recoveries, directs; batches, batched_ops and batch_cuts when
-    batching is on). Under batching, coalesced frames are counted once
+    ["paso.op.retries"] and, when a deadline is configured,
+    ["paso.op.deadline_expired"/"paso.op.late_reinserts"], and the
+    ["vsync.*"] protocol counters (gcasts, joins, leaves, view_changes,
+    state_bytes, crashes, recoveries, directs; batches, batched_ops and
+    batch_cuts when batching is on). Under batching, coalesced frames are counted once
     in ["net.msgs"] and itemised under ["net.frames"] /
     ["net.frame_ops"]. *)
 
@@ -246,10 +235,9 @@ val snapshot :
   unit
 (** Atomic multi-class scan: per candidate class (in sorted sc-list
     order), the class's [mem-read] answer at the snapshot's cut.
-    [None] = the op failed (deadline expired or retry budget exhausted
-    before a consistent cut was found). Counted under
-    ["ops.snapshot"]; confirm-phase re-collections under
-    ["paso.snapshot_retries"].
+    [None] = the op failed (its deadline expired before a consistent
+    cut was found). Counted under ["ops.snapshot"]; confirm-phase
+    re-collections under ["paso.snapshot_retries"].
     @raise Invalid_argument if the machine is down or the id invalid. *)
 
 val snapshots : t -> snapshot_record list
@@ -373,8 +361,8 @@ val crash : t -> machine:int -> unit
     operations orphaned. Idempotent. *)
 
 val recover : t -> machine:int -> unit
-(** Recover a machine; after the configured [init_delay] it re-joins
-    the write groups of the classes it basically supports. *)
+(** Recover a machine; after {!init_delay} it re-joins the write
+    groups of the classes it basically supports. *)
 
 val is_up : t -> int -> bool
 val up_count : t -> int

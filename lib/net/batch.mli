@@ -1,14 +1,13 @@
 (** Flush discipline for batched (coalesced) frames.
 
     A batcher accumulates logical operations addressed to the same
-    destination (a point-to-point peer for {!Transport}, a group for
-    [Vsync]) and ships them as one physical frame costing
+    group ([Vsync]'s batcher) and ships them as one physical frame costing
     [α + β·Σ|payload_i|] ({!Cost_model.frame_cost}). Three knobs bound
     how stale a held operation can get:
 
     - [max_ops]: a frame never carries more than this many operations;
-    - [max_bytes]: appending an op that would push the frame past this
-      many payload bytes cuts the frame first;
+    - [max_bytes]: an append that brings the frame to this many
+      payload bytes or more cuts the frame (the op rides in it);
     - [hold]: the hold window δ — a frame is flushed at most δ after
       its first operation was enqueued, even if neither cap was hit.
 

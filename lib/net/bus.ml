@@ -52,5 +52,3 @@ let transmit_frame t ?(extra = 0.0) ~ops ~bytes deliver =
 
 let message_count t = t.msgs
 let total_cost t = t.cost
-let busy_until t = t.free_at
-let cost_model t = t.model

@@ -33,8 +33,3 @@ val message_count : t -> int
 
 val total_cost : t -> float
 (** Sum of message costs so far — the paper's total [msg-cost]. *)
-
-val busy_until : t -> float
-(** Virtual time at which the bus next becomes idle. *)
-
-val cost_model : t -> Cost_model.t

@@ -22,8 +22,6 @@ type t = {
 
 let create () = { enabled = false; counts = Hashtbl.create 8; armings = Hashtbl.create 8 }
 
-let enable_counting t = t.enabled <- true
-
 let arm t ~site ?(skip = 0) ?(times = 1) handler =
   if skip < 0 then invalid_arg "Failpoint.arm: negative skip";
   if times < -1 then invalid_arg "Failpoint.arm: bad times";
@@ -64,6 +62,3 @@ let hit_count t ~site = match Hashtbl.find_opt t.counts site with Some c -> !c |
 
 let armed t ~site =
   match Hashtbl.find_opt t.armings site with Some a -> a.times <> 0 | None -> false
-
-let sites t =
-  Hashtbl.fold (fun site c acc -> (site, !c) :: acc) t.counts [] |> List.sort compare

@@ -70,7 +70,7 @@ type t
 
 val create : unit -> t
 (** A fresh registry with no armed sites. Hit counting starts disabled
-    and is enabled by the first {!arm} or by {!enable_counting}. *)
+    and is enabled by the first {!arm}. *)
 
 val arm :
   t -> site:string -> ?skip:int -> ?times:int -> (info -> effect_) -> unit
@@ -88,14 +88,8 @@ val hit :
     planted protocol code; returns the handler's effect ([Nothing] when
     unarmed, skipped, or exhausted). *)
 
-val enable_counting : t -> unit
-(** Count hits even with no site armed (for site-coverage inspection). *)
-
 val hit_count : t -> site:string -> int
 (** Hits recorded at [site] (0 while counting is disabled). *)
 
 val armed : t -> site:string -> bool
 (** The site has an arming with firings left. *)
-
-val sites : t -> (string * int) list
-(** All sites hit so far with their hit counts, sorted by name. *)

@@ -81,8 +81,6 @@ let ensure_workers needed =
         (Array.init (needed - have) (fun k -> Domain.spawn (worker (have + k + 1))))
   end
 
-let pool_size () = Array.length !workers
-
 let map ?(domains = 1) ?(now = fun () -> 0.0) ~total f =
   if domains < 1 then invalid_arg "Parallel.map: domains < 1";
   if total < 0 then invalid_arg "Parallel.map: negative total";

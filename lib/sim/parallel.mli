@@ -43,7 +43,3 @@ val map :
 
 val run : ?domains:int -> total:int -> (int -> unit) -> unit
 (** {!map} for effect-only tasks: same partition, no result array. *)
-
-val pool_size : unit -> int
-(** Worker domains currently alive in the persistent pool (0 until the
-    first [map] with [domains > 1]). Observability only. *)

@@ -14,7 +14,6 @@ let bits64 t =
   mix64 t.state
 
 let split t = { state = bits64 t }
-let copy t = { state = t.state }
 
 let derive seed ~stream =
   if stream = 0 then seed
@@ -44,8 +43,6 @@ let int_in t lo hi =
 let float t bound =
   let v = Int64.to_float (Int64.shift_right_logical (bits64 t) 11) in
   bound *. (v /. 9007199254740992.0 (* 2^53 *))
-
-let bool t = Int64.logand (bits64 t) 1L = 1L
 
 let exponential t ~mean =
   let u = float t 1.0 in

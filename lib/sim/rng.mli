@@ -19,8 +19,6 @@ val derive : int -> stream:int -> int
     byte-identical to the unstreamed configuration — the property the
     sharded runner leans on for its shard-0-equals-whole-system pins. *)
 
-val copy : t -> t
-
 val bits64 : t -> int64
 (** Next raw 64 bits. *)
 
@@ -33,8 +31,6 @@ val int_in : t -> int -> int -> int
 
 val float : t -> float -> float
 (** [float t bound] is uniform in [\[0, bound)]. *)
-
-val bool : t -> bool
 
 val exponential : t -> mean:float -> float
 (** Exponentially distributed with the given mean. *)

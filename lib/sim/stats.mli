@@ -5,15 +5,15 @@
     record into a shared [Stats.t] under conventional keys so that
     benchmarks can read them back after a run.
 
-    {b Two APIs.} The string-keyed functions ({!incr}, {!add},
-    {!observe}) hash their key on every call and suit cold paths and
-    tests. Hot paths — the network fabric charging every message, the
-    vsync layer charging every gcast — resolve a {e handle} once at
-    component-creation time ({!counter}, {!accumulator}, {!series})
-    and then record through it with a single mutable-field write, no
-    hashing and no allocation. Both APIs address the same cells: data
-    recorded through a handle is visible to the string readers and
-    vice versa. *)
+    {b Two APIs.} The string-keyed functions ({!incr}, {!add}) hash
+    their key on every call and suit cold paths and tests. Hot paths —
+    the network fabric charging every message, the vsync layer charging
+    every gcast — resolve a {e handle} once at component-creation time
+    ({!counter}, {!accumulator}) and then record through it with a
+    single mutable-field write, no hashing and no allocation. Both APIs
+    address the same cells: data recorded through a handle is visible
+    to the string readers and vice versa. Latency distributions live in
+    [Traffic.Hist], the repo's one histogram. *)
 
 type t
 
@@ -26,9 +26,6 @@ type counter
 
 type accumulator
 (** Handle to a float accumulator cell. *)
-
-type series
-(** Handle to a sample distribution. *)
 
 val counter : t -> string -> counter
 (** Resolve (creating if absent) the counter cell for a key. The
@@ -43,21 +40,11 @@ val counter_bank : t -> prefix:string -> string array -> counter array
     array read plus one field write — no hashing per event. *)
 
 val accumulator : t -> string -> accumulator
-val series : t -> string -> series
 
 val incr_counter : counter -> unit
 (** Increment through a handle: one field write. *)
 
-val counter_value : counter -> int
-
 val add_to : accumulator -> float -> unit
-val accumulator_value : accumulator -> float
-
-val observe_series : series -> float -> unit
-(** Append a sample: amortised O(1), no per-sample allocation. The
-    sorted view needed by {!percentile} is maintained incrementally —
-    a refresh sorts only the samples recorded since the previous
-    refresh and merges them in. *)
 
 (** {1 String-keyed API} *)
 
@@ -67,27 +54,11 @@ val incr : t -> string -> unit
 val add : t -> string -> float -> unit
 (** Add to a float accumulator. *)
 
-val observe : t -> string -> float -> unit
-(** Record a sample into a distribution (for mean / max / percentiles). *)
-
 val count : t -> string -> int
 (** Current value of an integer counter (0 if never incremented). *)
 
 val total : t -> string -> float
 (** Current value of a float accumulator (0.0 if never added to). *)
-
-val mean : t -> string -> float option
-(** Mean of the observed samples under this key, if any. *)
-
-val max_sample : t -> string -> float option
-val min_sample : t -> string -> float option
-
-val percentile : t -> string -> float -> float option
-(** [percentile t key p] with [p] in [0,100]; nearest-rank on the
-    recorded samples. *)
-
-val samples : t -> string -> int
-(** Number of recorded samples under this key. *)
 
 val reset : t -> unit
 (** Zero every cell. Handles resolved before the reset remain attached

@@ -21,8 +21,6 @@ let create ?(capacity = 4096) () =
   { buf = Array.make (max 1 (min 64 (capacity + 1))) dummy; len = 0; capacity; on = false }
 
 let enable t = t.on <- true
-let disable t = t.on <- false
-let enabled t = t.on
 
 let emit t ~time ~tag message =
   if t.on then begin
@@ -55,10 +53,6 @@ let iter t f =
   for i = 0 to t.len - 1 do
     f t.buf.(i)
   done
-
-let clear t =
-  Array.fill t.buf 0 t.len dummy;
-  t.len <- 0
 
 let pp_record ppf r = Format.fprintf ppf "[%10.3f] %-14s %s" r.time r.tag r.message
 

@@ -12,8 +12,6 @@ val create : ?capacity:int -> unit -> t
 (** [capacity] bounds retained records (oldest dropped); default 4096. *)
 
 val enable : t -> unit
-val disable : t -> unit
-val enabled : t -> bool
 
 val emit : t -> time:float -> tag:string -> string -> unit
 (** Record if enabled, else a no-op. *)
@@ -27,8 +25,6 @@ val records : t -> record list
 (** Retained records, oldest first. *)
 
 val length : t -> int
-
-val clear : t -> unit
 
 val pp_record : Format.formatter -> record -> unit
 

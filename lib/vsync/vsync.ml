@@ -59,6 +59,14 @@ let view t ~group =
 let view_id t ~group =
   match Hashtbl.find_opt t.groups group with Some g -> g.view_id | None -> 0
 
+let leaving t ~group =
+  match Hashtbl.find_opt t.groups group with
+  | Some g ->
+      Queue.fold
+        (fun acc op -> match op with Op_leave { ol_node; _ } -> ol_node :: acc | _ -> acc)
+        [] g.normal
+  | None -> []
+
 let is_member t ~group ~node =
   match Hashtbl.find_opt t.groups group with
   | Some g -> IntSet.mem node g.members
@@ -400,11 +408,6 @@ let admin_form t ~group ~members ~view_id =
   g.members <- IntSet.of_list (List.filter (fun m -> t.up.(m)) members);
   g.view_id <- view_id
 
-let state_transfer_target t ~group =
-  match Hashtbl.find_opt t.groups group with
-  | Some g -> g.joining
-  | None -> None
-
 let pending_groups t =
   Hashtbl.fold
     (fun name g acc ->
@@ -432,10 +435,6 @@ let exec_local t ~node ~work k =
   ignore
     (Sim.Engine.schedule t.eng ~delay:(fin -. now) (fun () ->
          if t.up.(node) && t.epoch.(node) = e then k ()))
-
-let node_busy_until t node =
-  check_node t node;
-  t.busy_until.(node)
 
 let crash t ~node =
   check_node t node;

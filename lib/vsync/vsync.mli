@@ -197,6 +197,10 @@ val leave :
   ('msg, 'resp, 'state) t -> group:string -> node:int -> on_done:(unit -> unit) -> unit
 (** [g-leave]: serialised like {!join}; triggers [on_evict]. *)
 
+val leaving : ('msg, 'resp, 'state) t -> group:string -> int list
+(** Nodes whose {!leave} of the group is queued and has not executed
+    yet. *)
+
 val send_direct :
   ('msg, 'resp, 'state) t -> from:int -> dst:int -> size:int -> (unit -> unit) -> unit
 (** One point-to-point message outside any group (costed on the bus);
@@ -227,13 +231,6 @@ val admin_form :
     agree). Silent like {!admin_dissolve}. Raises [Invalid_argument]
     if a populated or non-idle group of that name already exists. *)
 
-val state_transfer_target : ('msg, 'resp, 'state) t -> group:string -> int option
-(** The node currently receiving a join-time state snapshot of the
-    group, if a transfer is in flight. Such a node will hold the
-    group's state on arrival even if every current member crashes
-    meanwhile — the crash handler of the layer above consults this
-    before declaring a class's data lost. *)
-
 val failpoints : ('msg, 'resp, 'state) t -> Sim.Failpoint.t
 (** The fault-injection registry consulted at this instance's sites. *)
 
@@ -252,9 +249,6 @@ val exec_local : ('msg, 'resp, 'state) t -> node:int -> work:float -> (unit -> u
     continuation is orphaned (local processing dies with the machine).
     Used for local [mem-read]s, which involve no messages (Figure 1,
     row 2). Accounted under ["work.total"]. *)
-
-val node_busy_until : ('msg, 'resp, 'state) t -> int -> float
-(** Virtual time at which the node's processor becomes idle. *)
 
 val crash : ('msg, 'resp, 'state) t -> node:int -> unit
 (** Crash a machine: its local memory is lost, it is dropped from all

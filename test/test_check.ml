@@ -231,6 +231,38 @@ let test_migrated_while_down () =
   Alcotest.(check (list string)) "no violations" []
     (List.map (fun r -> r.Check.Invariants.inv) o.Check.Runner.violations)
 
+(* Regression: a policy leave emptied a write group. All three basic
+   members of wg(C) crashed (beyond λ), an insert then completed at the
+   one member left, which was not basic support, and the counter policy
+   made that member leave: the group lost its only copy (durability).
+   A policy leave is now refused when the leaver is the class's last
+   operational member, counting members whose leave is already queued
+   as gone. Found by the matrix fuzzer, shrunk. *)
+let test_last_member_leave () =
+  let config =
+    {
+      Check.Schedule.default with
+      n = 8;
+      lambda = 2;
+      classing = "head";
+      storage = "hash";
+      policy = "counter:4";
+      durable = true;
+      fast_read = true;
+      seed = 330562;
+    }
+  in
+  let steps =
+    Check.Schedule.
+      [
+        Insert (20, 0); Read (39, 0); Advance; Insert (27, 0); Take (7, 0); Take (50, 3);
+        Advance; Crash 50; Recover; Crash 25; Crash 0; Insert (23, 3);
+      ]
+  in
+  let o = Check.Runner.run config steps in
+  Alcotest.(check (list string)) "no violations" []
+    (List.map (fun r -> r.Check.Invariants.inv) o.Check.Runner.violations)
+
 (* ---- Mutation tests: corrupt a valid history, the checker must see it ---- *)
 
 let tmpl_a = Template.headed "a" [ Template.Any ]
@@ -315,6 +347,8 @@ let () =
           Alcotest.test_case "clean sweep across the matrix" `Quick test_campaign_clean;
           Alcotest.test_case "probation straddle regression" `Quick
             test_probation_straddle;
+          Alcotest.test_case "policy leave keeps the last member" `Quick
+            test_last_member_leave;
           Alcotest.test_case "class migrated away while a member was down" `Quick
             test_migrated_while_down;
         ] );

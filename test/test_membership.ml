@@ -258,6 +258,63 @@ let test_dead_issuer_not_resumed () =
   rejoin h group cs.Membership.basic;
   Alcotest.(check int) "parked op died with its issuer" 0 !resumed
 
+(* A policy leave never empties a write group. With both basic members
+   down, the two non-basic members x and y hold the only copies: x's
+   leave queues behind a gcast in flight, so y's leave must count x as
+   gone and be refused, and so must a later leave by the last member. *)
+let test_policy_leave_keeps_last_member () =
+  let h = make ~lambda:1 () in
+  let cs, _ = ensure h "t" in
+  let group = cs.Membership.group in
+  let outsiders =
+    List.filter (fun m -> not (List.mem m cs.Membership.basic)) [ 0; 1; 2; 3; 4; 5 ]
+  in
+  let x = List.nth outsiders 0 and y = List.nth outsiders 1 in
+  rejoin h group [ x; y ];
+  List.iter (fun node -> Vsync.crash h.vs ~node) cs.Membership.basic;
+  Sim.Engine.run h.eng;
+  let always_leave ~machine:_ ~cls:_ ~is_member:_ _ = Policy.Leave in
+  let policy = { Policy.static with on_event = always_leave } in
+  let policy_leave machine =
+    Membership.apply_policy h.mem ~policy ~machine ~cls:"t" (Policy.Update { ell = 0 })
+  in
+  Vsync.gcast h.vs ~group ~from:x ~msg_size:1000
+    ~on_done:(fun ~resp:_ ~work:_ ~responders:_ -> ())
+    (Server.Mem_read { cls = "t"; tmpl = Template.headed "t" [ Template.Any ] });
+  policy_leave x;
+  Alcotest.(check (list int)) "x's leave queued" [ x ] (Vsync.leaving h.vs ~group);
+  policy_leave y;
+  Sim.Engine.run h.eng;
+  Alcotest.(check (list int)) "y stays" [ y ] (Vsync.members h.vs ~group);
+  policy_leave y;
+  Sim.Engine.run h.eng;
+  Alcotest.(check (list int)) "last member kept" [ y ] (Vsync.members h.vs ~group);
+  Alcotest.(check int) "one leave executed" 1 (Sim.Stats.count h.stats "policy.leaves")
+
+let test_policy_leave_sheds_extra_copy () =
+  let h = make ~lambda:1 () in
+  let cs, _ = ensure h "t" in
+  let group = cs.Membership.group in
+  let basic = cs.Membership.basic in
+  let x = List.find (fun m -> not (List.mem m basic)) [ 0; 1; 2; 3; 4; 5 ] in
+  rejoin h group [ x ];
+  let always_leave ~machine:_ ~cls:_ ~is_member:_ _ = Policy.Leave in
+  let policy = { Policy.static with on_event = always_leave } in
+  let policy_leave machine =
+    Membership.apply_policy h.mem ~policy ~machine ~cls:"t" (Policy.Update { ell = 0 });
+    Sim.Engine.run h.eng
+  in
+  (* The basic support is up, so the extra copy is not the last one. *)
+  policy_leave x;
+  Alcotest.(check (list int)) "x shed its copy" (List.sort compare basic)
+    (Vsync.members h.vs ~group);
+  Alcotest.(check int) "leave counted" 1 (Sim.Stats.count h.stats "policy.leaves");
+  (* Basic support never leaves on a policy decision. *)
+  policy_leave (List.hd basic);
+  Alcotest.(check (list int)) "basic support kept" (List.sort compare basic)
+    (Vsync.members h.vs ~group);
+  Alcotest.(check int) "no further leave" 1 (Sim.Stats.count h.stats "policy.leaves")
+
 let test_schedule_rejoin () =
   let h = make ~lambda:1 () in
   let cs, _ = ensure h "t" in
@@ -298,5 +355,9 @@ let () =
           Alcotest.test_case "dead issuer not resumed" `Quick
             test_dead_issuer_not_resumed;
           Alcotest.test_case "schedule_rejoin" `Quick test_schedule_rejoin;
+          Alcotest.test_case "policy leave keeps the last member" `Quick
+            test_policy_leave_keeps_last_member;
+          Alcotest.test_case "policy leave sheds an extra copy" `Quick
+            test_policy_leave_sheds_extra_copy;
         ] );
     ]

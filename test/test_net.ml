@@ -1,4 +1,4 @@
-(* Tests for the network model: cost model, serialising bus, transport. *)
+(* Tests for the network model: cost model, serialising bus, fabric. *)
 
 let check_float = Alcotest.(check (float 1e-9))
 
@@ -103,144 +103,26 @@ let test_batch_cfg () =
   Alcotest.check_raises "bad max_ops" (Invalid_argument "Batch.cfg: max_ops < 1")
     (fun () -> ignore (Net.Batch.cfg ~max_ops:0 ()))
 
-(* --- Transport ------------------------------------------------------------ *)
+let test_batch_cfg_defaults () =
+  let c = Net.Batch.cfg () in
+  (* 16 ops / 4096 bytes / one default α of hold, as documented. *)
+  Alcotest.(check bool) "15 small ops stay held" false
+    (Net.Batch.cut_after c ~ops:15 ~bytes:4095);
+  Alcotest.(check bool) "the 16th op cuts" true (Net.Batch.cut_after c ~ops:16 ~bytes:16);
+  Alcotest.(check bool) "4096 bytes cut" true (Net.Batch.cut_after c ~ops:1 ~bytes:4096);
+  Alcotest.(check string) "printed"
+    "{ max_ops = 16; max_bytes = 4096; hold = 500 }"
+    (Format.asprintf "%a" Net.Batch.pp c)
 
-let make_transport ?batch ?(n = 4) () =
-  let eng, stats, bus = (make_bus ()) in
-  let tr = Net.Transport.create ?batch eng bus ~n in
-  (eng, stats, bus, tr)
-
-let make_transport' ?(n = 4) () =
-  let eng, _, _, tr = make_transport ~n () in
-  (eng, tr)
-
-let test_transport_delivery () =
-  let eng, tr = make_transport' () in
-  let got = ref [] in
-  Net.Transport.set_handler tr ~node:1 (fun ~src msg -> got := (src, msg) :: !got);
-  Net.Transport.send tr ~src:0 ~dst:1 ~size:8 "hello";
-  Sim.Engine.run eng;
-  Alcotest.(check (list (pair int string))) "delivered with src" [ (0, "hello") ] !got
-
-let test_transport_fifo_per_pair () =
-  let eng, tr = make_transport' () in
-  let got = ref [] in
-  Net.Transport.set_handler tr ~node:2 (fun ~src:_ msg -> got := msg :: !got);
-  List.iter (fun m -> Net.Transport.send tr ~src:0 ~dst:2 ~size:1 m) [ "a"; "b"; "c" ];
-  Sim.Engine.run eng;
-  Alcotest.(check (list string)) "FIFO" [ "a"; "b"; "c" ] (List.rev !got)
-
-let test_transport_down_drops () =
-  let eng, tr = make_transport' () in
-  let got = ref 0 in
-  Net.Transport.set_handler tr ~node:1 (fun ~src:_ _ -> incr got);
-  Net.Transport.set_down tr 1;
-  Net.Transport.send tr ~src:0 ~dst:1 ~size:1 "x";
-  Sim.Engine.run eng;
-  Alcotest.(check int) "dropped" 0 !got
-
-let test_transport_crash_drops_inflight () =
-  let eng, tr = make_transport' () in
-  let got = ref 0 in
-  Net.Transport.set_handler tr ~node:1 (fun ~src:_ _ -> incr got);
-  (* Message enters the bus, then the destination crashes before the
-     delivery instant: the message must be lost (crash erases state). *)
-  Net.Transport.send tr ~src:0 ~dst:1 ~size:100 "x";
-  ignore (Sim.Engine.schedule eng ~delay:1.0 (fun () -> Net.Transport.set_down tr 1));
-  Sim.Engine.run eng;
-  Alcotest.(check int) "in-flight dropped on crash" 0 !got
-
-let test_transport_recovery_epoch () =
-  let eng, tr = make_transport' () in
-  let got = ref 0 in
-  Net.Transport.set_handler tr ~node:1 (fun ~src:_ _ -> incr got);
-  Net.Transport.send tr ~src:0 ~dst:1 ~size:100 "x";
-  (* Crash and recover before the delivery instant: the old message was
-     addressed to the previous incarnation and must still be dropped. *)
-  ignore
-    (Sim.Engine.schedule eng ~delay:1.0 (fun () ->
-         Net.Transport.set_down tr 1;
-         Net.Transport.set_up tr 1));
-  Sim.Engine.run eng;
-  Alcotest.(check int) "stale incarnation message dropped" 0 !got;
-  (* But the recovered node receives fresh messages. *)
-  Net.Transport.send tr ~src:0 ~dst:1 ~size:1 "y";
-  Sim.Engine.run eng;
-  Alcotest.(check int) "fresh message delivered" 1 !got
-
-let test_transport_up_nodes () =
-  let _, tr = make_transport' ~n:5 () in
-  Net.Transport.set_down tr 2;
-  Net.Transport.set_down tr 4;
-  Alcotest.(check (list int)) "up nodes" [ 0; 1; 3 ] (Net.Transport.up_nodes tr);
-  Alcotest.(check bool) "is_up" false (Net.Transport.is_up tr 2)
-
-(* --- Transport batching ----------------------------------------------------- *)
-
-let test_transport_batch_coalesces () =
-  let batch = Net.Batch.cfg ~max_ops:8 ~max_bytes:1000 ~hold:50.0 () in
-  let eng, stats, bus, tr = make_transport ~batch () in
-  let got = ref [] in
-  Net.Transport.set_handler tr ~node:1 (fun ~src:_ msg ->
-      got := (msg, Sim.Engine.now eng) :: !got);
-  List.iter
-    (fun m -> Net.Transport.send tr ~src:0 ~dst:1 ~size:5 m)
-    [ "a"; "b"; "c" ];
-  Alcotest.(check int) "held in the lane" 3 (Net.Transport.pending_batched tr);
-  Sim.Engine.run eng;
-  (* Flush at hold=50, then one frame of cost 10 + 15 = 25. *)
-  Alcotest.(check (list (pair string (float 1e-9))))
-    "one frame, FIFO, delivered at hold + frame cost"
-    [ ("a", 75.0); ("b", 75.0); ("c", 75.0) ]
-    (List.rev !got);
-  Alcotest.(check int) "one physical message" 1 (Net.Bus.message_count bus);
-  check_float "alpha charged once" 25.0 (Net.Bus.total_cost bus);
-  Alcotest.(check int) "frame ops" 3 (Sim.Stats.count stats "net.frame_ops")
-
-let test_transport_batch_cut_on_cap () =
-  let batch = Net.Batch.cfg ~max_ops:2 ~max_bytes:1000 ~hold:50.0 () in
-  let eng, _, bus, tr = make_transport ~batch () in
-  let at = ref [] in
-  Net.Transport.set_handler tr ~node:1 (fun ~src:_ _ ->
-      at := Sim.Engine.now eng :: !at);
-  Net.Transport.send tr ~src:0 ~dst:1 ~size:5 "a";
-  Net.Transport.send tr ~src:0 ~dst:1 ~size:5 "b";
-  Alcotest.(check int) "cut immediately at the op cap" 0
-    (Net.Transport.pending_batched tr);
-  Sim.Engine.run eng;
-  (* The frame goes out at enqueue time, not after the hold window. *)
-  Alcotest.(check (list (float 1e-9))) "no hold-window wait" [ 20.0; 20.0 ] !at;
-  Alcotest.(check int) "one frame" 1 (Net.Bus.message_count bus)
-
-let test_transport_batch_explicit_flush () =
-  let batch = Net.Batch.cfg ~max_ops:8 ~max_bytes:1000 ~hold:500.0 () in
-  let eng, _, _, tr = make_transport ~batch () in
-  let at = ref 0.0 in
-  Net.Transport.set_handler tr ~node:1 (fun ~src:_ _ -> at := Sim.Engine.now eng);
-  Net.Transport.send tr ~src:0 ~dst:1 ~size:5 "a";
-  Net.Transport.flush tr;
-  Alcotest.(check int) "drained" 0 (Net.Transport.pending_batched tr);
-  Sim.Engine.run eng;
-  check_float "sent at flush, not after hold" 15.0 !at
-
-let test_transport_batch_epoch_guard () =
-  let batch = Net.Batch.cfg ~max_ops:8 ~max_bytes:1000 ~hold:50.0 () in
-  let eng, _, _, tr = make_transport ~batch () in
-  let got = ref 0 in
-  Net.Transport.set_handler tr ~node:1 (fun ~src:_ _ -> incr got);
-  Net.Transport.send tr ~src:0 ~dst:1 ~size:5 "a";
-  (* Crash + recover while the message is still held in the lane: it
-     was addressed to the previous incarnation and must be dropped at
-     delivery, exactly as on the unbatched path. *)
-  ignore
-    (Sim.Engine.schedule eng ~delay:1.0 (fun () ->
-         Net.Transport.set_down tr 1;
-         Net.Transport.set_up tr 1));
-  Sim.Engine.run eng;
-  Alcotest.(check int) "stale incarnation dropped" 0 !got;
-  Net.Transport.send tr ~src:0 ~dst:1 ~size:5 "b";
-  Sim.Engine.run eng;
-  Alcotest.(check int) "fresh incarnation delivered" 1 !got
+let test_batch_cfg_rejects () =
+  Alcotest.check_raises "bad max_bytes" (Invalid_argument "Batch.cfg: max_bytes < 1")
+    (fun () -> ignore (Net.Batch.cfg ~max_bytes:0 ()));
+  Alcotest.check_raises "negative hold" (Invalid_argument "Batch.cfg: bad hold")
+    (fun () -> ignore (Net.Batch.cfg ~hold:(-1.0) ()));
+  Alcotest.check_raises "NaN hold" (Invalid_argument "Batch.cfg: bad hold") (fun () ->
+      ignore (Net.Batch.cfg ~hold:Float.nan ()));
+  (* A zero hold window is legal: every op flushes at the next instant. *)
+  ignore (Net.Batch.cfg ~hold:0.0 ())
 
 (* --- Fabric ----------------------------------------------------------------- *)
 
@@ -264,6 +146,20 @@ let test_fabric_shared_matches_bus () =
   check_float "shared bus serialises across sources" 30.0 !t2;
   Alcotest.(check bool) "not wan" false (Net.Fabric.is_wan f);
   Alcotest.(check bool) "same cluster trivially" true (Net.Fabric.same_cluster f 0 3)
+
+let test_fabric_shared_frame_pricing () =
+  let eng = Sim.Engine.create () in
+  let stats = Sim.Stats.create () in
+  let f = Net.Fabric.shared_bus eng (cm 10.0 1.0) stats in
+  let at = ref 0.0 in
+  (* Four 5-byte ops in one frame: α once plus β·20 on the one bus. *)
+  Net.Fabric.transmit_frame f ~src:0 ~dst:1 ~ops:4 ~bytes:20 (fun () ->
+      at := Sim.Engine.now eng);
+  Sim.Engine.run eng;
+  check_float "delivered after one frame slot" 30.0 !at;
+  check_float "alpha charged once" 30.0 (Net.Fabric.total_cost f);
+  Alcotest.(check int) "one physical message" 1 (Net.Fabric.message_count f);
+  Alcotest.(check int) "frame ops" 4 (Sim.Stats.count stats "net.frame_ops")
 
 let test_fabric_wan_parallel_sources () =
   let eng, _, f = make_wan () in
@@ -336,32 +232,19 @@ let () =
       ( "batch",
         [
           Alcotest.test_case "cfg caps and validation" `Quick test_batch_cfg;
-          Alcotest.test_case "transport coalesces in the hold window" `Quick
-            test_transport_batch_coalesces;
-          Alcotest.test_case "op cap cuts early" `Quick
-            test_transport_batch_cut_on_cap;
-          Alcotest.test_case "explicit flush" `Quick
-            test_transport_batch_explicit_flush;
-          Alcotest.test_case "epoch guard preserved" `Quick
-            test_transport_batch_epoch_guard;
+          Alcotest.test_case "cfg defaults and printer" `Quick test_batch_cfg_defaults;
+          Alcotest.test_case "cfg rejects bad byte cap and hold" `Quick
+            test_batch_cfg_rejects;
         ] );
       ( "fabric",
         [
           Alcotest.test_case "shared matches bus" `Quick test_fabric_shared_matches_bus;
+          Alcotest.test_case "shared frame pricing" `Quick test_fabric_shared_frame_pricing;
           Alcotest.test_case "wan parallel sources" `Quick test_fabric_wan_parallel_sources;
           Alcotest.test_case "wan per-source serialisation" `Quick
             test_fabric_wan_serialises_per_source;
           Alcotest.test_case "wan pricing and stats" `Quick test_fabric_wan_pricing_and_stats;
           Alcotest.test_case "wan frame pricing" `Quick test_fabric_wan_frame_pricing;
           Alcotest.test_case "validation" `Quick test_fabric_validation;
-        ] );
-      ( "transport",
-        [
-          Alcotest.test_case "delivery with src" `Quick test_transport_delivery;
-          Alcotest.test_case "FIFO per pair" `Quick test_transport_fifo_per_pair;
-          Alcotest.test_case "down node drops" `Quick test_transport_down_drops;
-          Alcotest.test_case "crash drops in-flight" `Quick test_transport_crash_drops_inflight;
-          Alcotest.test_case "epoch guards recovery" `Quick test_transport_recovery_epoch;
-          Alcotest.test_case "up_nodes" `Quick test_transport_up_nodes;
         ] );
     ]

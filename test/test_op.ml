@@ -1,18 +1,14 @@
 (* Unit and model tests for the per-operation lifecycle state machine:
    whatever interleaving of transitions a schedule produces, an op
-   terminates exactly once, never retries past its budget, and a
-   deadline always terminates it. *)
+   terminates exactly once and a deadline always terminates it. *)
 
 open Paso
 
-let mk ?deadline ?retry_budget ?(retry_backoff = 0.0) () =
+let mk ?deadline () =
   let eng = Sim.Engine.create () in
   let stats = Sim.Stats.create () in
   let trace = Sim.Trace.create () in
-  let ctl =
-    Op.ctl ~engine:eng ~stats ~trace { Op.deadline; retry_budget; retry_backoff }
-  in
-  (eng, stats, ctl)
+  (eng, stats, Op.ctl ~engine:eng ~stats ~trace ~deadline)
 
 (* --- deterministic cases ------------------------------------------------- *)
 
@@ -52,28 +48,40 @@ let test_finish_cancels_deadline () =
   Alcotest.(check int) "deadline never fires" 0 !expired;
   Alcotest.(check string) "done" "done" (Op.stage_name (Op.stage op))
 
-let test_budget_refuses () =
-  let _, stats, ctl = mk ~retry_budget:2 () in
+let test_retries_counted () =
+  let _, stats, ctl = mk () in
   let op = Op.make ctl ~machine:0 ~op_id:1 in
-  Alcotest.(check bool) "retry 1" true (Op.retry op (fun () -> ()));
-  Alcotest.(check bool) "retry 2" true (Op.retry op (fun () -> ()));
-  Alcotest.(check bool) "retry 3 refused" false (Op.retry op (fun () -> ()));
-  Alcotest.(check int) "two granted" 2 (Op.retries op);
-  Alcotest.(check int) "exhaustion counted" 1
-    (Sim.Stats.count stats "paso.op.budget_exhausted")
+  let ran = ref 0 in
+  Op.fan_out op;
+  Alcotest.(check bool) "first retry" true (Op.retry op (fun () -> incr ran));
+  Alcotest.(check string) "retrying" "retrying" (Op.stage_name (Op.stage op));
+  Op.fan_out op;
+  Alcotest.(check bool) "second retry" true (Op.retry op (fun () -> incr ran));
+  Alcotest.(check int) "continuations ran" 2 !ran;
+  Alcotest.(check int) "per-op count" 2 (Op.retries op);
+  Alcotest.(check int) "retries counter" 2 (Sim.Stats.count stats "paso.op.retries");
+  Alcotest.(check int) "retrying stage counter" 2
+    (Sim.Stats.count stats "paso.op.stage.retrying")
 
-let test_backoff_delays_requery () =
-  let eng, _, ctl = mk ~retry_backoff:10.0 () in
-  let op = Op.make ctl ~machine:0 ~op_id:1 in
-  let fired_at = ref [] in
-  (* Backoff doubles per retry: 10, then 20 more. *)
-  ignore
-    (Op.retry op (fun () ->
-         fired_at := Sim.Engine.now eng :: !fired_at;
-         ignore (Op.retry op (fun () -> fired_at := Sim.Engine.now eng :: !fired_at))));
-  Alcotest.(check (list (float 1e-9))) "not yet run" [] !fired_at;
+let test_retry_refused_when_terminal () =
+  let eng, stats, ctl = mk ~deadline:5.0 () in
+  let expired = Op.make ctl ~machine:0 ~op_id:1 in
+  Op.arm_deadline expired ~on_expire:(fun () -> ());
   Sim.Engine.run eng;
-  Alcotest.(check (list (float 1e-9))) "exponential schedule" [ 30.0; 10.0 ] !fired_at
+  let finished = Op.make ctl ~machine:0 ~op_id:2 in
+  Alcotest.(check bool) "finish" true (Op.finish finished ~ok:true);
+  List.iter
+    (fun op ->
+      let ran = ref false in
+      Alcotest.(check bool) "retry refused" false (Op.retry op (fun () -> ran := true));
+      Alcotest.(check bool) "continuation not run" false !ran;
+      Alcotest.(check int) "not counted" 0 (Op.retries op))
+    [ expired; finished ];
+  Alcotest.(check int) "no retries counted" 0 (Sim.Stats.count stats "paso.op.retries");
+  Alcotest.(check string) "expired stays failed" "failed"
+    (Op.stage_name (Op.stage expired));
+  Alcotest.(check string) "finished stays done" "done"
+    (Op.stage_name (Op.stage finished))
 
 (* --- model: random transition schedules ---------------------------------- *)
 
@@ -116,16 +124,32 @@ let model_terminates_once =
       end;
       true)
 
-let model_budget_respected =
-  QCheck2.Test.make ~name:"retries never exceed the budget" ~count:300
-    QCheck2.Gen.(pair (int_range 0 5) gen_cmds)
-    (fun (budget, cmds) ->
-      let _, _, ctl = mk ~retry_budget:budget () in
+let model_retries_counted =
+  QCheck2.Test.make ~name:"granted retries are counted, none after termination"
+    ~count:300 gen_cmds (fun cmds ->
+      let _, stats, ctl = mk () in
       let op = Op.make ctl ~machine:0 ~op_id:1 in
-      List.iter (fun c -> ignore (apply op c)) cmds;
-      if Op.retries op > budget then
-        QCheck2.Test.fail_reportf "%d retries granted against budget %d"
-          (Op.retries op) budget;
+      let granted = ref 0 in
+      List.iter
+        (fun c ->
+          match c with
+          | C_retry ->
+              let was_terminal = Op.terminal op in
+              let ran = ref false in
+              let ok = Op.retry op (fun () -> ran := true) in
+              if ok = was_terminal || ok <> !ran then
+                QCheck2.Test.fail_reportf "retry on %s op: granted %b, ran %b"
+                  (if was_terminal then "a terminal" else "a live")
+                  ok !ran;
+              if ok then incr granted
+          | c -> ignore (apply op c))
+        cmds;
+      if Op.retries op <> !granted then
+        QCheck2.Test.fail_reportf "%d retries granted, %d recorded" !granted
+          (Op.retries op);
+      if Sim.Stats.count stats "paso.op.retries" <> !granted then
+        QCheck2.Test.fail_reportf "%d retries granted, counter says %d" !granted
+          (Sim.Stats.count stats "paso.op.retries");
       true)
 
 let model_deadline_terminates =
@@ -176,9 +200,7 @@ let test_system_defaults_off () =
   System.run sys;
   Alcotest.(check bool) "read satisfied" true (!got <> None);
   let stats = System.stats sys in
-  Alcotest.(check int) "no expiries" 0 (Sim.Stats.count stats "paso.op.deadline_expired");
-  Alcotest.(check int) "no exhaustion" 0
-    (Sim.Stats.count stats "paso.op.budget_exhausted")
+  Alcotest.(check int) "no expiries" 0 (Sim.Stats.count stats "paso.op.deadline_expired")
 
 let () =
   Alcotest.run "op"
@@ -190,14 +212,14 @@ let () =
           Alcotest.test_case "deadline expires" `Quick test_deadline_expires;
           Alcotest.test_case "finish cancels deadline" `Quick
             test_finish_cancels_deadline;
-          Alcotest.test_case "budget refuses" `Quick test_budget_refuses;
-          Alcotest.test_case "backoff delays requery" `Quick
-            test_backoff_delays_requery;
+          Alcotest.test_case "retries counted" `Quick test_retries_counted;
+          Alcotest.test_case "retry refused when terminal" `Quick
+            test_retry_refused_when_terminal;
         ] );
       ( "model",
         [
           QCheck_alcotest.to_alcotest model_terminates_once;
-          QCheck_alcotest.to_alcotest model_budget_respected;
+          QCheck_alcotest.to_alcotest model_retries_counted;
           QCheck_alcotest.to_alcotest model_deadline_terminates;
         ] );
       ( "system",

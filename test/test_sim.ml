@@ -177,20 +177,45 @@ let test_stats_counters () =
   check_float "total" 4.0 (Sim.Stats.total s "y");
   Alcotest.(check int) "missing counter" 0 (Sim.Stats.count s "zzz")
 
-let test_stats_distribution () =
+let test_stats_handles_share_cells () =
   let s = Sim.Stats.create () in
-  List.iter (Sim.Stats.observe s "d") [ 1.0; 2.0; 3.0; 4.0 ];
-  check_float "mean" 2.5 (Option.get (Sim.Stats.mean s "d"));
-  check_float "max" 4.0 (Option.get (Sim.Stats.max_sample s "d"));
-  check_float "min" 1.0 (Option.get (Sim.Stats.min_sample s "d"));
-  check_float "median" 2.0 (Option.get (Sim.Stats.percentile s "d" 50.0));
-  Alcotest.(check int) "samples" 4 (Sim.Stats.samples s "d")
+  let c = Sim.Stats.counter s "net.msgs" in
+  let a = Sim.Stats.accumulator s "net.msg_cost" in
+  let bank = Sim.Stats.counter_bank s ~prefix:"op.stage" [| "issued"; "done" |] in
+  Alcotest.(check (list string)) "interning records nothing" [] (Sim.Stats.keys s);
+  Sim.Stats.incr_counter c;
+  Sim.Stats.incr s "net.msgs";
+  Sim.Stats.add_to a 1.5;
+  Sim.Stats.add s "net.msg_cost" 2.0;
+  Sim.Stats.incr_counter bank.(1);
+  Alcotest.(check int) "handle and name add up" 2 (Sim.Stats.count s "net.msgs");
+  check_float "accumulator and name add up" 3.5 (Sim.Stats.total s "net.msg_cost");
+  Alcotest.(check int) "bank cell named by prefix" 1 (Sim.Stats.count s "op.stage.done");
+  Alcotest.(check int) "untouched bank cell" 0 (Sim.Stats.count s "op.stage.issued");
+  Alcotest.(check bool) "same cell on re-intern" true
+    (Sim.Stats.incr_counter (Sim.Stats.counter s "net.msgs");
+     Sim.Stats.count s "net.msgs" = 3)
+
+let test_stats_handles_survive_reset () =
+  let s = Sim.Stats.create () in
+  let c = Sim.Stats.counter s "x" in
+  let a = Sim.Stats.accumulator s "y" in
+  Sim.Stats.incr_counter c;
+  Sim.Stats.add_to a 4.0;
+  Sim.Stats.reset s;
+  Alcotest.(check int) "zeroed" 0 (Sim.Stats.count s "x");
+  check_float "zeroed total" 0.0 (Sim.Stats.total s "y");
+  Sim.Stats.incr_counter c;
+  Sim.Stats.add_to a 0.5;
+  Alcotest.(check int) "counter still attached" 1 (Sim.Stats.count s "x");
+  check_float "accumulator still attached" 0.5 (Sim.Stats.total s "y");
+  Alcotest.(check (list string)) "keys again" [ "x"; "y" ] (Sim.Stats.keys s)
 
 let test_stats_reset_and_keys () =
   let s = Sim.Stats.create () in
   Sim.Stats.incr s "b";
   Sim.Stats.add s "a" 1.0;
-  Sim.Stats.observe s "c" 2.0;
+  Sim.Stats.incr s "c";
   Alcotest.(check (list string)) "keys sorted" [ "a"; "b"; "c" ] (Sim.Stats.keys s);
   Sim.Stats.reset s;
   Alcotest.(check (list string)) "empty after reset" [] (Sim.Stats.keys s)
@@ -320,8 +345,10 @@ let () =
       ( "stats",
         [
           Alcotest.test_case "counters and totals" `Quick test_stats_counters;
-          Alcotest.test_case "distributions" `Quick test_stats_distribution;
           Alcotest.test_case "reset and keys" `Quick test_stats_reset_and_keys;
+          Alcotest.test_case "handles share the named cells" `Quick
+            test_stats_handles_share_cells;
+          Alcotest.test_case "handles survive reset" `Quick test_stats_handles_survive_reset;
         ] );
       ( "trace",
         [

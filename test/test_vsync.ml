@@ -79,6 +79,24 @@ let test_leave () =
   Alcotest.(check (list int)) "left" [ 1 ] (Vsync.members h.vs ~group:"g");
   Alcotest.(check (list (pair int string))) "evict callback" [ (0, "g") ] !(h.evicted)
 
+let test_leaving_lists_queued_leaves () =
+  let h = make () in
+  join_all h "g" [ 0; 1; 2; 3 ];
+  (* A gcast in flight keeps the group busy, so the leaves queue. *)
+  Vsync.gcast h.vs ~group:"g" ~from:4 ~msg_size:1000
+    ~on_done:(fun ~resp:_ ~work:_ ~responders:_ -> ())
+    "m";
+  Vsync.leave h.vs ~group:"g" ~node:1 ~on_done:(fun () -> ());
+  Vsync.leave h.vs ~group:"g" ~node:3 ~on_done:(fun () -> ());
+  Alcotest.(check (list int)) "both leaves queued" [ 1; 3 ]
+    (List.sort compare (Vsync.leaving h.vs ~group:"g"));
+  Alcotest.(check (list int)) "still members meanwhile" [ 0; 1; 2; 3 ]
+    (Vsync.members h.vs ~group:"g");
+  Alcotest.(check (list int)) "unknown group" [] (Vsync.leaving h.vs ~group:"nope");
+  Sim.Engine.run h.eng;
+  Alcotest.(check (list int)) "none left queued" [] (Vsync.leaving h.vs ~group:"g");
+  Alcotest.(check (list int)) "leaves executed" [ 0; 2 ] (Vsync.members h.vs ~group:"g")
+
 let test_view_ids_monotonic () =
   let h = make () in
   join_all h "g" [ 0; 1; 2 ];
@@ -260,6 +278,35 @@ let test_recover_and_rejoin () =
   join_all h "g" [ 1 ];
   Alcotest.(check (list string)) "state transferred on rejoin" [ "a" ] (log h 1);
   Alcotest.(check (list int)) "member again" [ 0; 1 ] (Vsync.members h.vs ~group:"g")
+
+(* A gcast leg already on the bus is addressed to the incarnation that
+   was up when it was sent: if its destination crashes and recovers
+   before the leg lands, the new incarnation must not apply it (its
+   memory was erased; the message belongs to the dead one). Batched
+   frames carry the same guard. *)
+let crash_epoch_drops_leg ~batched () =
+  let batch = if batched then Some (Net.Batch.cfg ~hold:50.0 ()) else None in
+  let h = make ?batch () in
+  join_all h "g" [ 0; 1; 2 ];
+  let answered = ref 0 in
+  let on_done ~resp:_ ~work:_ ~responders:_ = incr answered in
+  if batched then Vsync.gcast_batch h.vs ~group:"g" ~from:3 ~msg_size:1000 ~on_done "m"
+  else Vsync.gcast h.vs ~group:"g" ~from:3 ~msg_size:1000 ~on_done "m";
+  (* Each leg costs α + 1000β: every one is still in flight at t0 + 60,
+     after the batch window (50) has flushed. *)
+  ignore
+    (Sim.Engine.schedule h.eng ~delay:60.0 (fun () ->
+         Vsync.crash h.vs ~node:2;
+         Vsync.recover h.vs ~node:2));
+  Sim.Engine.run h.eng;
+  Alcotest.(check (list string)) "old incarnation's leg dropped" [] (log h 2);
+  Alcotest.(check (list string)) "survivors applied it" [ "m" ] (log h 0);
+  Alcotest.(check int) "gcast completes once" 1 !answered;
+  (* The recovered machine re-joins and receives fresh traffic. *)
+  join_all h "g" [ 2 ];
+  Vsync.gcast h.vs ~group:"g" ~from:3 ~msg_size:1 ~on_done "n";
+  Sim.Engine.run h.eng;
+  Alcotest.(check (list string)) "new incarnation gets fresh legs" [ "m"; "n" ] (log h 2)
 
 let test_crash_of_joiner_aborts_transfer () =
   let h = make () in
@@ -470,6 +517,65 @@ let test_batch_cut_on_op_cap () =
   Alcotest.(check bool) "no hold-window wait" true
     (Sim.Engine.now h.eng < t0 +. 10_000.0)
 
+let test_batch_cut_on_byte_cap () =
+  let h = make ~batch:(Net.Batch.cfg ~max_bytes:8 ~hold:10_000.0 ()) () in
+  join_all h "g" [ 0; 1; 2 ];
+  let t0 = Sim.Engine.now h.eng in
+  let done_ops = ref 0 in
+  (* 5 bytes stay held; the second op brings the frame to 10 >= 8. *)
+  List.iter
+    (fun m ->
+      Vsync.gcast_batch h.vs ~group:"g" ~from:3 ~msg_size:5
+        ~on_done:(fun ~resp:_ ~work:_ ~responders:_ -> incr done_ops)
+        m)
+    [ "a"; "b" ];
+  Sim.Engine.run h.eng;
+  Alcotest.(check int) "both ops answered" 2 !done_ops;
+  Alcotest.(check int) "one batch" 1 (count h "vsync.batches");
+  Alcotest.(check int) "cap cut counted" 1 (count h "vsync.batch_cuts");
+  Alcotest.(check (list string)) "both in the frame" [ "a"; "b" ] (log h 0);
+  Alcotest.(check bool) "no hold-window wait" true
+    (Sim.Engine.now h.eng < t0 +. 10_000.0)
+
+let test_batch_window_reopens () =
+  let h = make ~batch:(Net.Batch.cfg ~hold:50.0 ()) () in
+  join_all h "g" [ 0; 1; 2 ];
+  let issue m =
+    Vsync.gcast_batch h.vs ~group:"g" ~from:3 ~msg_size:2
+      ~on_done:(fun ~resp:_ ~work:_ ~responders:_ -> ())
+      m
+  in
+  (* "b" arrives inside the window "a" opened; "c" arrives after that
+     window flushed at +50 and opens a second one. *)
+  issue "a";
+  ignore (Sim.Engine.schedule h.eng ~delay:30.0 (fun () -> issue "b"));
+  ignore (Sim.Engine.schedule h.eng ~delay:200.0 (fun () -> issue "c"));
+  Sim.Engine.run h.eng;
+  Alcotest.(check int) "two batches" 2 (count h "vsync.batches");
+  Alcotest.(check int) "three batched ops" 3 (count h "vsync.batched_ops");
+  Alcotest.(check int) "no cap cut" 0 (count h "vsync.batch_cuts");
+  List.iter
+    (fun node ->
+      Alcotest.(check (list string)) "issue order" [ "a"; "b"; "c" ] (log h node))
+    [ 0; 1; 2 ]
+
+let test_batch_windows_per_group () =
+  let h = make ~batch:(Net.Batch.cfg ~hold:50.0 ()) () in
+  join_all h "g" [ 0; 1; 2 ];
+  join_all h "h" [ 2; 3 ];
+  Vsync.gcast_batch h.vs ~group:"g" ~from:4 ~msg_size:2
+    ~on_done:(fun ~resp:_ ~work:_ ~responders -> Alcotest.(check int) "g size" 3 responders)
+    "x";
+  Vsync.gcast_batch h.vs ~group:"h" ~from:4 ~msg_size:2
+    ~on_done:(fun ~resp:_ ~work:_ ~responders -> Alcotest.(check int) "h size" 2 responders)
+    "y";
+  Sim.Engine.run h.eng;
+  Alcotest.(check int) "one batch per group" 2 (count h "vsync.batches");
+  Alcotest.(check (list string)) "g only" [ "x" ] (log h 0);
+  Alcotest.(check (list string)) "h only" [ "y" ] (log h 3);
+  Alcotest.(check (list string)) "member of both" [ "x"; "y" ]
+    (List.sort compare (log h 2))
+
 let test_batch_multi_issuer_piggyback () =
   let h = make ~batch:(Net.Batch.cfg ~hold:50.0 ()) () in
   join_all h "g" [ 0; 1; 2 ];
@@ -598,6 +704,8 @@ let () =
           Alcotest.test_case "join" `Quick test_join_membership;
           Alcotest.test_case "join idempotent" `Quick test_join_idempotent;
           Alcotest.test_case "leave + evict" `Quick test_leave;
+          Alcotest.test_case "leaving lists queued leaves" `Quick
+            test_leaving_lists_queued_leaves;
           Alcotest.test_case "view ids monotonic" `Quick test_view_ids_monotonic;
         ] );
       ( "gcast",
@@ -624,6 +732,10 @@ let () =
           Alcotest.test_case "crashed issuer orphaned" `Quick
             test_crashed_issuer_gets_no_callback;
           Alcotest.test_case "recover and rejoin" `Quick test_recover_and_rejoin;
+          Alcotest.test_case "in-flight leg dropped across crash+recover" `Quick
+            (crash_epoch_drops_leg ~batched:false);
+          Alcotest.test_case "in-flight frame dropped across crash+recover" `Quick
+            (crash_epoch_drops_leg ~batched:true);
           Alcotest.test_case "joiner crash aborts transfer" `Quick
             test_crash_of_joiner_aborts_transfer;
           Alcotest.test_case "no wedge on stale-view gcast" `Quick
@@ -650,6 +762,9 @@ let () =
           Alcotest.test_case "cheaper than unbatched, same deliveries" `Quick
             test_batch_cheaper_than_unbatched;
           Alcotest.test_case "op cap cuts the window" `Quick test_batch_cut_on_op_cap;
+          Alcotest.test_case "byte cap cuts the window" `Quick test_batch_cut_on_byte_cap;
+          Alcotest.test_case "a flushed window reopens" `Quick test_batch_window_reopens;
+          Alcotest.test_case "one window per group" `Quick test_batch_windows_per_group;
           Alcotest.test_case "piggybacks per-issuer responses" `Quick
             test_batch_multi_issuer_piggyback;
           Alcotest.test_case "membership change flushes first" `Quick
