@@ -30,6 +30,7 @@ let gate = ref ""
 let tolerance = ref 0.25
 let trajectory = ref ""
 let pr = ref ""
+let bench_json = ref ""
 let only = ref ""
 let slo_domains = ref 1
 
@@ -51,6 +52,10 @@ let args =
       Arg.Set_string trajectory,
       "FILE append (or replace) this run's row in the per-PR trajectory file" );
     ("--pr", Arg.Set_string pr, "LABEL trajectory row label (e.g. pr4)");
+    ( "--bench-json",
+      Arg.Set_string bench_json,
+      "FILE add the per-workload ops/s of a paso_bench --json run to the trajectory \
+       row" );
     ( "--only",
       Arg.Set_string only,
       "SECTION compute only this section (supported: slo, rebalance, adaptive) — slo skips \
@@ -958,7 +963,38 @@ let gate_against ~path ~tol fresh =
    so rows measured on hosts of different speed compare. *)
 let calibration_reference_ns = 25.0
 
-let trajectory_row label p =
+let normalised ops = function
+  | Some ns -> J.Num (ops *. ns /. calibration_reference_ns)
+  | None -> J.Null
+
+(* The end-to-end benchmark's throughput, per workload: the median
+   ops/s of a [paso_bench --json] run, raw and normalised like
+   [e8_ops_per_s_norm] by this run's calibration kernel (so the
+   benchmark should run on the same host, just before or after). *)
+let bench_rows ~calibration_ns bench =
+  match J.get bench "workloads" with
+  | Some (J.Arr ws) ->
+      List.filter_map
+        (fun w ->
+          match
+            ( J.get w "workload",
+              J.get w "seed",
+              Bench_json.get_num w [ "metrics"; "ops_per_s"; "median" ] )
+          with
+          | Some (J.Str name), Some seed, Some ops ->
+              Some
+                ( name,
+                  J.Obj
+                    [
+                      ("seed", seed);
+                      ("ops_per_s", J.Num ops);
+                      ("ops_per_s_norm", normalised ops calibration_ns);
+                    ] )
+          | _ -> None)
+        ws
+  | _ -> []
+
+let trajectory_row ?bench label p =
   let opt_num = function Some x -> J.Num x | None -> J.Null in
   let num path = opt_num (Bench_json.get_num p path) in
   let kernel_ns name = List.assoc_opt name (Bench_json.kernels p) in
@@ -976,9 +1012,9 @@ let trajectory_row label p =
       ("ops_per_s", num [ "e8_mix"; "ops_per_s" ]);
       ("calibration_ns", opt_num calibration_ns);
       ( "e8_ops_per_s_norm",
-        match (Bench_json.get_num p [ "e8_mix"; "ops_per_s" ], calibration_ns) with
-        | Some ops, Some ns -> J.Num (ops *. ns /. calibration_reference_ns)
-        | _ -> J.Null );
+        match Bench_json.get_num p [ "e8_mix"; "ops_per_s" ] with
+        | Some ops -> normalised ops calibration_ns
+        | None -> J.Null );
       ("events_per_s", num [ "e8_mix"; "events_per_s" ]);
       ("msgs_per_op", num [ "e8_mix"; "msgs_per_op" ]);
       ("msg_cost_per_op", num [ "e8_mix"; "msg_cost_per_op" ]);
@@ -997,9 +1033,13 @@ let trajectory_row label p =
       ("slo_ramp_p99", num [ "slo"; "ramp"; "p99" ]);
       ("slo_ramp_p999", num [ "slo"; "ramp"; "p999" ]);
       ("checkpoint_encode_verify_ns", opt_num (kernel_ns "checkpoint_encode_verify"));
+      ( "bench",
+        match bench with
+        | Some b -> J.Obj (bench_rows ~calibration_ns b)
+        | None -> J.Null );
     ]
 
-let append_trajectory ~path ~label p =
+let append_trajectory ?bench ~path ~label p =
   let rows =
     match Bench_json.load path with
     | Some j -> (
@@ -1013,7 +1053,10 @@ let append_trajectory ~path ~label p =
   in
   Bench_json.save path
     (J.Obj
-       [ ("version", J.Num 1.0); ("rows", J.Arr (rows @ [ trajectory_row label p ])) ])
+       [
+         ("version", J.Num 1.0);
+         ("rows", J.Arr (rows @ [ trajectory_row ?bench label p ]));
+       ])
 
 let () =
   Arg.parse args (fun a -> raise (Arg.Bad ("unexpected argument " ^ a))) "perf.exe [options]";
@@ -1045,6 +1088,16 @@ let () =
   in
   if !out <> "" then Bench_json.save !out (J.Obj [ ("version", J.Num 1.0); (!label, p) ]);
   if !merge_into <> "" then Bench_json.merge ~path:!merge_into ~label:!label p;
-  if !trajectory <> "" then
-    append_trajectory ~path:!trajectory ~label:(if !pr = "" then "head" else !pr) p;
+  if !trajectory <> "" then begin
+    let bench =
+      if !bench_json = "" then None
+      else
+        match Bench_json.load !bench_json with
+        | Some b -> Some b
+        | None ->
+            Printf.eprintf "perf: cannot read --bench-json %s\n" !bench_json;
+            exit 2
+    in
+    append_trajectory ?bench ~path:!trajectory ~label:(if !pr = "" then "head" else !pr) p
+  end;
   if !gate <> "" then gate_against ~path:!gate ~tol:!tolerance p

@@ -31,10 +31,11 @@ type t = {
   mutable m_vs : vsync option;
   classes : (string, cls) Hashtbl.t;
   group_class : (string, string list ref) Hashtbl.t; (* group -> classes *)
-  probation : (string, unit) Hashtbl.t;
+  probation : (string, int option) Hashtbl.t;
       (* groups that lost their last member and may re-form from
          recovered disks; queries are deferred until λ+1 members have
-         merged their evidence (see [probational]) *)
+         merged their evidence (see [probational]). [Some m]: machine
+         [m], whose crash emptied the group, has not rejoined yet. *)
   prob_waiters : (string, (int * (unit -> unit)) list ref) Hashtbl.t;
       (* (issuing machine, resume) continuations parked on a
          probational group, flushed on the view change that reaches
@@ -196,21 +197,6 @@ let repair m rstate strategy ~cls ~failed =
 let repair_all m rstate strategy ~failed =
   List.iter (fun cls -> repair m rstate strategy ~cls ~failed) (sorted_classes m)
 
-(* Recovery rejoin (the §3.1 initialisation phase): after [delay], the
-   machine joins back every group in whose basic support it still
-   sits (repair may have evicted it meanwhile). *)
-let schedule_rejoin m ~machine ~delay =
-  ignore
-    (Sim.Engine.schedule m.eng ~delay (fun () ->
-         if Vsync.is_up (vs m) machine then
-           List.iter
-             (fun cls ->
-               match find m cls with
-               | Some cs when List.mem machine cs.basic ->
-                   Vsync.join (vs m) ~group:cs.group ~node:machine ~on_done:(fun () -> ())
-               | Some _ | None -> ())
-             (sorted_classes m)))
-
 let check_fault_tolerance m =
   let down = m.n - up_count m in
   let k = min down m.lambda in
@@ -271,19 +257,32 @@ let enable_probation m = m.gates_probation <- true
    remove. Any single disk is only trustworthy once λ+1 members have
    merged their evidence (removes are logged at every member before the
    remover's response travels, so with ≤ λ damaged disks the merge
-   includes an intact copy). Until then the group is probational:
-   queries and removes against it fail rather than answer from
-   possibly-resurrected state. Inserts and markers stay live — fresh
-   objects cannot be stale. *)
+   includes an intact copy). The member whose crash emptied the group
+   must be among them: a member that took a full transfer from a stale
+   re-former adds no evidence, and that member's disk alone may hold
+   the newest remove, or an insert made while it was the only member.
+   Until then the group is probational: queries and removes against it
+   fail rather than answer from possibly-resurrected state. Inserts and
+   markers stay live — fresh objects cannot be stale. *)
 let probational m group =
   m.gates_probation
-  && Hashtbl.mem m.probation group
   &&
-  if List.length (Vsync.members (vs m) ~group) > m.lambda then begin
-    Hashtbl.remove m.probation group;
-    false
-  end
-  else true
+  match Hashtbl.find_opt m.probation group with
+  | None -> false
+  | Some owed ->
+      let members = Vsync.members (vs m) ~group in
+      let owed =
+        match owed with
+        | Some last when List.mem last members ->
+            Hashtbl.replace m.probation group None;
+            None
+        | _ -> owed
+      in
+      if owed = None && List.length members > m.lambda then begin
+        Hashtbl.remove m.probation group;
+        false
+      end
+      else true
 
 let probation_generation m group =
   Option.value ~default:0 (Hashtbl.find_opt m.probation_gen group)
@@ -329,10 +328,43 @@ let flush_probation m =
       end)
     m.prob_waiters
 
-let note_group_lost m ~group =
-  Hashtbl.replace m.probation group ();
+let note_group_lost m ~group ~node =
+  Hashtbl.replace m.probation group (if m.gates_probation then Some node else None);
   Hashtbl.replace m.probation_gen group (1 + probation_generation m group);
   classes_of_group m group
+
+(* A probational group whose last member [machine] has not rejoined:
+   its disk may hold the group's newest state (see [probational]). *)
+let owes_rejoin m group ~machine =
+  Hashtbl.find_opt m.probation group = Some (Some machine)
+
+(* The machine whose crash emptied the group is back in it, so its disk
+   evidence is merged: from here the λ+1 quorum alone ends probation.
+   [probational] notices a rejoin by any path while the machine is a
+   member; this catches one it completed and then crashed again. *)
+let rejoined m group ~machine =
+  if owes_rejoin m group ~machine then begin
+    Hashtbl.replace m.probation group None;
+    flush_probation m
+  end
+
+(* Recovery rejoin (the §3.1 initialisation phase): after [delay], the
+   machine joins back every group in whose basic support it still
+   sits (repair may have evicted it meanwhile), and every probational
+   group whose loss it caused. *)
+let schedule_rejoin m ~machine ~delay =
+  ignore
+    (Sim.Engine.schedule m.eng ~delay (fun () ->
+         if Vsync.is_up (vs m) machine then
+           List.iter
+             (fun cls ->
+               match find m cls with
+               | Some cs when List.mem machine cs.basic || owes_rejoin m cs.group ~machine
+                 ->
+                   Vsync.join (vs m) ~group:cs.group ~node:machine ~on_done:(fun () ->
+                       rejoined m cs.group ~machine)
+               | Some _ | None -> ())
+             (sorted_classes m)))
 
 (* --- per-class freshness (one generation source of truth) ---------------- *)
 
@@ -449,17 +481,13 @@ let apply_policy m ~policy ~machine ~cls event =
           tracef m "policy: machine %d joins wg(%s)" machine cls;
           Vsync.join (vs m) ~group:cs.group ~node:machine ~on_done:(fun () -> ())
       | Policy.Leave, true, false ->
-          (* The policy may shed a non-basic copy, never the last one: with
-             every basic member down, the leaver can hold the class's only
-             copy. A member whose leave is already queued counts as gone. *)
-          let queued = Vsync.leaving (vs m) ~group:cs.group in
-          let stays mach = mach <> machine && not (List.mem mach queued) in
-          if List.exists stays (operational_members m cs) then begin
-            Sim.Stats.incr m.stats "policy.leaves";
-            tracef m "policy: machine %d leaves wg(%s)" machine cls;
-            Vsync.leave (vs m) ~group:cs.group ~node:machine ~on_done:(fun () -> ())
-          end
-          else tracef m "policy: machine %d keeps wg(%s), its last member" machine cls
+          (* The policy may shed a non-basic copy, never the last one:
+             with every basic member down, the leaver can hold the
+             class's only copy. Vsync refuses such a leave when it
+             executes; only a leave that took effect is counted. *)
+          tracef m "policy: machine %d leaves wg(%s)" machine cls;
+          Vsync.leave (vs m) ~group:cs.group ~node:machine ~on_done:(fun left ->
+              if left then Sim.Stats.incr m.stats "policy.leaves")
       | (Policy.Stay | Policy.Join | Policy.Leave), _, _ -> ())
 
 (* --- join-time state transfer ------------------------------------------- *)

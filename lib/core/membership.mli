@@ -111,7 +111,8 @@ val repair_all : t -> Repair.t -> Repair.strategy -> failed:int -> unit
 val schedule_rejoin : t -> machine:int -> delay:float -> unit
 (** Recovery rejoin (§3.1 initialisation phase): after [delay], the
     machine joins back every group in whose basic support it still
-    sits — unless it crashed again meanwhile. *)
+    sits, and every probational group whose loss its crash caused —
+    unless it crashed again meanwhile. *)
 
 val check_fault_tolerance : t -> (string * int) list
 (** Classes currently violating [|wg(C)| > λ − k], with their
@@ -141,10 +142,11 @@ val enable_probation : t -> unit
 
 val probational : t -> string -> bool
 (** The group re-formed from recovered disks and has not yet reached
-    the λ+1 merge quorum: queries and removes against it must park or
-    re-query rather than trust its possibly-resurrected state. Checks
-    the quorum live and lifts the probation as a side effect once it
-    is reached. *)
+    the λ+1 merge quorum, or the member whose crash emptied it has not
+    rejoined: queries and removes against it must park or re-query
+    rather than trust its possibly-resurrected state. Checks the quorum
+    live and lifts the probation as a side effect once it is
+    reached. *)
 
 val probation_generation : t -> string -> int
 (** Bumped every time a group loses its last member: an op whose issue
@@ -170,10 +172,11 @@ val flush_probation : t -> unit
     on a group that is no longer probational (parked ops of crashed
     issuers die with the issuer, like any in-flight op). *)
 
-val note_group_lost : t -> group:string -> string list
-(** The group lost its last member: mark it probational, bump its loss
-    generation, and return its classes (the caller records the class
-    losses in the history). *)
+val note_group_lost : t -> group:string -> node:int -> string list
+(** The group lost its last member, [node]: mark it probational until
+    [node] has rejoined and λ+1 members have merged their evidence,
+    bump its loss generation, and return its classes (the caller
+    records the class losses in the history). *)
 
 (** {1 Per-class freshness (one generation source of truth)}
 
@@ -261,10 +264,10 @@ val adopt : t -> Obj_class.info -> basic:int list -> mut:int -> loss_gen:int -> 
 val apply_policy : t -> policy:Policy.t -> machine:int -> cls:string -> Policy.event -> unit
 (** Feed one access-pattern event to the policy and act on its
     verdict: [Join] brings the machine into the class's write group
-    (["policy.joins"]), [Leave] removes it (["policy.leaves"]) —
-    refused for basic-support members, which are the class's permanent
-    core (§4.1), and for the group's last operational member (a member
-    whose leave is still queued counts as gone), which may hold the
+    (["policy.joins"]), [Leave] removes it (["policy.leaves"], counted
+    when the leave executes) — refused for basic-support members,
+    which are the class's permanent core (§4.1), and, by {!Vsync.leave}
+    when it executes, for the group's last member, which may hold the
     class's only copy when every basic member is down. Unknown classes
     are ignored. *)
 

@@ -14,12 +14,12 @@ type t = {
   kind : Storage.kind;
   stores : (string, Storage.t) Hashtbl.t;
   marks : (string, marker list ref) Hashtbl.t; (* per class, oldest first *)
-  (* Tombstones: every uid this server has removed (or learned was
-     removed), kept forever so durable-recovery reconciliation can
-     tell "removed while you were down" from "you hold the last copy".
-     Real systems GC these by epoch watermark; the simulation keeps
-     them all, so every checkpoint carries them (DESIGN.md §9). They
-     are kept as sorted sets: a snapshot lists them without sorting.
+  (* Tombstones: uids this server has removed (or learned were
+     removed), so durable-recovery reconciliation can tell "removed
+     while you were down" from "you hold the last copy". The durable
+     layer drops one once no disk can still replay its object, when it
+     writes the class's image (DESIGN.md §9). They are kept as sorted
+     sets: a snapshot lists them without sorting.
      Recording is off until a durable layer attaches: without one,
      recovery wipes all memory anyway, and a non-durable system must
      stay byte-identical to one that never heard of tombstones. *)
@@ -71,6 +71,7 @@ let add_tombs t cls uids =
   Hashtbl.replace t.tombs cls (Uid.Set.union (tombs_of t cls) (Uid.Set.of_list uids))
 
 let tombstones t ~cls = Uid.Set.elements (tombs_of t cls)
+let set_tombstones t ~cls uids = Hashtbl.replace t.tombs cls (Uid.Set.of_list uids)
 
 let handle t = function
   | Store { cls; obj } ->

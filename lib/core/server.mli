@@ -146,6 +146,10 @@ val reconcile_purge : t -> cls:string -> Uid.t -> unit
 val tombstones : t -> cls:string -> Uid.t list
 (** The class's remove-tombstones, sorted. *)
 
+val set_tombstones : t -> cls:string -> Uid.t list -> unit
+(** Replace the class's remove-tombstones: the durable layer's GC,
+    once no disk can replay the objects of those it drops. *)
+
 val markers : t -> cls:string -> marker list
 (** Outstanding markers for the class, oldest first. *)
 

@@ -378,6 +378,8 @@ let server_snapshot ?classes t ~machine =
   in
   Server.snapshot s ~classes
 
+let set_tombstones t ~machine ~cls = Server.set_tombstones t.servers.(machine) ~cls
+
 (* --- class migration between shards (coordinator-only) ------------------- *)
 
 (* The coordinator calls these at a round barrier with every shard
@@ -656,12 +658,12 @@ let create ?(tracing = false) ?failpoints cfg =
     | Some { durable = Some d; _ } -> d.du_resync ~machine:node ~classes
     | Some { durable = None; _ } | None -> ()
   in
-  let on_group_lost ~group =
+  let on_group_lost ~group ~node =
     List.iter
       (fun cls ->
         Sim.Stats.incr sstats "faults.class_losses";
         History.note_class_lost hist ~cls ~now:(Sim.Engine.now eng))
-      (Membership.note_group_lost mem ~group)
+      (Membership.note_group_lost mem ~group ~node)
   in
   let vs =
     Vsync.make ~failpoints:fps ?batch:cfg.batch

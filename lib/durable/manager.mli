@@ -27,7 +27,16 @@
       from the replayed state and re-images the disk without them;
     - on [System.recover] the machine replays checkpoint+log, rejoins
       with the rebuilt state, and reconciles with live members by
-      delta transfer instead of a full snapshot.
+      delta transfer instead of a full snapshot;
+    - remove-tombstones are collected by disk exposure. The manager
+      tracks what each machine's disk may still replay: the objects of
+      its last verified checkpoint, plus every [R_store]/[R_install]
+      record appended since (torn tails, crashes, [R_remove] and
+      [R_evict] never shrink it). A checkpoint, or a class's
+      [R_install], writes each class's tombstones pruned to the uids
+      some disk — any machine's, up or down — still exposes, and the
+      server drops the rest once that write verifies, so every disk
+      still replays to exactly its server's state.
 
     Stats recorded into the system's {!Sim.Stats.t}:
     ["durable.appends"/"durable.wal_bytes"] (mutation records and
@@ -57,19 +66,18 @@ val default_policy : policy
 
 type t
 
-val attach : ?policy:policy -> ?disks:Disk.t array -> System.t -> t
+val attach : ?policy:policy -> System.t -> t
 (** Attach to a system (at most one attachment per system — see
-    {!System.set_durability}). [?disks] supplies pre-existing disks
-    (length [n]), e.g. to carry durable state across system
-    incarnations in tests; fresh empty disks are created by default.
-    @raise Invalid_argument on a second attachment, a bad [?disks]
-    length, or a negative policy parameter. *)
+    {!System.set_durability}), with a fresh empty disk per machine.
+    @raise Invalid_argument on a second attachment or a negative
+    policy parameter. *)
 
 val policy : t -> policy
 val wal : t -> machine:int -> Wal.t
 val disk : t -> machine:int -> Disk.t
 
 val checkpoint_now : t -> machine:int -> int
-(** Force a checkpoint of the machine's current server state; returns
-    the bytes written (0 if the write failed verification under an
-    armed failpoint). Test and scenario support. *)
+(** Force a checkpoint of the machine's current server state (its
+    tombstones pruned, as every checkpoint prunes them); returns the
+    bytes written (0 if the write failed verification under an armed
+    failpoint). Test and scenario support. *)

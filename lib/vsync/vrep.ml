@@ -14,7 +14,7 @@ type ('msg, 'resp, 'state) callbacks = {
   install_state : node:int -> group:string -> 'state -> unit;
   on_view : node:int -> View.t -> unit;
   on_evict : node:int -> group:string -> unit;
-  on_group_lost : group:string -> unit;
+  on_group_lost : group:string -> node:int -> unit;
 }
 
 type 'resp inflight = {
@@ -71,7 +71,7 @@ type ('msg, 'resp) op =
     }
   | Op_gcast_batch of { ob_items : ('msg, 'resp) bitem list }
   | Op_join of { oj_node : int; oj_epoch : int; oj_done : unit -> unit }
-  | Op_leave of { ol_node : int; ol_done : unit -> unit }
+  | Op_leave of { ol_node : int; ol_done : bool -> unit }
   | Op_crash_remove of { ox_node : int }
 
 type ('msg, 'resp) gstate = {

@@ -59,14 +59,6 @@ let view t ~group =
 let view_id t ~group =
   match Hashtbl.find_opt t.groups group with Some g -> g.view_id | None -> 0
 
-let leaving t ~group =
-  match Hashtbl.find_opt t.groups group with
-  | Some g ->
-      Queue.fold
-        (fun acc op -> match op with Op_leave { ol_node; _ } -> ol_node :: acc | _ -> acc)
-        [] g.normal
-  | None -> []
-
 let is_member t ~group ~node =
   match Hashtbl.find_opt t.groups group with
   | Some g -> IntSet.mem node g.members
@@ -265,17 +257,20 @@ and exec_join t g ~node ~on_done =
 
 and exec_leave t g ~node ~on_done =
   Sim.Stats.incr_counter t.vstats.c_leaves;
-  if IntSet.mem node g.members then begin
+  (* A leave never empties a group: checked here, when it executes,
+     because every other member may have crashed since it was queued,
+     and then the leaver holds the group's only copy. Only a crash
+     loses a group. *)
+  let left = IntSet.mem node g.members && IntSet.cardinal g.members > 1 in
+  if left then begin
     g.members <- IntSet.remove node g.members;
     t.cbs.on_evict ~node ~group:g.gname;
     tracef t "leave node %d <- %s" node g.gname;
-    if IntSet.is_empty g.members && g.joining = None then begin
-      tracef t "group %s lost its state (last member left)" g.gname;
-      t.cbs.on_group_lost ~group:g.gname
-    end;
     notify_view t g ~extra:(Some node)
-  end;
-  ignore (Sim.Engine.schedule t.eng ~delay:0.0 on_done);
+  end
+  else if IntSet.mem node g.members then
+    tracef t "leave node %d <- %s refused (last member)" node g.gname;
+  ignore (Sim.Engine.schedule t.eng ~delay:0.0 (fun () -> on_done left));
   finish t g
 
 (* The batcher's accumulation window and batch execution live in
@@ -487,7 +482,7 @@ let crash t ~node =
         && (g.joining = None || joiner_died)
       then begin
         tracef t "group %s lost its state (last member crashed)" g.gname;
-        t.cbs.on_group_lost ~group:g.gname
+        t.cbs.on_group_lost ~group:g.gname ~node
       end;
       if joiner_died then finish t g;
       (* A member that will never ack is not awaited (ISIS flush). *)

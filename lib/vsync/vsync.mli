@@ -57,12 +57,13 @@ type ('msg, 'resp, 'state) callbacks = {
       (** [node] left [group] voluntarily: erase the group's local
           information (§4.2). Not called on crash — the whole local
           memory is lost then anyway. *)
-  on_group_lost : group:string -> unit;
+  on_group_lost : group:string -> node:int -> unit;
       (** The group just lost its last member with no state transfer in
           flight: its replicated state is gone. Fired at the exact
-          instant of the loss (a later fresh join starts empty). This
-          can only happen outside the paper's fault assumptions (more
-          than λ effective failures). *)
+          instant of the loss (a later fresh join starts empty), with
+          the machine whose crash emptied it. This can only happen
+          outside the paper's fault assumptions (more than λ effective
+          failures). *)
 }
 
 val make :
@@ -194,12 +195,11 @@ val join :
     already in completes immediately. *)
 
 val leave :
-  ('msg, 'resp, 'state) t -> group:string -> node:int -> on_done:(unit -> unit) -> unit
-(** [g-leave]: serialised like {!join}; triggers [on_evict]. *)
-
-val leaving : ('msg, 'resp, 'state) t -> group:string -> int list
-(** Nodes whose {!leave} of the group is queued and has not executed
-    yet. *)
+  ('msg, 'resp, 'state) t -> group:string -> node:int -> on_done:(bool -> unit) -> unit
+(** [g-leave]: serialised like {!join}; triggers [on_evict]. A leave
+    never empties a group: one by the group's last member (every other
+    member may have crashed since it was queued) is refused when it
+    executes. [on_done] reports whether the node left. *)
 
 val send_direct :
   ('msg, 'resp, 'state) t -> from:int -> dst:int -> size:int -> (unit -> unit) -> unit

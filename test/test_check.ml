@@ -263,6 +263,80 @@ let test_last_member_leave () =
   Alcotest.(check (list string)) "no violations" []
     (List.map (fun r -> r.Check.Invariants.inv) o.Check.Runner.violations)
 
+(* Shrunk matrix-fuzzer schedules (seed, schedule number) that must
+   stay clean, for two defects of a write group emptied by crashes:
+
+   - a policy leave checked when it was queued, not when it executed:
+     the other members crashed in between and the leave removed the
+     group's last member (seed 23 #2002, [durability/lost]; seed 1
+     #1036, seen as A2);
+   - a group lost to crashes that left probation before the member
+     whose crash emptied it rejoined: the λ+1 quorum counted members
+     that took a full transfer from a stale re-former, while the only
+     disk holding a remove (or an insert made while the group had one
+     member) had not merged (seed 37 #2990 and seed 13 #545, A2; seed
+     1 #3490 and seed 3 #2498).
+
+   All run with the counter policy and the durable layer. *)
+let crash_loss_pins =
+  let durable seed =
+    { Check.Schedule.default with policy = "counter:4"; durable = true; seed }
+  in
+  let fast seed = { (durable seed) with fast_read = true } in
+  Check.Schedule.
+    [
+      ( "seed 23 #2002",
+        fast 1510779,
+        [
+          Insert (54, 0); Read (49, 0); Advance; Insert (6, 5); Insert (59, 0); Take (43, 6);
+          Read (18, 6); Crash 44; Recover; Snapshot 63; Crash 62; Advance; Take (51, 0);
+          Take (0, 3); Crash 10; Snapshot 50; Insert (5, 1); Snapshot 33; Advance; Recover;
+          Insert (58, 6); Recover; Read (59, 5); Advance; Crash 60; Crash 4;
+        ] );
+      ( "seed 1 #1036",
+        { (durable 66635) with batch_ops = 2; batch_hold = 200.0 },
+        [
+          Insert (10, 7); Read (57, 1); Read (41, 1); Insert (14, 6); Advance; Insert (16, 7);
+          Insert (6, 7); Insert (12, 1); Crash 35; Crash 53; Take (34, 0); Take (52, 4);
+          Recover; Crash 9; Insert (57, 2); Advance; Take (52, 4); Recover; Crash 52;
+        ] );
+      ( "seed 37 #2990",
+        durable 2430153,
+        [
+          Insert (0, 7); Insert (18, 5); Read (62, 4); Advance; Snapshot 25; Take (17, 1);
+          Insert (29, 6); Read (21, 1); Crash 59; Crash 2; Snapshot 17; Recover; Advance;
+          Read (33, 4); Recover; Crash 28; Advance; Take (63, 7);
+        ] );
+      ( "seed 13 #545",
+        fast 853332,
+        [
+          Insert (51, 5); Insert (7, 0); Insert (22, 3); Insert (33, 2); Take (50, 6); Advance;
+          Crash 61; Crash 24; Insert (51, 7); Read (26, 0); Recover; Snapshot 13;
+          Read (16, 3); Recover; Take (34, 2); Advance; Crash 44; Advance; Take (13, 6);
+        ] );
+      ( "seed 1 #3490",
+        fast 69089,
+        [
+          Insert (57, 1); Crash 21; Crash 43; Insert (56, 5); Recover; Read (63, 5); Advance;
+          Crash 32; Recover; Read (7, 2); Recover; Insert (62, 3); Read (5, 7); Take (11, 5);
+          Take (40, 7); Snapshot 47; Advance; Crash 14; Take (18, 5); Advance;
+        ] );
+      ( "seed 3 #2498",
+        fast 199295,
+        [
+          Crash 50; Insert (3, 0); Snapshot 45; Insert (16, 2); Take (52, 0); Crash 40;
+          Snapshot 54; Snapshot 31; Recover; Take (49, 0); Read (61, 5); Recover; Advance;
+          Insert (31, 2); Advance; Advance; Take (14, 5); Crash 43; Crash 2; Snapshot 1;
+          Insert (19, 4); Take (34, 6); Recover; Insert (32, 5); Recover; Crash 12;
+          Insert (14, 3); Advance; Recover; Crash 46;
+        ] );
+    ]
+
+let test_crash_loss_pin (config, steps) () =
+  let o = Check.Runner.run config steps in
+  Alcotest.(check (list string)) "no violations" []
+    (List.map (fun r -> r.Check.Invariants.inv) o.Check.Runner.violations)
+
 (* ---- Mutation tests: corrupt a valid history, the checker must see it ---- *)
 
 let tmpl_a = Template.headed "a" [ Template.Any ]
@@ -351,7 +425,12 @@ let () =
             test_last_member_leave;
           Alcotest.test_case "class migrated away while a member was down" `Quick
             test_migrated_while_down;
-        ] );
+        ]
+        @ List.map
+            (fun (name, config, steps) ->
+              Alcotest.test_case ("group emptied by crashes: " ^ name) `Quick
+                (test_crash_loss_pin (config, steps)))
+            crash_loss_pins );
       ( "mutations",
         [
           Alcotest.test_case "dropped insert is caught" `Quick test_mutate_drop_insert;

@@ -618,8 +618,9 @@ let test_pin_snapshot_image () =
    recovery. Deterministic from its seed. At every crash instant and at
    the end, each live machine's disk must replay to exactly the state
    its server holds: that is what a resync record owes a later
-   recovery. *)
-let churn_disks () =
+   recovery. Also returns the tombstones the final disk images hold,
+   summed over machines. *)
+let churn_disks ?(steps = 1500) () =
   let n = 8 in
   let sys =
     System.create
@@ -662,7 +663,7 @@ let churn_disks () =
   let rec live m k =
     if k = n || System.is_up sys m then m else live ((m + 1) mod n) (k + 1)
   in
-  for i = 0 to 1499 do
+  for i = 0 to steps - 1 do
     System.run_until sys (t0 +. (float_of_int i *. 2000.0));
     if i mod 250 = 100 then begin
       audit ();
@@ -687,29 +688,51 @@ let churn_disks () =
         in
         img ^ "+" ^ hex (Durable.Disk.wal_contents d))
   in
+  let tombs =
+    List.init n (fun m ->
+        match Durable.Wal.recover (Durable.Manager.wal mgr ~machine:m) with
+        | Some r ->
+            List.fold_left (fun acc (_, (_, _, ts)) -> acc + List.length ts) 0
+              r.Durable.Wal.r_snapshot
+        | None -> 0)
+    |> List.fold_left ( + ) 0
+  in
   let stats = System.stats sys in
   ( !audits,
     disks,
     Sim.Stats.count stats "durable.checkpoints",
-    Sim.Stats.count stats "durable.resync_records" )
+    Sim.Stats.count stats "durable.resync_records",
+    tombs )
 
 let test_pin_churn_images () =
-  let audits, disks, checkpoints, resyncs = churn_disks () in
+  let audits, disks, checkpoints, resyncs, _ = churn_disks () in
   Alcotest.(check int) "live machines audited" 56 audits;
-  Alcotest.(check int) "checkpoints taken" 58 checkpoints;
+  Alcotest.(check int) "checkpoints taken" 60 checkpoints;
   Alcotest.(check int) "resync records logged" 146 resyncs;
   Alcotest.(check (list string)) "per-machine checkpoint+log digests"
     [
-      "9333752cde7c9e22484742a2b6b9a343+7d37931c4d9f34e9ebad0875e19f6867";
-      "519caeeb374d326df92968dd56d40b74+d41d8cd98f00b204e9800998ecf8427e";
-      "9b58611236790a342514f2b02f69d6b5+810b34c1934729a96b5947ec386d9975";
-      "cd8a322f18fc55704bbc3e8f76185726+f74d9484b64177c876644802b94fcaab";
-      "29afa897556ebc97bed05c337c9f82da+ec0ec0194ee79930340f8718e9103a6c";
-      "707a9da68efcd8487089809935873227+1f1fb8bfd22ee33e05292e060925571e";
-      "3fe34aa2ee47832c157c3c00ea06572c+452fa420d331a722ce2c9562e7db9f9f";
-      "21a5c38269844410ad423cfff71596fb+649f8ecc7f0c6538722f73296fddb226";
+      "6bfa62b6513f4c7b1ba3d8b6b84b7dde+fce98bfcd3866e336a0c56aed37a4679";
+      "75b5ca092f8759a284ca1b6604afc86b+d41d8cd98f00b204e9800998ecf8427e";
+      "f16064c98db95aac4fada9af72d9d726+01f8469a74b917840791bec87fe044b7";
+      "8f4d1194e373db6251a0f6ab61212fd9+57bb30e1b77b4e668c25df2a71ae0dbf";
+      "ce72d2d4e01da6ff51de3b87392d1138+45dbe6b89b0c6a1f4fbb638d4a79e46a";
+      "177824f44699c523aa6e02046d1c009b+b24c78609c971bf05fe103ce1ca65513";
+      "76b0eb07151fe7137c92e5981bcb9036+c0fe0db8ccd92e0bb526489f2e8973d2";
+      "e0f8b6b960ed7fb756e8c13a229a924d+d41d8cd98f00b204e9800998ecf8427e";
     ]
     disks
+
+(* Tombstones are collected once no disk can replay their objects, so
+   what the disks hold stays bounded by the live window, not the run's
+   length: a run four times longer ends with about as many. *)
+let test_tombstones_bounded () =
+  let audits1, _, _, _, t1 = churn_disks () in
+  let audits4, _, _, _, t4 = churn_disks ~steps:6000 () in
+  Alcotest.(check bool) "the long run audited every crash" true (audits4 > 3 * audits1);
+  Alcotest.(check bool)
+    (Printf.sprintf "tombstones on disk: %d after 4x the run, %d after 1x" t4 t1)
+    true
+    (2 * t4 <= 3 * t1)
 
 let () =
   Alcotest.run "durable"
@@ -765,5 +788,7 @@ let () =
         [
           Alcotest.test_case "snapshot image" `Quick test_pin_snapshot_image;
           Alcotest.test_case "churn disk images" `Quick test_pin_churn_images;
+          Alcotest.test_case "tombstones stay bounded on a 4x run" `Quick
+            test_tombstones_bounded;
         ] );
     ]

@@ -124,7 +124,7 @@ let test_send_direct () =
       install_state = (fun ~node:_ ~group:_ () -> ());
       on_view = (fun ~node:_ _ -> ());
       on_evict = (fun ~node:_ ~group:_ -> ());
-      on_group_lost = (fun ~group:_ -> ());
+      on_group_lost = (fun ~group:_ ~node:_ -> ());
     }
   in
   let vs = Vsync.make ~engine:eng ~fabric ~stats ~trace:(Sim.Trace.create ()) ~n:3 noop_cbs in

@@ -294,6 +294,91 @@ let test_torn_appends_repaired () =
   done;
   check_clean sys "after torn appends and a blackout"
 
+(* --- tombstone GC by disk exposure -------------------------------------- *)
+
+let tombs_at sys ~machine =
+  List.fold_left
+    (fun acc (_, (_, _, ts)) -> acc + List.length ts)
+    0
+    (System.server_snapshot sys ~machine)
+
+let pair_group sys =
+  match System.write_group sys ~cls:(the_class sys) with
+  | [ a; b ] -> (a, b)
+  | g -> Alcotest.failf "expected a two-member write group, got %d" (List.length g)
+
+(* Once no disk can replay a removed object, its tombstone goes: each
+   member's checkpoint drops it as soon as the other's disk no longer
+   holds the object's store record. *)
+let test_gc_collects () =
+  let sys, _, mgr = mk ~n:4 ~lambda:1 () in
+  let mgr = manager mgr in
+  insert sys ~machine:0 0;
+  insert sys ~machine:1 1;
+  System.run sys;
+  let a, b = pair_group sys in
+  Alcotest.(check bool) "take" true (take_v sys ~machine:b 0 <> None);
+  ignore (Durable.Manager.checkpoint_now mgr ~machine:a);
+  Alcotest.(check int) "kept while b's log holds the store" 1 (tombs_at sys ~machine:a);
+  ignore (Durable.Manager.checkpoint_now mgr ~machine:b);
+  Alcotest.(check int) "dropped at b" 0 (tombs_at sys ~machine:b);
+  ignore (Durable.Manager.checkpoint_now mgr ~machine:a);
+  Alcotest.(check int) "dropped at a" 0 (tombs_at sys ~machine:a);
+  check_clean sys "after tombstone GC"
+
+(* A down machine's disk counts: it still holds the object a take
+   removed while it was down, so the survivor's checkpoint must keep
+   the tombstone, or the stale member's delta rejoin would get the
+   object adopted back into the group. *)
+let test_gc_counts_down_disks () =
+  let sys, _, mgr = mk ~n:4 ~lambda:1 () in
+  let mgr = manager mgr in
+  insert sys ~machine:0 0;
+  insert sys ~machine:1 1;
+  System.run sys;
+  let a, b = pair_group sys in
+  System.crash sys ~machine:a;
+  System.run sys;
+  Alcotest.(check bool) "take while a is down" true (take_v sys ~machine:b 0 <> None);
+  Alcotest.(check bool) "b checkpoints" true
+    (Durable.Manager.checkpoint_now mgr ~machine:b > 0);
+  Alcotest.(check int) "tombstone kept for a's disk" 1 (tombs_at sys ~machine:b);
+  System.recover sys ~machine:a;
+  System.run sys;
+  Alcotest.(check bool) "taken object not resurrected" true
+    (read_v sys ~machine:a 0 = None);
+  check_clean sys "after the stale member's rejoin"
+
+(* Neither a failed checkpoint nor a logged remove un-exposes an
+   object: a's checkpoint write is dropped, so its log still holds the
+   store, and its crash then tears the remove record off the log. b's
+   checkpoint must have kept the tombstone that purges the replayed
+   object at a's rejoin. *)
+let test_gc_survives_torn_remove () =
+  let sys, fps, mgr = mk ~n:4 ~lambda:1 () in
+  let mgr = manager mgr in
+  insert sys ~machine:0 0;
+  insert sys ~machine:1 1;
+  System.run sys;
+  let a, b = pair_group sys in
+  Alcotest.(check bool) "take" true (take_v sys ~machine:b 0 <> None);
+  Failpoint.arm fps ~site:"durable.checkpoint.write" ~times:1 (fun _ -> Failpoint.Drop);
+  Alcotest.(check int) "a's checkpoint write fails" 0
+    (Durable.Manager.checkpoint_now mgr ~machine:a);
+  Alcotest.(check bool) "b checkpoints" true
+    (Durable.Manager.checkpoint_now mgr ~machine:b > 0);
+  Alcotest.(check int) "tombstone kept for a's log" 1 (tombs_at sys ~machine:b);
+  Failpoint.arm fps ~site:"durable.crash.tail" ~times:1 (fun _ -> Failpoint.Truncate 5);
+  System.crash sys ~machine:a;
+  System.run sys;
+  System.recover sys ~machine:a;
+  System.run sys;
+  Alcotest.(check int) "a's replay stopped at the torn remove" 1
+    (Sim.Stats.count (System.stats sys) "durable.torn_tails");
+  Alcotest.(check bool) "taken object not resurrected" true
+    (read_v sys ~machine:a 0 = None);
+  check_clean sys "after the torn-tail rejoin"
+
 (* Attaching durability must charge disk time into the cost model. *)
 let test_disk_time_charged () =
   let sys, _, _ = mk ~n:4 ~lambda:1 () in
@@ -331,6 +416,15 @@ let () =
             test_stale_checkpoint_blackout;
           Alcotest.test_case "torn appends are repaired before they strand" `Quick
             test_torn_appends_repaired;
+        ] );
+      ( "tombstone gc",
+        [
+          Alcotest.test_case "collected once no disk exposes the object" `Quick
+            test_gc_collects;
+          Alcotest.test_case "a down machine's disk keeps the tombstone" `Quick
+            test_gc_counts_down_disks;
+          Alcotest.test_case "a failed checkpoint and a torn remove keep it" `Quick
+            test_gc_survives_torn_remove;
         ] );
       ( "cost model",
         [ Alcotest.test_case "disk time is charged" `Quick test_disk_time_charged ] );

@@ -44,7 +44,7 @@ let make ?batch ?(n = 5) ?(work_per_msg = 0.0) () =
         (fun ~node ~group ->
           logs.(node) <- [];
           evicted := (node, group) :: !evicted);
-      on_group_lost = (fun ~group -> lost := group :: !lost);
+      on_group_lost = (fun ~group ~node:_ -> lost := group :: !lost);
     }
   in
   let vs = Vsync.make ?batch ~engine:eng ~fabric:bus ~stats ~trace ~n callbacks in
@@ -74,28 +74,28 @@ let test_join_idempotent () =
 let test_leave () =
   let h = make () in
   join_all h "g" [ 0; 1 ];
-  Vsync.leave h.vs ~group:"g" ~node:0 ~on_done:(fun () -> ());
+  Vsync.leave h.vs ~group:"g" ~node:0 ~on_done:ignore;
   Sim.Engine.run h.eng;
   Alcotest.(check (list int)) "left" [ 1 ] (Vsync.members h.vs ~group:"g");
   Alcotest.(check (list (pair int string))) "evict callback" [ (0, "g") ] !(h.evicted)
 
-let test_leaving_lists_queued_leaves () =
+(* A leave is checked when it executes, not when it is queued: the
+   other member crashes while the leave waits behind a gcast, so the
+   leaver is the last member and keeps the group's state. *)
+let test_leave_never_empties () =
   let h = make () in
-  join_all h "g" [ 0; 1; 2; 3 ];
-  (* A gcast in flight keeps the group busy, so the leaves queue. *)
-  Vsync.gcast h.vs ~group:"g" ~from:4 ~msg_size:1000
+  join_all h "g" [ 0; 1 ];
+  Vsync.gcast h.vs ~group:"g" ~from:0 ~msg_size:1000
     ~on_done:(fun ~resp:_ ~work:_ ~responders:_ -> ())
     "m";
-  Vsync.leave h.vs ~group:"g" ~node:1 ~on_done:(fun () -> ());
-  Vsync.leave h.vs ~group:"g" ~node:3 ~on_done:(fun () -> ());
-  Alcotest.(check (list int)) "both leaves queued" [ 1; 3 ]
-    (List.sort compare (Vsync.leaving h.vs ~group:"g"));
-  Alcotest.(check (list int)) "still members meanwhile" [ 0; 1; 2; 3 ]
-    (Vsync.members h.vs ~group:"g");
-  Alcotest.(check (list int)) "unknown group" [] (Vsync.leaving h.vs ~group:"nope");
+  let left = ref None in
+  Vsync.leave h.vs ~group:"g" ~node:1 ~on_done:(fun l -> left := Some l);
+  Vsync.crash h.vs ~node:0;
   Sim.Engine.run h.eng;
-  Alcotest.(check (list int)) "none left queued" [] (Vsync.leaving h.vs ~group:"g");
-  Alcotest.(check (list int)) "leaves executed" [ 0; 2 ] (Vsync.members h.vs ~group:"g")
+  Alcotest.(check (option bool)) "leave refused" (Some false) !left;
+  Alcotest.(check (list int)) "last member kept" [ 1 ] (Vsync.members h.vs ~group:"g");
+  Alcotest.(check (list (pair int string))) "nothing evicted" [] !(h.evicted);
+  Alcotest.(check (list string)) "no loss" [] !(h.lost)
 
 let test_view_ids_monotonic () =
   let h = make () in
@@ -704,8 +704,8 @@ let () =
           Alcotest.test_case "join" `Quick test_join_membership;
           Alcotest.test_case "join idempotent" `Quick test_join_idempotent;
           Alcotest.test_case "leave + evict" `Quick test_leave;
-          Alcotest.test_case "leaving lists queued leaves" `Quick
-            test_leaving_lists_queued_leaves;
+          Alcotest.test_case "a leave never empties a group" `Quick
+            test_leave_never_empties;
           Alcotest.test_case "view ids monotonic" `Quick test_view_ids_monotonic;
         ] );
       ( "gcast",
