@@ -410,10 +410,10 @@ let check_cmd =
     Arg.(value & opt int 1
          & info [ "shards" ] ~docv:"S"
              ~doc:"Run each schedule through the multi-domain sharded engine with S \
-                   per-class System shards (1 = the plain unsharded runner). With \
+                   per-class System shards (1 = the unsharded run). With \
                    $(b,--matrix): force S shards onto every configuration that has no \
                    armed failpoints (arms are per-shard and would desynchronise the \
-                   mirrored machine state, so the sharded runner refuses them). The \
+                   mirrored machine state, so the runner refuses them). The \
                    shard count is part of the schedule's replay artifact; the domain \
                    count is not.")
   in
@@ -556,8 +556,8 @@ let check_cmd =
               { c with Check.Schedule.batch_ops = batch_ops; batch_bytes; batch_hold }
             else c
           in
-          (* the sharded runner refuses armed failpoints (arms are
-             per-shard), so never force shards onto an armed config *)
+          (* the runner refuses per-System arms with shards > 1, so
+             never force shards onto an armed config *)
           if shards > 1 && c.Check.Schedule.arms = [] then
             { c with Check.Schedule.shards }
           else c)
@@ -848,9 +848,9 @@ let traffic_cmd =
          & info [ "print" ] ~doc:"Print the selected scenario(s) as JSON and exit.")
   in
   let shards =
-    Arg.(value & opt int 0
+    Arg.(value & opt int 1
          & info [ "shards" ] ~docv:"S"
-             ~doc:"Drive the sharded engine with S shards (0 = bare System).")
+             ~doc:"Drive the engine with S per-class shards (1 = the unsharded run).")
   in
   let domains =
     Arg.(value & opt int 1
@@ -864,8 +864,8 @@ let traffic_cmd =
   let rebalance =
     Arg.(value & flag
          & info [ "rebalance" ]
-             ~doc:"Arm the load-aware hot-class rebalancer (needs --shards >= 1). \
-                   Reports migration counts and per-shard loads.")
+             ~doc:"Arm the load-aware hot-class rebalancer (a single shard never \
+                   migrates). Reports migration counts and per-shard loads.")
   in
   let policy =
     Arg.(value & opt (some string) None
@@ -882,15 +882,15 @@ let traffic_cmd =
   let verify =
     Arg.(value & flag
          & info [ "verify" ]
-             ~doc:"Replay each scenario on the bare System, the 1-shard and the 4-shard \
-                   engine at D = 1 and D = 2, and fail (exit 1) unless traces and \
-                   latency histograms are byte-identical where the determinism \
-                   contract requires it.")
+             ~doc:"Also replay each scenario on the 4-shard engine at D = 1 and \
+                   D = 2, and fail (exit 1) unless their traces and latency \
+                   histograms are byte-identical (the domain-independence \
+                   contract).")
   in
   let go name list_flag suite file print_flag shards domains trace rebalance policy
       json out verify =
-    if rebalance && shards <= 0 then begin
-      Printf.eprintf "traffic: --rebalance needs --shards >= 1\n";
+    if shards < 1 then begin
+      Printf.eprintf "traffic: --shards must be >= 1\n";
       exit 2
     end;
     (match policy with
@@ -949,10 +949,8 @@ let traffic_cmd =
         Traffic.Driver.run ~tracing:(trace || verify) ~shards ~domains ?rebalance:rb sc
       in
       if verify then begin
-        (* The determinism contract: bare ≡ 1-shard composition, and a
-           fixed shard count is byte-identical at any domain count. *)
-        let bare = Traffic.Driver.run ~tracing:true sc in
-        let s1 = Traffic.Driver.run ~tracing:true ~shards:1 ~domains:1 sc in
+        (* The determinism contract: a fixed shard count is
+           byte-identical at any domain count. *)
         let s4a = Traffic.Driver.run ~tracing:true ~shards:4 ~domains:1 sc in
         let s4b = Traffic.Driver.run ~tracing:true ~shards:4 ~domains:2 sc in
         let expect what a b =
@@ -963,8 +961,6 @@ let traffic_cmd =
           end
         in
         let td o = Option.value ~default:"-" o.Traffic.Driver.o_trace_digest in
-        expect "bare-vs-1-shard trace" (td bare) (td s1);
-        expect "bare-vs-1-shard histogram" bare.o_hist_digest s1.o_hist_digest;
         expect "4-shard D1-vs-D2 trace" (td s4a) (td s4b);
         expect "4-shard D1-vs-D2 histogram" s4a.o_hist_digest s4b.o_hist_digest
       end;
@@ -1010,10 +1006,9 @@ let traffic_cmd =
   Cmd.v
     (Cmd.info "traffic"
        ~doc:"Replay declarative open-loop traffic scenarios (Poisson / bursty arrivals \
-             over Zipf-distributed clients, scripted faults) against the bare or \
-             sharded engine, reporting latency histograms, goodput and deadline \
-             misses; --verify pins byte-identical replay across backends and domain \
-             counts.")
+             over Zipf-distributed clients, scripted faults) against the (optionally \
+             sharded) engine, reporting latency histograms, goodput and deadline \
+             misses; --verify pins byte-identical replay across domain counts.")
     term
 
 let () =

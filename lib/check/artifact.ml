@@ -173,7 +173,12 @@ let config_of_json v =
   in
   (* absent in pre-sharding artifacts (and unsharded ones): 1 shard *)
   let* shards =
-    match Json.get v "shards" with None -> Ok 1 | Some x -> Json.to_int x
+    match Json.get v "shards" with
+    | None -> Ok 1
+    | Some x -> (
+        match Json.to_int x with
+        | Ok s when s < 1 -> Error (Printf.sprintf "field \"shards\": %d < 1" s)
+        | r -> r)
   in
   (* absent in pre-rebalancing artifacts (and whenever off): false *)
   let* rebalance =

@@ -97,8 +97,8 @@ let matrix ?(n = 8) ?(lambda = 2) () =
     };
     (* sharded engine: classes partitioned across per-domain System
        instances, crash/recover mirrored, results merged
-       deterministically. No arms here — failpoint arms are per-System
-       and refused by the sharded runner. *)
+       deterministically. No per-System arms here — the runner refuses
+       them with more than one shard. *)
     { base with shards = 2 };
     { base with shards = 4; classing = "signature"; storage = "tree" };
     { base with shards = 2; policy = "counter:4"; eager = true };

@@ -36,8 +36,7 @@ val run_one :
     generation as {!campaign}, as a pure function of the index — so a
     campaign partitioned across domains (bench/sweep.ml) produces
     outcomes identical to the sequential run. [domains] is forwarded
-    to {!Runner.run} for sharded configs; it never affects the
-    outcome. *)
+    to {!Runner.run}; it never affects the outcome. *)
 
 val campaign :
   ?domains:int ->

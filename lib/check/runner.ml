@@ -81,141 +81,6 @@ let system_config (c : Schedule.config) : System.config =
 
 (* ---- arm installation ---- *)
 
-(* [down] is shared with the step loop so that failpoint-induced
-   crashes are recovered in the drain phase like scheduled ones. *)
-let install_arm sys ~down ~corrupt (a : Schedule.arm) =
-  let fps = System.failpoints sys in
-  let crash m =
-    if m >= 0 && m < (System.config sys).System.n && System.is_up sys m then begin
-      System.crash sys ~machine:m;
-      down := m :: !down
-    end
-  in
-  let handler : Sim.Failpoint.info -> Sim.Failpoint.effect_ =
-    match String.split_on_char ':' a.arm_action with
-    | [ "crash-hit-node" ] -> fun info -> crash info.Sim.Failpoint.fp_node; Sim.Failpoint.Nothing
-    | [ "crash-aux-node" ] -> fun info -> crash info.Sim.Failpoint.fp_aux; Sim.Failpoint.Nothing
-    | [ "crash-node"; i ] -> (
-        match int_of_string_opt i with
-        | Some m -> fun _ -> crash m; Sim.Failpoint.Nothing
-        | None -> invalid_arg ("Check.Runner: bad machine in arm action " ^ a.arm_action))
-    | [ "delay"; d ] -> (
-        match float_of_string_opt d with
-        | Some d when d >= 0.0 -> fun _ -> Sim.Failpoint.Delay d
-        | _ -> invalid_arg ("Check.Runner: bad delay in arm action " ^ a.arm_action))
-    | [ "torn"; k ] -> (
-        match int_of_string_opt k with
-        | Some k when k > 0 -> fun _ -> Sim.Failpoint.Truncate k
-        | _ -> invalid_arg ("Check.Runner: bad byte count in arm action " ^ a.arm_action))
-    | [ "drop" ] -> fun _ -> Sim.Failpoint.Drop
-    | [ "corrupt-history" ] -> fun _ -> corrupt := true; Sim.Failpoint.Nothing
-    | _ -> invalid_arg ("Check.Runner: unknown arm action " ^ a.arm_action)
-  in
-  let times = if a.arm_times < 0 then None else Some a.arm_times in
-  Sim.Failpoint.arm fps ~site:a.arm_site ~skip:a.arm_skip ?times handler
-
-(* ---- the drive loop (mirrors test_convergence's schedule runner) ---- *)
-
-let run_with_system (c : Schedule.config) steps =
-  let fps = Sim.Failpoint.create () in
-  let sys = System.create ~tracing:true ~failpoints:fps (system_config c) in
-  if c.durable then ignore (Durable.Manager.attach sys);
-  let down = ref [] in
-  let corrupt = ref false in
-  List.iter (install_arm sys ~down ~corrupt) c.arms;
-  let tmpl h = Template.headed heads.(h mod Array.length heads) [ Template.Any ] in
-  let fields i h = [ Value.Sym heads.(h mod Array.length heads); Value.Int i ] in
-  List.iteri
-    (fun i (step : Schedule.step) ->
-      ignore (Sim.Failpoint.hit fps ~site:"check.step" ~node:i ());
-      let up = List.filter (System.is_up sys) (List.init c.n Fun.id) in
-      match step with
-      | Insert (m, h) -> begin
-          match up with
-          | [] -> ()
-          | _ ->
-              let m = List.nth up (m mod List.length up) in
-              System.insert sys ~machine:m (fields i h) ~on_done:(fun () -> ())
-        end
-      | Read (m, h) -> begin
-          match up with
-          | [] -> ()
-          | _ ->
-              let m = List.nth up (m mod List.length up) in
-              System.read sys ~machine:m (tmpl h) ~on_done:(fun _ -> ())
-        end
-      | Take (m, h) -> begin
-          match up with
-          | [] -> ()
-          | _ ->
-              let m = List.nth up (m mod List.length up) in
-              System.read_del sys ~machine:m (tmpl h) ~on_done:(fun _ -> ())
-        end
-      | Snapshot m -> begin
-          match up with
-          | [] -> ()
-          | _ ->
-              let m = List.nth up (m mod List.length up) in
-              (* [Any; Any] covers every arity-2 head class the driver
-                 inserts — a genuinely multi-class atomic scan. *)
-              System.snapshot sys ~machine:m
-                (Template.make [ Template.Any; Template.Any ])
-                ~on_done:(fun _ -> ())
-        end
-      | Crash m ->
-          if List.length !down < c.lambda then begin
-            match up with
-            | [] -> ()
-            | _ ->
-                let m = List.nth up (m mod List.length up) in
-                System.crash sys ~machine:m;
-                down := m :: !down
-          end
-      | Recover -> begin
-          match !down with
-          | m :: rest ->
-              System.recover sys ~machine:m;
-              down := rest
-          | [] -> ()
-        end
-      | Advance -> System.run_until sys (System.now sys +. 20000.0))
-    steps;
-  (* Drain: everyone comes back (failpoint casualties included), the
-     system runs to quiescence. *)
-  List.iter
-    (fun m -> if not (System.is_up sys m) then System.recover sys ~machine:m)
-    (List.sort_uniq compare !down);
-  System.run sys;
-  if !corrupt then ignore (Mutate.reorder_return (System.history sys));
-  let rendered =
-    let b = Buffer.create 4096 in
-    List.iter
-      (fun r -> Buffer.add_string b (Format.asprintf "%a@." Sim.Trace.pp_record r))
-      (Sim.Trace.records (System.trace sys));
-    Buffer.contents b
-  in
-  let h = System.history sys in
-  ( {
-      violations = Invariants.all sys;
-      trace_digest = Digest.to_hex (Digest.string rendered);
-      ops = History.op_count h;
-      completed = History.completed_ops h;
-      final_time = System.now sys;
-    },
-    sys )
-
-(* ---- the sharded drive loop ----
-
-   The same step interpretation driven through a [Shard.t]: classes
-   live on [c.shards] engine shards, crash/recover fan out across
-   them, and the digest hashes the merged (shard-index-ordered) trace.
-   Failpoint arms naming per-System sites are refused — they are
-   per-shard and an armed crash on one shard would desynchronise the
-   mirrored up/down state; scheduled Crash/Recover steps cover fault
-   interleavings. Arms naming coordinator sites (["rebalance.*"]) are
-   fine: they fire on the coordinator at a barrier and their crashes
-   fan out across every shard like a scheduled Crash. *)
-
 (* Much more trigger-happy than [Rebalance.default_cfg]: fuzz
    schedules run 10-120 steps with a handful of round barriers, so
    maturation must happen within a few barriers for the matrix rows to
@@ -232,10 +97,18 @@ let checker_rebalance_cfg =
 let coordinator_site (a : Schedule.arm) =
   String.length a.arm_site >= 10 && String.sub a.arm_site 0 10 = "rebalance."
 
-(* Coordinator-registry arms support the crash actions only: the
-   barrier sites instrument no write or transmission a Delay/Truncate
-   could act on. *)
-let install_shard_arm sh ~down (a : Schedule.arm) =
+(* Coordinator sites (["rebalance.*"]) arm [Shard.failpoints]: they
+   fire at a round barrier, instrument no write or transmission a
+   Delay/Truncate could act on, and so take the crash actions only.
+   Every other site is per-System and arms shard 0's registry; with
+   [shards > 1] such arms are refused — an armed crash on one shard
+   would desynchronise the shards' mirrored up/down state. [down] is
+   shared with the step loop so that failpoint-induced crashes are
+   recovered in the drain phase like scheduled ones. *)
+let install_arm sh ~down ~corrupt (a : Schedule.arm) =
+  let coord = coordinator_site a in
+  if (not coord) && Array.length (Shard.systems sh) > 1 then
+    invalid_arg "Check.Runner: failpoint arms are unsupported with shards > 1";
   let n = (System.config (Shard.sub sh 0)).System.n in
   let crash m =
     if m >= 0 && m < n && Shard.is_up sh m then begin
@@ -245,32 +118,38 @@ let install_shard_arm sh ~down (a : Schedule.arm) =
   in
   let handler : Sim.Failpoint.info -> Sim.Failpoint.effect_ =
     match String.split_on_char ':' a.arm_action with
-    | [ "crash-hit-node" ] ->
-        fun info ->
-          crash info.Sim.Failpoint.fp_node;
-          Sim.Failpoint.Nothing
-    | [ "crash-aux-node" ] ->
-        fun info ->
-          crash info.Sim.Failpoint.fp_aux;
-          Sim.Failpoint.Nothing
+    | [ "crash-hit-node" ] -> fun info -> crash info.Sim.Failpoint.fp_node; Sim.Failpoint.Nothing
+    | [ "crash-aux-node" ] -> fun info -> crash info.Sim.Failpoint.fp_aux; Sim.Failpoint.Nothing
     | [ "crash-node"; i ] -> (
         match int_of_string_opt i with
-        | Some m ->
-            fun _ ->
-              crash m;
-              Sim.Failpoint.Nothing
+        | Some m -> fun _ -> crash m; Sim.Failpoint.Nothing
         | None -> invalid_arg ("Check.Runner: bad machine in arm action " ^ a.arm_action))
-    | _ ->
-        invalid_arg
-          ("Check.Runner: unsupported coordinator arm action " ^ a.arm_action)
+    | _ when coord ->
+        invalid_arg ("Check.Runner: unsupported coordinator arm action " ^ a.arm_action)
+    | [ "delay"; d ] -> (
+        match float_of_string_opt d with
+        | Some d when d >= 0.0 -> fun _ -> Sim.Failpoint.Delay d
+        | _ -> invalid_arg ("Check.Runner: bad delay in arm action " ^ a.arm_action))
+    | [ "torn"; k ] -> (
+        match int_of_string_opt k with
+        | Some k when k > 0 -> fun _ -> Sim.Failpoint.Truncate k
+        | _ -> invalid_arg ("Check.Runner: bad byte count in arm action " ^ a.arm_action))
+    | [ "drop" ] -> fun _ -> Sim.Failpoint.Drop
+    | [ "corrupt-history" ] -> fun _ -> corrupt := true; Sim.Failpoint.Nothing
+    | _ -> invalid_arg ("Check.Runner: unknown arm action " ^ a.arm_action)
   in
+  let fps = if coord then Shard.failpoints sh else System.failpoints (Shard.sub sh 0) in
   let times = if a.arm_times < 0 then None else Some a.arm_times in
-  Sim.Failpoint.arm (Shard.failpoints sh) ~site:a.arm_site ~skip:a.arm_skip ?times handler
+  Sim.Failpoint.arm fps ~site:a.arm_site ~skip:a.arm_skip ?times handler
 
-let run_sharded ?(domains = 1) (c : Schedule.config) steps =
-  let coord_arms, sys_arms = List.partition coordinator_site c.arms in
-  if sys_arms <> [] then
-    invalid_arg "Check.Runner: failpoint arms are unsupported with shards > 1";
+(* ---- the drive loop (mirrors test_convergence's schedule runner) ----
+
+   Classes live on [c.shards] engine shards ([1] = the unsharded run:
+   shard 0 is seeded like a bare System), crash/recover fan out across
+   them, and the digest hashes the merged (shard-index-ordered)
+   trace. *)
+
+let run_shard ?(domains = 1) (c : Schedule.config) steps =
   let rebalance = if c.rebalance then Some checker_rebalance_cfg else None in
   let sh =
     Shard.create ~tracing:true ~shards:c.shards ~domains ?rebalance (system_config c)
@@ -278,11 +157,14 @@ let run_sharded ?(domains = 1) (c : Schedule.config) steps =
   if c.durable then
     Array.iter (fun s -> ignore (Durable.Manager.attach s)) (Shard.systems sh);
   let down = ref [] in
-  List.iter (install_shard_arm sh ~down) coord_arms;
+  let corrupt = ref false in
+  List.iter (install_arm sh ~down ~corrupt) c.arms;
+  let step_fps = System.failpoints (Shard.sub sh 0) in
   let tmpl h = Template.headed heads.(h mod Array.length heads) [ Template.Any ] in
   let fields i h = [ Value.Sym heads.(h mod Array.length heads); Value.Int i ] in
   List.iteri
     (fun i (step : Schedule.step) ->
+      ignore (Sim.Failpoint.hit step_fps ~site:"check.step" ~node:i ());
       let up = List.filter (Shard.is_up sh) (List.init c.n Fun.id) in
       let pick m = List.nth up (m mod List.length up) in
       match step with
@@ -296,6 +178,8 @@ let run_sharded ?(domains = 1) (c : Schedule.config) steps =
             Shard.read_del sh ~machine:(pick m) (tmpl h) ~on_done:(fun _ -> ())
       | Snapshot m ->
           if up <> [] then
+            (* [Any; Any] covers every arity-2 head class the driver
+               inserts — a genuinely multi-class atomic scan. *)
             Shard.snapshot sh ~machine:(pick m)
               (Template.make [ Template.Any; Template.Any ])
               ~on_done:(fun _ -> ())
@@ -314,11 +198,14 @@ let run_sharded ?(domains = 1) (c : Schedule.config) steps =
         end
       | Advance -> Shard.advance sh 20000.0)
     steps;
+  (* Drain: everyone comes back (failpoint casualties included), the
+     system runs to quiescence. *)
   List.iter
     (fun m -> if not (Shard.is_up sh m) then Shard.recover sh ~machine:m)
     (List.sort_uniq compare !down);
   Shard.run sh;
   let subs = Shard.systems sh in
+  if !corrupt then ignore (Mutate.reorder_return (System.history subs.(0)));
   let sum f = Array.fold_left (fun acc s -> acc + f (System.history s)) 0 subs in
   ( {
       violations = Array.to_list subs |> List.concat_map Invariants.all;
@@ -329,9 +216,7 @@ let run_sharded ?(domains = 1) (c : Schedule.config) steps =
     },
     sh )
 
-let run ?domains c steps =
-  if c.Schedule.shards <= 1 then fst (run_with_system c steps)
-  else fst (run_sharded ?domains c steps)
+let run ?domains c steps = fst (run_shard ?domains c steps)
 
 let failure_signature o =
   match o.violations with [] -> None | r :: _ -> Some r.Invariants.inv

@@ -1,5 +1,5 @@
-(** Deterministic execution of a {!Schedule}: build the system, arm
-    the failpoints, drive the steps, drain, audit.
+(** Deterministic execution of a {!Schedule}: build the shard
+    composition, arm the failpoints, drive the steps, drain, audit.
 
     Determinism contract (tested): the outcome — including the
     {!outcome.trace_digest} over the full event trace — is a pure
@@ -26,30 +26,28 @@ val policy_of_string : string -> Paso.Policy.t
     @raise Invalid_argument on anything else. *)
 
 val run : ?domains:int -> Schedule.config -> Schedule.step list -> outcome
-(** Configs with [shards <= 1] run the plain single-{!Paso.System}
-    drive loop; [shards > 1] run the {!Paso.Shard} sharded one.
-    [domains] (default 1) only schedules shard engines onto OCaml
-    domains — the outcome is byte-identical for any value, and it is
-    ignored entirely by the unsharded path.
+(** Drive the schedule through a {!Paso.Shard} composition of
+    [shards] engine shards; [shards = 1] is the unsharded run (shard 0
+    is seeded like a bare {!Paso.System}, so it is byte-identical to
+    one). [domains] (default 1) only schedules shard engines onto OCaml
+    domains — the outcome is byte-identical for any value.
+
+    Arms naming coordinator sites (["rebalance.*"], crash actions only)
+    arm {!Paso.Shard.failpoints}: they fire on the coordinating domain
+    at a round barrier and their crashes fan out across every shard
+    like a scheduled Crash step. Every other arm is per-System and arms
+    shard 0's registry, which is only allowed with [shards = 1].
     @raise Invalid_argument on a malformed config (unknown classing /
-    storage / policy / repair name, or an unknown arm action), or on a
-    sharded config carrying per-System failpoint arms (they are
-    per-shard and would desynchronise the shards' mirrored up/down
-    state). Arms naming coordinator sites (["rebalance.*"], crash
-    actions only) are accepted with [shards > 1]: they fire on the
-    coordinating domain at a round barrier and their crashes fan out
-    across every shard like a scheduled Crash step. *)
+    storage / policy / repair name, an unknown arm action, or
+    [shards < 1]), or on a config with [shards > 1] carrying per-System
+    failpoint arms (they are per-shard and would desynchronise the
+    shards' mirrored up/down state). *)
 
-val run_with_system : Schedule.config -> Schedule.step list -> outcome * Paso.System.t
-(** As {!run} restricted to the unsharded path, also exposing the
-    quiescent system for deeper inspection (tests use it to audit
-    stats and groups). *)
-
-val run_sharded :
+val run_shard :
   ?domains:int -> Schedule.config -> Schedule.step list -> outcome * Paso.Shard.t
-(** The sharded drive loop, exposing the quiescent shard composition
-    (tests use it for the cross-shard atomicity audit). Requires
-    [shards >= 1] in the config; arms are refused as in {!run}. *)
+(** As {!run}, also exposing the quiescent shard composition for
+    deeper inspection (tests audit stats and groups through
+    [Shard.sub sh 0], and cross-shard atomicity through the whole). *)
 
 val failure_signature : outcome -> string option
 (** The [inv] name of the first violation, if any — the shrinker's

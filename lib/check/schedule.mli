@@ -54,10 +54,10 @@ type config = {
   batch_bytes : int;  (** gcast batch byte cap; [0] = default *)
   batch_hold : float;  (** gcast batch hold window δ; [0] = default *)
   shards : int;
-      (** engine shards: [1] (the default) runs the plain single
-          {!Core.System}; [> 1] runs the {!Core.Shard} multi-domain
-          sharded composition (classes partitioned by the deterministic
-          class→shard hash, merged in shard-index order) *)
+      (** engine shards of the {!Core.Shard} composition every schedule
+          runs through (classes partitioned by the deterministic
+          class→shard hash, merged in shard-index order); [1] (the
+          default) is the unsharded run, and must be [>= 1] *)
   rebalance : bool;
       (** load-aware class migration between shards (rent-to-buy
           rebalancer at round barriers); only meaningful with

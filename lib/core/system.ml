@@ -168,14 +168,17 @@ let read_gen t ~machine ~kind tmpl ~on_done =
                   in
                   Op.fan_out op;
                   Vsync.exec_local t.vs ~node:machine ~work (fun () ->
-                      let resp, _ = Server.local_read t.servers.(machine) ~cls tmpl in
-                      Sim.Stats.incr_counter t.hs.h_local_reads;
-                      Op.collecting op;
-                      if not t.static then
-                        apply_policy t ~machine ~cls
-                          (Policy.Local_read
-                             { ell = Server.live_count t.servers.(machine) ~cls });
-                      match resp with Some o -> finish (Some o) | None -> go rest)
+                      if not (Vsync.is_member t.vs ~group:cs.Membership.group ~node:machine)
+                      then go (cls :: rest) (* left since issue: store evicted *)
+                      else
+                        let resp, _ = Server.local_read t.servers.(machine) ~cls tmpl in
+                        Sim.Stats.incr_counter t.hs.h_local_reads;
+                        Op.collecting op;
+                        if not t.static then
+                          apply_policy t ~machine ~cls
+                            (Policy.Local_read
+                               { ell = Server.live_count t.servers.(machine) ~cls });
+                        match resp with Some o -> finish (Some o) | None -> go rest)
               | History.Read ->
                   Membership.note_load_cs cs (Membership.op_weight cs);
                   (* [fast]: restrict to a single replica, tagging the

@@ -25,77 +25,6 @@ type outcome = {
   o_policy_leaves : int;
 }
 
-(* The backend facade: the one deterministic call surface the replay
-   loop is allowed to touch. Both implementations run every user
-   callback on the coordinator (inline for the bare system, at a round
-   barrier for the sharded one), so the loop's counters need no
-   synchronisation. *)
-type backend = {
-  b_insert : machine:int -> Value.t list -> on_done:(unit -> unit) -> unit;
-  b_read : machine:int -> Template.t -> on_done:(Pobj.t option -> unit) -> unit;
-  b_read_del : machine:int -> Template.t -> on_done:(Pobj.t option -> unit) -> unit;
-  b_advance_to : float -> unit;
-  b_finish : unit -> unit;
-  b_now : unit -> float;
-  b_crash : machine:int -> unit;
-  b_recover : machine:int -> unit;
-  b_is_up : int -> bool;
-  b_histories : unit -> History.t list;  (* shard-index order *)
-  b_stat_count : string -> int;
-  b_trace : unit -> string;
-  b_invariants : unit -> Check.Invariants.report list;
-  b_shard_loads : unit -> float array;  (* [||] for the bare system *)
-}
-
-let rendered_trace_sys sys =
-  let b = Buffer.create 4096 in
-  List.iter
-    (fun r -> Buffer.add_string b (Format.asprintf "%a@." Sim.Trace.pp_record r))
-    (Sim.Trace.records (System.trace sys));
-  Buffer.contents b
-
-let system_backend ~tracing cfg =
-  let sys = System.create ~tracing cfg in
-  {
-    b_insert = System.insert sys;
-    b_read = System.read sys;
-    b_read_del = System.read_del sys;
-    b_advance_to = System.run_until sys;
-    b_finish = (fun () -> System.run sys);
-    b_now = (fun () -> System.now sys);
-    b_crash = (fun ~machine -> System.crash sys ~machine);
-    b_recover = (fun ~machine -> System.recover sys ~machine);
-    b_is_up = System.is_up sys;
-    b_histories = (fun () -> [ System.history sys ]);
-    b_stat_count = (fun key -> Sim.Stats.count (System.stats sys) key);
-    b_trace = (fun () -> rendered_trace_sys sys);
-    b_invariants = (fun () -> Check.Invariants.all sys);
-    b_shard_loads = (fun () -> [||]);
-  }
-
-let shard_backend ~tracing ~shards ~domains ?rebalance cfg =
-  let sh = Shard.create ~tracing ~shards ~domains ?rebalance cfg in
-  {
-    b_insert = Shard.insert sh;
-    b_read = Shard.read sh;
-    b_read_del = Shard.read_del sh;
-    b_advance_to = Shard.advance_to sh;
-    b_finish = (fun () -> Shard.run sh);
-    b_now = (fun () -> Shard.now sh);
-    b_crash = (fun ~machine -> Shard.crash sh ~machine);
-    b_recover = (fun ~machine -> Shard.recover sh ~machine);
-    b_is_up = Shard.is_up sh;
-    b_histories =
-      (fun () -> Array.to_list (Array.map System.history (Shard.systems sh)));
-    b_stat_count = Shard.stat_count sh;
-    b_trace = (fun () -> Shard.rendered_trace sh);
-    b_invariants =
-      (fun () ->
-        Array.to_list (Shard.systems sh)
-        |> List.concat_map Check.Invariants.all);
-    b_shard_loads = (fun () -> Shard.shard_loads sh);
-  }
-
 let config_of (sc : Scenario.t) =
   let topology =
     match sc.Scenario.sc_clusters with
@@ -127,26 +56,21 @@ let config_of (sc : Scenario.t) =
     topology;
     op_deadline = sc.sc_deadline;
     (* A fresh policy instance per run: live policies carry mutable
-       counters, so sharing one across runs would leak state. The
-       sharded backend further clones it per shard. *)
+       counters, so sharing one across runs would leak state. Shard
+       further clones it per shard. *)
     policy = Check.Runner.policy_of_string sc.sc_policy;
     seed = sc.sc_seed;
   }
 
-let run_be ?(tracing = false) ?(shards = 0) ?(domains = 1) ?rebalance (sc : Scenario.t) =
+let run_shard ?(tracing = false) ?(shards = 1) ?(domains = 1) ?rebalance
+    (sc : Scenario.t) =
   (match Scenario.validate sc with
   | Ok () -> ()
   | Error e -> invalid_arg (Printf.sprintf "Driver.run: invalid scenario: %s" e));
-  if rebalance <> None && shards <= 0 then
-    invalid_arg "Driver.run: rebalance needs a sharded backend (shards >= 1)";
-  let cfg = config_of sc in
-  let be =
-    if shards <= 0 then system_backend ~tracing cfg
-    else shard_backend ~tracing ~shards ~domains ?rebalance cfg
-  in
+  let sh = Shard.create ~tracing ~shards ~domains ?rebalance (config_of sc) in
   (* Every draw below happens on the coordinator, streams derived from
      the scenario seed — the issue sequence is a pure function of the
-     scenario, whatever backend runs it. *)
+     scenario, whatever the shard and domain counts. *)
   let rng = Sim.Rng.make (Sim.Rng.derive sc.sc_seed ~stream:7001) in
   let zclients = Workload.Zipf.create ~n:sc.sc_clients ~s:sc.sc_client_skew in
   let zclasses = Workload.Zipf.create ~n:sc.sc_classes ~s:sc.sc_class_skew in
@@ -154,23 +78,22 @@ let run_be ?(tracing = false) ?(shards = 0) ?(domains = 1) ?rebalance (sc : Scen
   let faults = ref (Scenario.faults sc) in
   let issued = ref 0 in
   (* Faults strictly before (or at) [tlimit] fire at their own instants;
-     at a tie the fault precedes the arrival — one fixed rule, applied
-     identically on every backend. *)
+     at a tie the fault precedes the arrival — one fixed rule. *)
   let apply_faults_until tlimit =
     let continue = ref true in
     while !continue do
       match !faults with
       | { Workload.Faultgen.at; action } :: rest when at <= tlimit ->
           faults := rest;
-          be.b_advance_to at;
+          Shard.advance_to sh at;
           (match action with
-          | `Crash m -> be.b_crash ~machine:m
-          | `Recover m -> be.b_recover ~machine:m)
+          | `Crash m -> Shard.crash sh ~machine:m
+          | `Recover m -> Shard.recover sh ~machine:m)
       | _ -> continue := false
     done
   in
   let issue_at t mix =
-    be.b_advance_to t;
+    Shard.advance_to sh t;
     let client = Workload.Zipf.sample zclients rng in
     let ci = Workload.Zipf.sample zclasses rng in
     (* Clients hash onto machines; a client whose machine is down walks
@@ -182,7 +105,7 @@ let run_be ?(tracing = false) ?(shards = 0) ?(domains = 1) ?rebalance (sc : Scen
         if k >= sc.sc_n then m0
         else
           let c = (m0 + k) mod sc.sc_n in
-          if be.b_is_up c then c else up (k + 1)
+          if Shard.is_up sh c then c else up (k + 1)
       in
       up 0
     in
@@ -191,11 +114,11 @@ let run_be ?(tracing = false) ?(shards = 0) ?(domains = 1) ?rebalance (sc : Scen
     let w = Sim.Rng.int rng (mi_insert + mi_read + mi_take) in
     incr issued;
     if w < mi_insert then
-      be.b_insert ~machine [ Value.Sym head; Value.Int !issued ] ~on_done:(fun () -> ())
+      Shard.insert sh ~machine [ Value.Sym head; Value.Int !issued ] ~on_done:(fun () -> ())
     else if w < mi_insert + mi_read then
-      be.b_read ~machine (Template.headed head [ Template.Any ]) ~on_done:(fun _ -> ())
+      Shard.read sh ~machine (Template.headed head [ Template.Any ]) ~on_done:(fun _ -> ())
     else
-      be.b_read_del ~machine
+      Shard.read_del sh ~machine
         (Template.headed head [ Template.Any ])
         ~on_done:(fun _ -> ())
   in
@@ -221,43 +144,46 @@ let run_be ?(tracing = false) ?(shards = 0) ?(domains = 1) ?rebalance (sc : Scen
      from a late partition heal or storm), then run to quiescence so
      every in-flight op terminates before the histogram is read. *)
   apply_faults_until infinity;
-  be.b_advance_to (Scenario.duration sc);
-  be.b_finish ();
+  Shard.advance_to sh (Scenario.duration sc);
+  Shard.run sh;
   let hist = Hist.create () in
-  List.iter (fun h -> Hist.merge ~into:hist (Hist.of_history h)) (be.b_histories ());
+  Array.iter
+    (fun s -> Hist.merge ~into:hist (Hist.of_history (System.history s)))
+    (Shard.systems sh);
   let duration = Scenario.duration sc in
   ( {
       o_name = sc.sc_name;
-    o_shards = (if shards <= 0 then 0 else shards);
-    o_domains = domains;
-    o_issued = !issued;
-    o_completed = Hist.count hist;
-    o_duration = duration;
-    o_final_time = be.b_now ();
-    o_goodput = float_of_int (Hist.count hist) /. duration;
-    o_deadline_expired = be.b_stat_count "paso.op.deadline_expired";
-    o_msgs = be.b_stat_count "net.msgs";
-    o_wan_msgs = be.b_stat_count "net.wan_msgs";
+      o_shards = shards;
+      o_domains = domains;
+      o_issued = !issued;
+      o_completed = Hist.count hist;
+      o_duration = duration;
+      o_final_time = Shard.now sh;
+      o_goodput = float_of_int (Hist.count hist) /. duration;
+      o_deadline_expired = Shard.stat_count sh "paso.op.deadline_expired";
+      o_msgs = Shard.stat_count sh "net.msgs";
+      o_wan_msgs = Shard.stat_count sh "net.wan_msgs";
       o_hist = hist;
       o_hist_digest = Digest.to_hex (Digest.string (Hist.render hist));
       o_trace_digest =
-        (if tracing then Some (Digest.to_hex (Digest.string (be.b_trace ()))) else None);
+        (if tracing then Some (Digest.to_hex (Digest.string (Shard.rendered_trace sh)))
+         else None);
       o_rebalanced = rebalance <> None;
-      o_shard_loads = be.b_shard_loads ();
-      o_migrations = be.b_stat_count "rebalance.migrations";
-      o_deferred = be.b_stat_count "rebalance.deferred";
+      o_shard_loads = Shard.shard_loads sh;
+      o_migrations = Shard.stat_count sh "rebalance.migrations";
+      o_deferred = Shard.stat_count sh "rebalance.deferred";
       o_policy = sc.sc_policy;
-      o_policy_joins = be.b_stat_count "policy.joins";
-      o_policy_leaves = be.b_stat_count "policy.leaves";
+      o_policy_joins = Shard.stat_count sh "policy.joins";
+      o_policy_leaves = Shard.stat_count sh "policy.leaves";
     },
-    be )
+    sh )
 
 let run ?tracing ?shards ?domains ?rebalance sc =
-  fst (run_be ?tracing ?shards ?domains ?rebalance sc)
+  fst (run_shard ?tracing ?shards ?domains ?rebalance sc)
 
 let run_checked ?tracing ?shards ?domains ?rebalance sc =
-  let o, be = run_be ?tracing ?shards ?domains ?rebalance sc in
-  (o, be.b_invariants ())
+  let o, sh = run_shard ?tracing ?shards ?domains ?rebalance sc in
+  (o, Array.to_list (Shard.systems sh) |> List.concat_map Check.Invariants.all)
 
 let to_json o =
   J.Obj
@@ -283,12 +209,10 @@ let to_json o =
     @ (match o.o_trace_digest with
       | Some d -> [ ("trace_digest", J.Str d) ]
       | None -> [])
-    @ (if Array.length o.o_shard_loads = 0 then []
-       else
-         [
-           ( "shard_loads",
-             J.Arr (Array.to_list (Array.map (fun x -> J.Num x) o.o_shard_loads)) );
-         ])
+    @ [
+        ( "shard_loads",
+          J.Arr (Array.to_list (Array.map (fun x -> J.Num x) o.o_shard_loads)) );
+      ]
     @ (if not o.o_rebalanced then []
        else
          [

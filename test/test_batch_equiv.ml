@@ -36,7 +36,9 @@ let base classing =
 let with_batch c =
   { c with Schedule.batch_ops = 8; batch_bytes = 1024; batch_hold = 400.0 }
 
-let run config steps = Check.Runner.run_with_system config steps
+let run config steps =
+  let o, sh = Check.Runner.run_shard config steps in
+  (o, Shard.sub sh 0)
 
 let msg_cost sys = Sim.Stats.total (System.stats sys) "net.msg_cost"
 

@@ -125,6 +125,76 @@ let test_artifact_roundtrip () =
           Alcotest.(check string) "replay reproduces the trace"
             a.Check.Artifact.a_trace_digest o'.Check.Runner.trace_digest)
 
+(* ---- Arm routing: one runner, per-System arms on shard 0 ---- *)
+
+(* A per-System arm reaches shard 0's registry when the run has one
+   shard, and is refused with more: an armed crash on one shard would
+   desynchronise the shards' mirrored up/down state. *)
+let test_arm_routing () =
+  let steps = Check.Schedule.[ Insert (0, 0); Insert (1, 1); Advance; Read (2, 0) ] in
+  let crash_at_step =
+    {
+      Check.Schedule.arm_site = "check.step";
+      arm_skip = 1;
+      arm_times = 1;
+      arm_action = "crash-node:3";
+    }
+  in
+  let config = { Check.Schedule.default with seed = 4; arms = [ crash_at_step ] } in
+  let o, sh = Check.Runner.run_shard config steps in
+  Alcotest.(check int) "per-System arm fires at shards = 1" 1
+    (Shard.stat_count sh "faults.crashes");
+  Alcotest.(check int) "clean run" 0 (List.length o.Check.Runner.violations);
+  Alcotest.check_raises "per-System arm refused at shards = 2"
+    (Invalid_argument "Check.Runner: failpoint arms are unsupported with shards > 1")
+    (fun () -> ignore (Check.Runner.run { config with shards = 2 } steps));
+  Alcotest.check_raises "coordinator arm takes crash actions only"
+    (Invalid_argument "Check.Runner: unsupported coordinator arm action delay:5")
+    (fun () ->
+      ignore
+        (Check.Runner.run
+           {
+             config with
+             shards = 2;
+             arms = [ { crash_at_step with arm_site = "rebalance.migrate"; arm_action = "delay:5" } ];
+           }
+           steps))
+
+(* The shard count of an artifact must name a real composition: the
+   runner has no bare path to fall back to. *)
+let test_artifact_rejects_bad_shards () =
+  let a =
+    Check.Artifact.of_outcome { Check.Schedule.default with shards = 2 } []
+      (Check.Runner.run Check.Schedule.default [])
+  in
+  let with_shards k =
+    match Check.Artifact.to_json a with
+    | Check.Json.Obj fields ->
+        Check.Json.Obj
+          (List.map
+             (function
+               | "config", Check.Json.Obj c ->
+                   ( "config",
+                     Check.Json.Obj
+                       (List.map
+                          (function
+                            | "shards", _ -> ("shards", Check.Json.Num (float_of_int k))
+                            | f -> f)
+                          c) )
+               | f -> f)
+             fields)
+    | _ -> Alcotest.fail "artifact JSON is not an object"
+  in
+  (match Check.Artifact.of_json (with_shards 3) with
+  | Ok a' -> Alcotest.(check int) "3 shards accepted" 3 a'.a_config.Check.Schedule.shards
+  | Error e -> Alcotest.failf "3 shards rejected: %s" e);
+  List.iter
+    (fun k ->
+      match Check.Artifact.of_json (with_shards k) with
+      | Ok _ -> Alcotest.failf "shards = %d accepted" k
+      | Error _ -> ())
+    [ 0; -1 ]
+
 (* ---- Shrinker ---- *)
 
 let test_ddmin_generic () =
@@ -257,6 +327,45 @@ let test_last_member_leave () =
       [
         Insert (20, 0); Read (39, 0); Advance; Insert (27, 0); Take (7, 0); Take (50, 3);
         Advance; Crash 50; Recover; Crash 25; Crash 0; Insert (23, 3);
+      ]
+  in
+  let o = Check.Runner.run config steps in
+  Alcotest.(check (list string)) "no violations" []
+    (List.map (fun r -> r.Check.Invariants.inv) o.Check.Runner.violations)
+
+(* Regression: a local read answered from a store its machine had just
+   evicted. The read checked write-group membership when it was issued
+   and read the local store one work unit later; a policy leave queued
+   before it (the view change after a crash) executed in between, so
+   the read saw an empty store and returned fail while object 4.0 was
+   alive (fail-legality). The local read now re-checks membership when
+   it executes and takes the remote path if the machine has left.
+   Found by the matrix fuzzer (seed 101 #988, shrunk); dropping any of
+   the counter policy, fast reads, two shards or rebalancing changes
+   the timing and hides it. *)
+let test_local_read_after_leave () =
+  let config =
+    {
+      Check.Schedule.default with
+      n = 8;
+      lambda = 2;
+      classing = "head";
+      storage = "hash";
+      policy = "counter:4";
+      fast_read = true;
+      shards = 2;
+      rebalance = true;
+      seed = 6626487;
+    }
+  in
+  let steps =
+    Check.Schedule.
+      [
+        Insert (39, 4); Insert (26, 1); Crash 27; Read (59, 1); Recover; Advance;
+        Insert (13, 4); Read (32, 1); Advance; Insert (27, 6); Crash 62; Take (62, 7);
+        Crash 10; Take (58, 6); Recover; Take (15, 1); Insert (60, 1); Insert (34, 6);
+        Recover; Snapshot 63; Take (47, 1); Advance; Read (52, 5); Advance; Crash 41;
+        Read (10, 1); Read (18, 7); Crash 30;
       ]
   in
   let o = Check.Runner.run config steps in
@@ -407,9 +516,13 @@ let () =
         [
           Alcotest.test_case "deterministic replay, identical traces" `Quick
             test_runner_determinism;
+          Alcotest.test_case "per-System arms on shard 0 only" `Quick test_arm_routing;
         ] );
       ( "artifacts",
-        [ Alcotest.test_case "save/load/replay round-trip" `Quick test_artifact_roundtrip ] );
+        [
+          Alcotest.test_case "save/load/replay round-trip" `Quick test_artifact_roundtrip;
+          Alcotest.test_case "shards < 1 rejected" `Quick test_artifact_rejects_bad_shards;
+        ] );
       ( "shrinker",
         [
           Alcotest.test_case "ddmin is 1-minimal on a toy failure" `Quick test_ddmin_generic;
@@ -430,7 +543,11 @@ let () =
             (fun (name, config, steps) ->
               Alcotest.test_case ("group emptied by crashes: " ^ name) `Quick
                 (test_crash_loss_pin (config, steps)))
-            crash_loss_pins );
+            crash_loss_pins
+        @ [
+            Alcotest.test_case "local read after its machine left" `Quick
+              test_local_read_after_leave;
+          ] );
       ( "mutations",
         [
           Alcotest.test_case "dropped insert is caught" `Quick test_mutate_drop_insert;

@@ -49,7 +49,9 @@ let modes =
   ]
 
 let with_fast c = { c with Schedule.fast_read = true }
-let run config steps = Check.Runner.run_with_system config steps
+let run config steps =
+  let o, sh = Check.Runner.run_shard config steps in
+  (o, Shard.sub sh 0)
 let msg_cost sys = Sim.Stats.total (System.stats sys) "net.msg_cost"
 
 let inv_names (o : Check.Runner.outcome) =

@@ -1,6 +1,6 @@
 (* The traffic harness (lib/traffic): histogram quantile pins and
    accuracy bound, scenario JSON round-trip and malformed-input errors,
-   the replay determinism pins (bare ≡ 1-shard; a fixed shard count is
+   the replay determinism pins (reruns reproduce; a fixed shard count is
    byte-identical at any domain count), and a flash-crowd run through
    the §2 invariant checks.
 
@@ -220,11 +220,11 @@ let test_replay_pins () =
   (match Traffic.Scenario.validate small with
   | Ok () -> ()
   | Error e -> Alcotest.failf "small scenario invalid: %s" e);
-  let bare = Traffic.Driver.run ~tracing:true small in
-  Alcotest.(check bool) "issues something" true (bare.Traffic.Driver.o_issued > 100);
-  (* bare ≡ the 1-shard composition, trace and histogram *)
-  let s1 = Traffic.Driver.run ~tracing:true ~shards:1 ~domains:1 small in
-  Alcotest.(check (pair string string)) "bare = 1-shard" (digests bare) (digests s1);
+  let s1 = Traffic.Driver.run ~tracing:true small in
+  Alcotest.(check bool) "issues something" true (s1.Traffic.Driver.o_issued > 100);
+  Alcotest.(check int) "one shard by default" 1 s1.Traffic.Driver.o_shards;
+  Alcotest.check_raises "shards = 0 rejected" (Invalid_argument "Shard.create: shards < 1")
+    (fun () -> ignore (Traffic.Driver.run ~shards:0 small));
   (* a fixed shard count is byte-identical at any domain count *)
   let sweep = List.map (fun d -> Traffic.Driver.run ~tracing:true ~shards:4 ~domains:d small) [ 1; 2; 4 ] in
   (match sweep with
@@ -244,7 +244,7 @@ let test_replay_pins () =
   (* the driver's reruns are reproducible in-process (fresh RNGs, no
      global state left behind by the previous run) *)
   let again = Traffic.Driver.run ~tracing:true small in
-  Alcotest.(check (pair string string)) "rerun reproduces" (digests bare) (digests again)
+  Alcotest.(check (pair string string)) "rerun reproduces" (digests s1) (digests again)
 
 (* ------------------------------------------------------------------ *)
 (* Self-similar arrivals                                               *)
@@ -335,7 +335,7 @@ let () =
         ] );
       ( "replay",
         [
-          Alcotest.test_case "bare/sharded, D in {1,2,4}" `Quick test_replay_pins;
+          Alcotest.test_case "rerun, S=4 D in {1,2,4}" `Quick test_replay_pins;
           Alcotest.test_case "web_selfsim digest pin" `Quick test_selfsim_pin;
         ] );
       ( "invariants",
