@@ -164,8 +164,8 @@ let trace_emit iters =
 let history_round iters =
   let h = History.create () in
   for _ = 1 to iters do
-    let r = History.begin_op h ~machine:0 ~kind:History.Insert ~now:1.0 () in
-    History.end_op h r ~now:2.0 ~result:None
+    let id = History.begin_op h ~machine:0 ~kind:History.Insert ~now:1.0 () in
+    History.end_op h id ~now:2.0 ~result:None
   done
 
 (* A system with a populated class universe, for the sc-list kernels:
@@ -739,6 +739,34 @@ let markers_profile () =
   Printf.printf "  markers wan msgs %6d  wan cost %12.0f\n%!" wan_msgs wan_cost;
   J.Obj [ ("wan_msgs", J.Num (float_of_int wan_msgs)); ("wan_cost", J.Num wan_cost) ]
 
+(* ---- history footprint ---- *)
+
+(* Bytes the recorded history keeps reachable per op (op rows,
+   lifecycles, uid index and the inserted objects themselves) after a
+   50k-op run shaped like the repo benchmark's mix: n = 32, λ = 2,
+   eight head classes, inserts/reads/takes 1:1:1, one template per
+   class, pumped every 64 issues. [test_history] bounds the same
+   figure at 130. Deterministic: no clock involved. *)
+let history_profile () =
+  let n = 32 and ops = 50_000 in
+  let sys = System.create { System.default_config with n; lambda = 2 } in
+  let rng = Sim.Rng.make 99 in
+  let heads = Array.init 8 (Printf.sprintf "c%d") in
+  let tmpls = Array.map (fun h -> Template.headed h [ Template.Any ]) heads in
+  for i = 1 to ops do
+    let m = Sim.Rng.int rng n and c = Sim.Rng.int rng 8 in
+    (match Sim.Rng.int rng 3 with
+    | 0 -> System.insert sys ~machine:m [ Value.Sym heads.(c); Value.Int i ] ~on_done:ignore
+    | 1 -> System.read sys ~machine:m tmpls.(c) ~on_done:ignore
+    | _ -> System.read_del sys ~machine:m tmpls.(c) ~on_done:ignore);
+    if i mod 64 = 0 then System.run sys
+  done;
+  System.run sys;
+  let words = Obj.reachable_words (Obj.repr (System.history sys)) in
+  let per_op = float_of_int (words * (Sys.word_size / 8)) /. float_of_int ops in
+  Printf.printf "  history %d ops: %.1f B/op reachable\n%!" ops per_op;
+  J.Obj [ ("ops", J.Num (float_of_int ops)); ("bytes_per_op", J.Num per_op) ]
+
 (* ---- profile assembly ---- *)
 
 let acceptance = (32, 2, 8, 3000) (* n, lambda, classes, ops *)
@@ -792,6 +820,7 @@ let profile ~fast =
   let adaptive = adaptive_profile () in
   let markers = markers_profile () in
   let slo = slo_profile ~domains:!slo_domains in
+  let history = history_profile () in
   J.Obj
     [
       ("e8_mix", Bench_json.mix_json mix);
@@ -811,6 +840,7 @@ let profile ~fast =
       ("adaptive", adaptive);
       ("markers", markers);
       ("slo", slo);
+      ("history", history);
     ]
 
 (* ---- regression gate ---- *)
@@ -930,6 +960,9 @@ let gate_against ~path ~tol fresh =
               (* E13: WAN wake traffic (cluster-local wakes) must never
                  regress *)
               [ "markers"; "wan_msgs" ];
+              (* the history's reachable bytes per op: the live-heap
+                 cost of recording a run for the §2 checker *)
+              [ "history"; "bytes_per_op" ];
             ]
             (* SLO rows: tail latency of every shipped traffic scenario.
                Virtual-time quantiles, so the fixed sim tolerance
@@ -1033,6 +1066,8 @@ let trajectory_row ?bench label p =
       ("slo_ramp_p99", num [ "slo"; "ramp"; "p99" ]);
       ("slo_ramp_p999", num [ "slo"; "ramp"; "p999" ]);
       ("checkpoint_encode_verify_ns", opt_num (kernel_ns "checkpoint_encode_verify"));
+      ("history_round_ns", opt_num (kernel_ns "history_round"));
+      ("history_bytes_per_op", num [ "history"; "bytes_per_op" ]);
       ( "bench",
         match bench with
         | Some b -> J.Obj (bench_rows ~calibration_ns b)

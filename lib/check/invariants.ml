@@ -68,8 +68,8 @@ let durability sys =
         Hashtbl.add present cls p;
         p
   in
-  List.concat_map
-    (fun (l : History.lifecycle) ->
+  History.fold_lifecycles
+    (fun acc (l : History.lifecycle) ->
       let tbl, nreps = class_presence l.cls in
       let held = Uid.Tbl.mem tbl l.uid in
       let reports = ref [] in
@@ -100,8 +100,9 @@ let durability sys =
                 (Uid.to_string l.uid) l.cls;
           }
           :: !reports;
-      !reports)
-    (History.lifecycles (System.history sys))
+      List.rev_append !reports acc)
+    [] (System.history sys)
+  |> List.rev
 
 (* Snapshot atomicity, audited from the raw evidence each completed
    snapshot records (per class: the mutation serial at its accepted

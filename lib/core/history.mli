@@ -7,7 +7,12 @@
     findable by later-sequenced reads), the earliest replica removal
     (after which it may be gone), the remover's return, and — outside
     the paper's fault assumptions — the instant an object class lost
-    its last replica to crashes. *)
+    its last replica to crashes.
+
+    Storage is columnar (unboxed float, int and pointer columns in
+    fixed-size chunks): a history holds every op of a run, so its
+    per-row size is most of a long run's live heap. The {!record} and
+    {!lifecycle} views are built on demand. *)
 
 type op_kind = Insert | Read | Read_del
 
@@ -18,32 +23,41 @@ type record = {
   template : Template.t option;  (** for [Read] / [Read_del] *)
   obj : Pobj.t option;  (** the inserted object, for [Insert] *)
   issue : float;
-  mutable ret_time : float option;  (** [None] while outstanding *)
-  mutable result : Pobj.t option;  (** returned object; [None] = fail *)
+  ret_time : float option;  (** [None] while outstanding *)
+  result : Pobj.t option;  (** returned object; [None] = fail *)
 }
+(** A read-only view of one recorded operation, built on demand: the
+    history stores ops as unboxed columns, so writing a field of a view
+    would change nothing (hence no field is mutable). *)
 
 type lifecycle = {
   uid : Uid.t;
   the_obj : Pobj.t;
   cls : string;
   insert_issue : float;
-  mutable first_store : float option;
-  mutable all_stored : float option;
+  first_store : float option;
+  all_stored : float option;
       (** the insert's gcast completed: every current replica holds it *)
-  mutable first_removal : float option;
-  mutable remove_ret : float option;
-  mutable removed_by : int option;  (** op_id of the successful read&del *)
-  mutable lost_at : float option;  (** class lost all replicas (crashes > λ) *)
-  mutable recovered_at : float option;
+  first_removal : float option;
+  remove_ret : float option;
+  removed_by : int option;  (** op_id of the successful read&del *)
+  lost_at : float option;  (** class lost all replicas (crashes > λ) *)
+  recovered_at : float option;
       (** the object reappeared after a loss — rebuilt from a durable
           WAL/checkpoint replay at a rejoining machine *)
-  mutable migrated_out : bool;
+  migrated_out : bool;
       (** the class was handed to another shard's System: the object
           continues life there under a fresh uid, so this lifecycle's
           disappearance is deliberate, not a durability loss *)
 }
+(** A read-only view of one inserted object's landmarks, built on
+    demand like {!record}. *)
 
 type t
+
+val chunk_rows : int
+(** Rows per storage chunk: each table grows one chunk at a time, so
+    its unused capacity stays under one chunk. *)
 
 val create : unit -> t
 
@@ -55,9 +69,13 @@ val begin_op :
   ?obj:Pobj.t ->
   now:float ->
   unit ->
-  record
+  int
+(** Record an issue; returns the op id (0, 1, 2, … in issue order).
+    @raise Invalid_argument if an [Insert] is given [~template] or a
+    read is given [~obj]. *)
 
-val end_op : t -> record -> now:float -> result:Pobj.t option -> unit
+val end_op : t -> int -> now:float -> result:Pobj.t option -> unit
+(** Record op [id]'s return. @raise Invalid_argument on an unknown id. *)
 
 val note_inserted : t -> Pobj.t -> cls:string -> now:float -> unit
 (** The insert of this object was issued. *)
@@ -84,17 +102,40 @@ val note_recovered : t -> Uid.t -> now:float -> unit
     rejoin its class's write group: reads may legitimately return it
     again even though the class was lost in between. *)
 
+val iter : (record -> unit) -> t -> unit
+(** In op-id (issue) order. *)
+
+val fold : ('a -> record -> 'a) -> 'a -> t -> 'a
+(** In op-id (issue) order. *)
+
 val records : t -> record list
 (** In op-id (issue) order. *)
 
 val lifecycle : t -> Uid.t -> lifecycle option
+
+val fold_lifecycles : ('a -> lifecycle -> 'a) -> 'a -> t -> 'a
+(** In uid order. *)
+
 val lifecycles : t -> lifecycle list
+(** In uid order. *)
 
 val forget : t -> Uid.t -> unit
 (** Erase an object's lifecycle, as if its insert were never recorded.
     {e Mutation-testing support only} (see [Check.Mutate]): corrupting
     a valid history this way must make {!Semantics.check} flag any
     operation that returned the object. Never called by the system. *)
+
+val set_return : t -> int -> now:float -> unit
+(** Overwrite op [id]'s return time, leaving {!completed_ops} as it
+    is. {e Mutation-testing support only} (see [Check.Mutate]): a
+    return moved before its issue must make {!Semantics.check} flag
+    the op. Never called by the system. *)
+
+val set_result : t -> int -> Pobj.t option -> unit
+(** Overwrite op [id]'s result. {e Mutation-testing support only} (see
+    [Check.Mutate]): a read made to return an object that was dead
+    throughout must make {!Semantics.check} flag it. Never called by
+    the system. *)
 
 val op_count : t -> int
 

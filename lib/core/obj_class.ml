@@ -19,7 +19,9 @@ let label = function
   | Custom { label; _ } -> label
 
 let head_name ~arity v =
-  Printf.sprintf "h/%d/%s:%s" arity (Value.type_name v) (Value.to_string v)
+  (* Concatenation, not [Printf]: this runs on every insert's classify. *)
+  String.concat ""
+    [ "h/"; string_of_int arity; "/"; Value.type_name v; ":"; Value.to_string v ]
 
 let classify strategy o =
   match strategy with

@@ -47,8 +47,11 @@ let alive_in_snapshot h ~uid ~from_ ~until =
   | None -> false
   | Some l -> possibly_alive_overlaps l ~from_ ~until
 
+(* [List.concat_map f] over the history's rows, streamed. *)
+let concat_rows fold f h = List.rev (fold (fun acc x -> List.rev_append (f x) acc) [] h)
+
 let check_lifecycles h =
-  List.concat_map
+  concat_rows History.fold_lifecycles
     (fun (l : History.lifecycle) ->
       let ordered lo hi = match (lo, hi) with Some a, Some b -> a <= b | _ -> true in
       let v = ref [] in
@@ -64,13 +67,13 @@ let check_lifecycles h =
             (Printf.sprintf "object %s removed before it was stored" (Uid.to_string l.uid))
           :: !v;
       !v)
-    (History.lifecycles h)
+    h
 
 (* Well-formedness: an operation returns no earlier than it was issued.
    Real runs satisfy this by construction; the rule catches recording
    bugs (and is a mutation-test target for the checker itself). *)
 let check_well_formed h =
-  List.concat_map
+  concat_rows History.fold
     (fun (r : History.record) ->
       match r.ret_time with
       | Some ret when ret < r.issue ->
@@ -79,11 +82,11 @@ let check_well_formed h =
               (Printf.sprintf "returned at %g, before its issue at %g" ret r.issue);
           ]
       | Some _ | None -> [])
-    (History.records h)
+    h
 
 let check_unique_removal h =
   let removers = Uid.Tbl.create 64 in
-  List.concat_map
+  concat_rows History.fold
     (fun (r : History.record) ->
       match (r.kind, r.result, r.ret_time) with
       | History.Read_del, Some o, Some _ ->
@@ -99,10 +102,10 @@ let check_unique_removal h =
             []
           end
       | _ -> [])
-    (History.records h)
+    h
 
 let check_returns h =
-  List.concat_map
+  concat_rows History.fold
     (fun (r : History.record) ->
       match (r.template, r.result, r.ret_time) with
       | Some tmpl, Some o, Some ret ->
@@ -154,20 +157,20 @@ let check_returns h =
               end);
           !vs
       | _ -> [])
-    (History.records h)
+    h
 
 let check_fails h =
-  let lives = History.lifecycles h in
-  List.concat_map
+  let lives = lazy (Array.of_list (History.lifecycles h)) in
+  concat_rows History.fold
     (fun (r : History.record) ->
       match (r.template, r.result, r.ret_time) with
       | Some tmpl, None, Some ret ->
           let witness =
-            List.find_opt
+            Array.find_opt
               (fun (l : History.lifecycle) ->
                 Template.matches tmpl l.the_obj
                 && surely_alive_through l ~from_:r.issue ~until:ret)
-              lives
+              (Lazy.force lives)
           in
           begin
             match witness with
@@ -182,7 +185,7 @@ let check_fails h =
             | None -> []
           end
       | _ -> [])
-    (History.records h)
+    h
 
 let check h =
   check_well_formed h @ check_lifecycles h @ check_unique_removal h @ check_returns h

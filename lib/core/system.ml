@@ -91,17 +91,17 @@ let insert t ~machine fields ~on_done =
   let info = Router.classify t.router o in
   let cs = ensure_class t info in
   Membership.note_load_cs cs (Membership.op_weight cs);
-  let r = History.begin_op t.hist ~machine ~kind:History.Insert ~obj:o ~now:(now t) () in
+  let id = History.begin_op t.hist ~machine ~kind:History.Insert ~obj:o ~now:(now t) () in
   History.note_inserted t.hist o ~cls:info.Obj_class.name ~now:(now t);
   Sim.Stats.incr_counter t.hs.h_ops_insert;
   (* Fault-injection site: a handler crashing [machine] here crashes it
      between issue and return (op orphaned; the §2 checker must pass). *)
   ignore
-    (Sim.Failpoint.hit t.fps ~site:"paso.op.issued" ~node:machine ~aux:r.History.op_id
+    (Sim.Failpoint.hit t.fps ~site:"paso.op.issued" ~node:machine ~aux:id
        ~group:info.Obj_class.name ());
-  let op = Op.make t.opctl ~machine ~op_id:r.History.op_id in
+  let op = Op.make t.opctl ~machine ~op_id:id in
   Op.arm_deadline op ~on_expire:(fun () ->
-      History.end_op t.hist r ~now:(now t) ~result:None;
+      History.end_op t.hist id ~now:(now t) ~result:None;
       on_done ());
   let msg = Server.Store { cls = info.Obj_class.name; obj = o } in
   Op.fan_out op;
@@ -110,24 +110,24 @@ let insert t ~machine fields ~on_done =
       let tnow = now t in
       if responders > 0 then History.note_all_stored t.hist uid ~now:tnow;
       if Op.finish op ~ok:true then begin
-        History.end_op t.hist r ~now:tnow ~result:None;
+        History.end_op t.hist id ~now:tnow ~result:None;
         on_done ()
       end)
 
 let read_gen t ~machine ~kind tmpl ~on_done =
   let opname = match kind with History.Read -> "System.read" | _ -> "System.read_del" in
   require_up t machine opname;
-  let r = History.begin_op t.hist ~machine ~kind ~template:tmpl ~now:(now t) () in
+  let id = History.begin_op t.hist ~machine ~kind ~template:tmpl ~now:(now t) () in
   Sim.Stats.incr_counter
     (match kind with History.Read -> t.hs.h_ops_read | _ -> t.hs.h_ops_read_del);
   (* Same fault-injection site as in [insert]. *)
   ignore
-    (Sim.Failpoint.hit t.fps ~site:"paso.op.issued" ~node:machine ~aux:r.History.op_id ());
-  let op = Op.make t.opctl ~machine ~op_id:r.History.op_id in
+    (Sim.Failpoint.hit t.fps ~site:"paso.op.issued" ~node:machine ~aux:id ());
+  let op = Op.make t.opctl ~machine ~op_id:id in
   let candidates = Router.sc_list t.router tmpl |> List.filter (Membership.knows t.mem) in
   let finish result =
     if Op.finish op ~ok:(result <> None) then begin
-      History.end_op t.hist r ~now:(now t) ~result;
+      History.end_op t.hist id ~now:(now t) ~result;
       on_done result
     end
     else
@@ -141,7 +141,7 @@ let read_gen t ~machine ~kind tmpl ~on_done =
       | Some _ | None -> ()
   in
   Op.arm_deadline op ~on_expire:(fun () ->
-      History.end_op t.hist r ~now:(now t) ~result:None;
+      History.end_op t.hist id ~now:(now t) ~result:None;
       on_done None);
   let retry k = if not (Op.retry op k) then finish None in
   let rec go classes =
@@ -263,7 +263,7 @@ let read_gen t ~machine ~kind tmpl ~on_done =
                       | Some o ->
                           if not (Op.terminal op) then
                             History.note_remove_ret t.hist (Pobj.uid o)
-                              ~op_id:r.History.op_id ~now:(now t);
+                              ~op_id:id ~now:(now t);
                           finish (Some o)
                       | None ->
                           (* Same straddle as the read path: the remove was

@@ -11,8 +11,10 @@ module Graveyard = struct
       true
     end
 
+  (* The length test skips hashing [id] while no tombstone is planted,
+     the usual case on the event heap's pop path. *)
   let exhume t id =
-    if Hashtbl.mem t id then begin
+    if Hashtbl.length t > 0 && Hashtbl.mem t id then begin
       Hashtbl.remove t id;
       true
     end

@@ -110,12 +110,12 @@ let merge ~into src =
 
 let of_history h =
   let t = create () in
-  List.iter
+  Paso.History.iter
     (fun r ->
       match r.Paso.History.ret_time with
       | Some ret -> record t (ret -. r.Paso.History.issue)
       | None -> ())
-    (Paso.History.records h);
+    h;
   t
 
 let render t =

@@ -129,6 +129,36 @@ let prop_sc_list_exhaustive strategy_name strategy =
       let listed = Obj_class.sc_list strategy ~universe:[ info ] tmpl in
       List.mem info.Obj_class.name listed)
 
+(* By_head class names are built by concatenation; they must stay
+   byte-equal to the [Printf] rendering they replaced, for every value
+   constructor and for strings holding the name's own separators. *)
+let gen_value =
+  QCheck2.Gen.(
+    let str =
+      string_size (int_bound 6)
+        ~gen:(oneofl [ 'a'; 'Z'; ':'; '/'; '\x00'; '"'; '\\'; ' ' ])
+    in
+    oneof
+      [
+        map (fun i -> Value.Int i) int;
+        map (fun i -> Value.Int (-i)) (int_bound 1000);
+        map (fun f -> Value.Float f) float;
+        map (fun f -> Value.Float f) (oneofl [ Float.nan; Float.infinity; -0.0; 1e-300 ]);
+        map (fun s -> Value.Str s) str;
+        map (fun s -> Value.Sym s) str;
+        map (fun b -> Value.Bool b) bool;
+      ])
+
+let prop_head_name_printf =
+  QCheck2.Test.make ~name:"head class name = Printf rendering" ~count:500
+    QCheck2.Gen.(pair gen_value (int_bound 3))
+    (fun (v, extra) ->
+      let o = obj (v :: List.init extra vi) in
+      let k = Pobj.arity o in
+      String.equal
+        (Obj_class.class_of Obj_class.By_head o)
+        (Printf.sprintf "h/%d/%s:%s" k (Value.type_name v) (Value.to_string v)))
+
 let () =
   Alcotest.run "obj_class"
     [
@@ -149,5 +179,6 @@ let () =
       ( "properties",
         List.map
           (fun (name, s) -> QCheck_alcotest.to_alcotest (prop_sc_list_exhaustive name s))
-          strategies );
+          strategies
+        @ [ QCheck_alcotest.to_alcotest prop_head_name_printf ] );
     ]

@@ -229,6 +229,26 @@ let test_heap_mass_cancel () =
     (List.init 100 (fun i -> i * 5))
     (List.rev !popped)
 
+(* Pops skip the tombstone lookup while the graveyard is empty: a
+   cancel planted after every earlier tombstone was retired must still
+   hide its event. *)
+let test_heap_cancel_after_drain () =
+  let h = Sim.Event_heap.create () in
+  let a = Sim.Event_heap.add h ~time:1.0 1 in
+  ignore (Sim.Event_heap.add h ~time:2.0 2);
+  Sim.Event_heap.cancel h a;
+  Alcotest.(check (option (pair (float 0.0) int))) "cancelled head skipped"
+    (Some (2.0, 2)) (Sim.Event_heap.pop h);
+  Alcotest.(check int) "graveyard drained" 0 (Sim.Event_heap.tombstones h);
+  let b = Sim.Event_heap.add h ~time:3.0 3 in
+  ignore (Sim.Event_heap.add h ~time:4.0 4);
+  Sim.Event_heap.cancel h b;
+  Alcotest.(check (option (float 0.0))) "peek skips it" (Some 4.0)
+    (Sim.Event_heap.peek_time h);
+  Alcotest.(check (option (pair (float 0.0) int))) "pop skips it" (Some (4.0, 4))
+    (Sim.Event_heap.pop h);
+  Alcotest.(check bool) "then empty" true (Sim.Event_heap.pop h = None)
+
 (* ------------------------------------------------------------------ *)
 (* Trace truncation keeps the exact original window                    *)
 (* ------------------------------------------------------------------ *)
@@ -297,6 +317,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_heap_model;
           Alcotest.test_case "mass cancel compacts" `Quick
             test_heap_mass_cancel;
+          Alcotest.test_case "cancel after the graveyard drained" `Quick
+            test_heap_cancel_after_drain;
         ] );
       ( "trace",
         [

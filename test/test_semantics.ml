@@ -30,7 +30,7 @@ let test_clean_history () =
     History.begin_op h ~machine:2 ~kind:History.Read_del ~template:tmpl_any ~now:30.0 ()
   in
   History.note_removal h (Pobj.uid o) ~now:35.0;
-  History.note_remove_ret h (Pobj.uid o) ~op_id:r_del.History.op_id ~now:40.0;
+  History.note_remove_ret h (Pobj.uid o) ~op_id:r_del ~now:40.0;
   History.end_op h r_del ~now:40.0 ~result:(Some o);
   (* later read fails, legally *)
   let r_miss = History.begin_op h ~machine:3 ~kind:History.Read ~template:tmpl_any ~now:50.0 () in
@@ -75,7 +75,7 @@ let test_fail_legal_when_removed_concurrently () =
   History.end_op h r_ins ~now:2.0 ~result:None;
   let r_del = History.begin_op h ~machine:2 ~kind:History.Read_del ~template:tmpl_any ~now:5.0 () in
   History.note_removal h (Pobj.uid o) ~now:8.0;
-  History.note_remove_ret h (Pobj.uid o) ~op_id:r_del.History.op_id ~now:9.0;
+  History.note_remove_ret h (Pobj.uid o) ~op_id:r_del ~now:9.0;
   History.end_op h r_del ~now:9.0 ~result:(Some o);
   (* Read overlapping the removal may fail. *)
   let r = History.begin_op h ~machine:1 ~kind:History.Read ~template:tmpl_any ~now:7.0 () in
@@ -110,7 +110,7 @@ let test_double_removal_detected () =
   let take now =
     let r = History.begin_op h ~machine:1 ~kind:History.Read_del ~template:tmpl_any ~now () in
     History.note_removal h (Pobj.uid o) ~now:(now +. 1.0);
-    History.note_remove_ret h (Pobj.uid o) ~op_id:r.History.op_id ~now:(now +. 2.0);
+    History.note_remove_ret h (Pobj.uid o) ~op_id:r ~now:(now +. 2.0);
     History.end_op h r ~now:(now +. 2.0) ~result:(Some o)
   in
   take 10.0;
@@ -128,7 +128,7 @@ let test_read_of_dead_object () =
   History.end_op h r_ins ~now:2.0 ~result:None;
   let r_del = History.begin_op h ~machine:2 ~kind:History.Read_del ~template:tmpl_any ~now:5.0 () in
   History.note_removal h (Pobj.uid o) ~now:6.0;
-  History.note_remove_ret h (Pobj.uid o) ~op_id:r_del.History.op_id ~now:7.0;
+  History.note_remove_ret h (Pobj.uid o) ~op_id:r_del ~now:7.0;
   History.end_op h r_del ~now:7.0 ~result:(Some o);
   (* A read issued strictly after the remover returned must not see o. *)
   let r = History.begin_op h ~machine:1 ~kind:History.Read ~template:tmpl_any ~now:20.0 () in
@@ -146,7 +146,7 @@ let test_removal_before_issue_detected () =
      have died on behalf of this op. *)
   History.note_removal h (Pobj.uid o) ~now:3.0;
   let r_del = History.begin_op h ~machine:2 ~kind:History.Read_del ~template:tmpl_any ~now:5.0 () in
-  History.note_remove_ret h (Pobj.uid o) ~op_id:r_del.History.op_id ~now:6.0;
+  History.note_remove_ret h (Pobj.uid o) ~op_id:r_del ~now:6.0;
   History.end_op h r_del ~now:6.0 ~result:(Some o);
   Alcotest.(check bool) "flagged" true
     (List.mem "readdel-dies-after-issue" (rules (Semantics.check h)))
