@@ -71,35 +71,47 @@ let fast_read_arg =
                  probation (results stay quorum-equivalent). With $(b,check --matrix): \
                  force fast reads onto every matrix configuration.")
 
-let batch_cfg ~ops ~bytes ~hold =
-  if ops = 0 && bytes = 0 && hold = 0.0 then None
-  else
-    Some
-      (Net.Batch.cfg
-         ?max_ops:(if ops > 0 then Some ops else None)
-         ?max_bytes:(if bytes > 0 then Some bytes else None)
-         ?hold:(if hold > 0.0 then Some hold else None)
-         ())
+(* One argument per configuration knob, spelled by its
+   Check.Schedule.Knob: run, check and traffic accept the same names. *)
+module Knob = Check.Schedule.Knob
+
+let knob_conv (k : _ Knob.t) =
+  let parse s = Result.map_error (fun e -> `Msg e) (k.parse s) in
+  Arg.conv (parse, fun ppf v -> Fmt.string ppf (k.print v))
+
+let knob_arg (k : _ Knob.t) default name what =
+  Arg.(value & opt (knob_conv k) default & info [ name ] ~doc:(what ^ ": " ^ k.doc ^ "."))
+
+let classing_arg = knob_arg Knob.classing Check.Schedule.default.classing "classing" "Classing"
+let storage_arg = knob_arg Knob.storage Check.Schedule.default.storage "storage" "Store"
+let policy_arg = knob_arg Knob.policy Check.Schedule.default.policy "policy" "Replication policy"
+
+let repair_arg =
+  knob_arg Knob.repair Check.Schedule.default.repair "repair" "Live support selection on crashes"
+
+let eager_arg =
+  Arg.(value & flag & info [ "eager" ] ~doc:"Eager read responses (response-time optimisation).")
+
+let wan_arg =
+  Arg.(value & opt int 0
+       & info [ "wan" ] ~docv:"CLUSTERS"
+           ~doc:"Run over a WAN with this many clusters (0 or 1 = the paper's LAN). Machines \
+                 are assigned round-robin; inter-cluster links cost α = 5000, β = 4.")
+
+(* The configuration flags run and check share, as one schedule config. *)
+let config_term =
+  let make n lambda storage policy eager wan_clusters repair fast_read batch_ops batch_bytes
+      batch_hold =
+    { Check.Schedule.default with
+      n; lambda; storage; policy; eager; wan_clusters; repair; fast_read; batch_ops;
+      batch_bytes; batch_hold }
+  in
+  Term.(const make $ n_arg $ lambda_arg $ storage_arg $ policy_arg $ eager_arg $ wan_arg
+        $ repair_arg $ fast_read_arg $ batch_ops_arg $ batch_bytes_arg $ batch_hold_arg)
 
 (* --- run ------------------------------------------------------------------ *)
 
-let storage_conv =
-  let parse s =
-    match Paso.Storage.kind_of_string s with
-    | Some k -> Ok k
-    | None -> Error (`Msg "expected hash, tree, linear or multi")
-  in
-  Arg.conv (parse, fun ppf k -> Fmt.string ppf (Paso.Storage.kind_name k))
-
 let run_cmd =
-  let storage =
-    Arg.(value & opt storage_conv Paso.Storage.Hash
-         & info [ "storage" ] ~doc:"Store: hash, tree, linear or multi.")
-  in
-  let policy =
-    Arg.(value & opt (enum [ ("static", `Static); ("counter", `Counter) ]) `Static
-         & info [ "policy" ] ~doc:"Replication policy: static or counter.")
-  in
   let workload =
     Arg.(value
          & opt (enum [ ("uniform", `Uniform); ("hotspot", `Hotspot); ("phased", `Phased) ])
@@ -113,25 +125,6 @@ let run_cmd =
     Arg.(value & flag & info [ "faults" ] ~doc:"Inject periodic crash/recovery faults.")
   in
   let trace = Arg.(value & flag & info [ "trace" ] ~doc:"Print the protocol trace.") in
-  let eager =
-    Arg.(value & flag
-         & info [ "eager" ] ~doc:"Eager read responses (response-time optimisation).")
-  in
-  let repair =
-    Arg.(value
-         & opt (enum [ ("none", None); ("lrf", Some Paso.Repair.Lrf);
-                       ("fifo", Some Paso.Repair.Fifo_replace);
-                       ("random", Some Paso.Repair.Random_replace) ])
-             None
-         & info [ "repair" ]
-             ~doc:"Live support selection on crashes: none, lrf, fifo or random.")
-  in
-  let wan =
-    Arg.(value & opt int 0
-         & info [ "wan" ] ~docv:"CLUSTERS"
-             ~doc:"Run over a WAN with this many clusters (0 = the paper's LAN). \
-                   Machines are assigned round-robin; inter-cluster messages cost 20x.")
-  in
   let snapshots =
     Arg.(value & opt int 0
          & info [ "snapshots" ] ~docv:"K"
@@ -139,51 +132,26 @@ let run_cmd =
                    the workload drains, print their per-class results and audit \
                    snapshot atomicity.")
   in
-  let go n lambda seed k storage policy workload read_frac length faults trace eager
-      repair wan batch_ops batch_bytes batch_hold fast_read snapshots =
-    let topology =
-      if wan <= 0 then Paso.System.Lan
-      else
-        Paso.System.Wan
-          {
-            clusters = Array.init n (fun m -> m mod wan);
-            remote =
-              Net.Cost_model.v
-                ~alpha:(20.0 *. Paso.System.default_config.Paso.System.cost.Net.Cost_model.alpha)
-                ~beta:(4.0 *. Paso.System.default_config.Paso.System.cost.Net.Cost_model.beta);
-          }
-    in
-    let pol =
-      match policy with
-      | `Static -> Paso.Policy.static
-      | `Counter ->
-          if wan > 0 then Adaptive.Live_policy.wan_counter ~k ~wan_factor:20.0 ()
-          else Adaptive.Live_policy.counter ~k ()
+  let go (c : Check.Schedule.config) seed workload read_frac length faults trace snapshots =
+    let c = { c with seed } and n = c.n and lambda = c.lambda in
+    let cfg = Check.Schedule.to_system c in
+    (* Over a WAN the counter charges a read that crossed it 20x. *)
+    let cfg =
+      match c.policy with
+      | Counter k when c.wan_clusters > 1 ->
+          { cfg with policy = Adaptive.Live_policy.wan_counter ~k ~wan_factor:20.0 () }
+      | _ -> cfg
     in
     let sys =
-      try
-        Paso.System.create ~tracing:trace
-          {
-            Paso.System.default_config with
-            n;
-            lambda;
-            storage;
-            policy = pol;
-            seed;
-            eager_reads = eager;
-            repair;
-            topology;
-            batch = batch_cfg ~ops:batch_ops ~bytes:batch_bytes ~hold:batch_hold;
-            fast_read;
-          }
+      try Paso.System.create ~tracing:trace cfg
       with Invalid_argument msg ->
         Printf.eprintf "run: %s\n" msg;
         exit 2
     in
     let rng = Sim.Rng.make seed in
+    (* The request generators read n, λ and the basic support, not K. *)
     let p =
-      Adaptive.Model.make_params ~n ~lambda
-        ~basic:(List.init (lambda + 1) Fun.id) ~k ()
+      Adaptive.Model.make_params ~n ~lambda ~basic:(List.init (lambda + 1) Fun.id) ~k:1.0 ()
     in
     let events =
       match workload with
@@ -203,13 +171,13 @@ let run_cmd =
       o.Workload.Live_driver.ops_skipped;
     Printf.printf "messages     %d\n" o.Workload.Live_driver.messages;
     Printf.printf "msg cost     %.0f\n" o.Workload.Live_driver.msg_cost;
-    if batch_ops > 0 || batch_bytes > 0 || batch_hold > 0.0 then
+    if Check.Schedule.batching c then
       Printf.printf "batching     %d batches (%d ops piggybacked), %d frames, %d cuts\n"
         (Sim.Stats.count (Paso.System.stats sys) "vsync.batches")
         (Sim.Stats.count (Paso.System.stats sys) "vsync.batched_ops")
         (Sim.Stats.count (Paso.System.stats sys) "net.frames")
         (Sim.Stats.count (Paso.System.stats sys) "vsync.batch_cuts");
-    if fast_read then
+    if c.fast_read then
       Printf.printf "fast reads   %d served single-replica, %d quorum fallbacks\n"
         (Sim.Stats.count (Paso.System.stats sys) "paso.fast_reads")
         (Sim.Stats.count (Paso.System.stats sys) "paso.fast_read_fallbacks");
@@ -248,7 +216,7 @@ let run_cmd =
       (Sim.Stats.count (Paso.System.stats sys) "policy.leaves");
     Printf.printf "repair       copies %d\n"
       (Sim.Stats.count (Paso.System.stats sys) "repair.copies");
-    if wan > 0 then
+    if c.wan_clusters > 1 then
       Printf.printf "wan          cost %.0f (%d msgs)\n" (Paso.System.wan_cost sys)
         (Sim.Stats.count (Paso.System.stats sys) "net.wan_msgs");
     (match Check.Invariants.replica_consistency sys @ Check.Invariants.quiescence sys with
@@ -265,9 +233,8 @@ let run_cmd =
         exit 1
   in
   let term =
-    Term.(const go $ n_arg $ lambda_arg $ seed_arg $ k_arg $ storage $ policy $ workload
-          $ read_frac $ length_arg $ faults $ trace $ eager $ repair $ wan
-          $ batch_ops_arg $ batch_bytes_arg $ batch_hold_arg $ fast_read_arg $ snapshots)
+    Term.(const go $ config_term $ seed_arg $ workload $ read_frac $ length_arg $ faults
+          $ trace $ snapshots)
   in
   Cmd.v (Cmd.info "run" ~doc:"Drive a live simulated PASO system with a workload.") term
 
@@ -375,36 +342,15 @@ let check_cmd =
                    policies, coalesced groups, eager reads, WAN, repair) instead of a \
                    single configuration.")
   in
-  let classing =
-    Arg.(value & opt string "head"
-         & info [ "classing" ] ~doc:"Classing: single, arity, head or signature.")
-  in
-  let storage =
-    Arg.(value & opt string "hash"
-         & info [ "storage" ] ~doc:"Store: hash, tree, linear or multi.")
-  in
-  let policy =
-    Arg.(value & opt string "static"
-         & info [ "policy" ] ~doc:"Policy: static, counter[:K] or doubling.")
-  in
   let coalesce =
     Arg.(value & flag & info [ "coalesce" ] ~doc:"Map every class to one write group.")
   in
-  let eager = Arg.(value & flag & info [ "eager" ] ~doc:"Eager read responses.") in
   let durable =
     Arg.(value & flag
          & info [ "durable" ]
              ~doc:"Attach the durable WAL/checkpoint layer to every schedule, enabling \
                    the durability invariant pack (with --matrix: force it on every \
                    matrix configuration).")
-  in
-  let wan =
-    Arg.(value & opt int 0
-         & info [ "wan" ] ~docv:"CLUSTERS" ~doc:"WAN topology with this many clusters (0 = LAN).")
-  in
-  let repair =
-    Arg.(value & opt string "none"
-         & info [ "repair" ] ~doc:"Support repair: none, lrf, fifo or random.")
   in
   let shards =
     Arg.(value & opt int 1
@@ -440,33 +386,30 @@ let check_cmd =
   in
   let arm_conv =
     let parse s =
-      let sub a b = String.sub s a (b - a) in
-      match String.index_opt s '=' with
-      | None -> Error (`Msg "expected SITE=ACTION[@SKIP[xTIMES]]")
-      | Some i -> (
-          let site = sub 0 i in
-          let action, spec =
-            match String.index_from_opt s (i + 1) '@' with
-            | None -> (sub (i + 1) (String.length s), None)
-            | Some j -> (sub (i + 1) j, Some (sub (j + 1) (String.length s)))
-          in
-          match
-            match spec with
-            | None -> Some (0, -1)
-            | Some spec -> (
-                match String.split_on_char 'x' spec with
-                | [ skip ] -> Option.map (fun k -> (k, -1)) (int_of_string_opt skip)
-                | [ skip; times ] ->
-                    Option.bind (int_of_string_opt skip) (fun k ->
-                        Option.map (fun t -> (k, t)) (int_of_string_opt times))
+      let bad = Error (`Msg "expected SITE=ACTION[@SKIP[xTIMES]]") in
+      let spec =
+        match String.split_on_char '=' s with
+        | [ site; rest ] -> (
+            match String.split_on_char '@' rest with
+            | [ action ] -> Some (site, action, 0, -1)
+            | [ action; counts ] -> (
+                match List.map int_of_string_opt (String.split_on_char 'x' counts) with
+                | [ Some skip ] -> Some (site, action, skip, -1)
+                | [ Some skip; Some times ] -> Some (site, action, skip, times)
                 | _ -> None)
-          with
-          | Some (arm_skip, arm_times) ->
-              Ok { Check.Schedule.arm_site = site; arm_skip; arm_times; arm_action = action }
-          | None -> Error (`Msg "expected SITE=ACTION[@SKIP[xTIMES]]"))
+            | _ -> None)
+        | _ -> None
+      in
+      match spec with
+      | None -> bad
+      | Some (arm_site, action, arm_skip, arm_times) -> (
+          match Knob.arm_action.parse action with
+          | Ok arm_action -> Ok { Check.Schedule.arm_site; arm_skip; arm_times; arm_action }
+          | Error e -> Error (`Msg e))
     in
     let print ppf (a : Check.Schedule.arm) =
-      Fmt.pf ppf "%s=%s@%dx%d" a.arm_site a.arm_action a.arm_skip a.arm_times
+      Fmt.pf ppf "%s=%s@%dx%d" a.arm_site (Knob.arm_action.print a.arm_action) a.arm_skip
+        a.arm_times
     in
     Arg.conv (parse, print)
   in
@@ -512,55 +455,31 @@ let check_cmd =
           exit 1
         end
   in
-  let do_campaign n lambda seed schedules use_matrix classing storage policy coalesce
-      eager durable fast_read wan repair batch_ops batch_bytes batch_hold shards domains
-      out use_shrink arms =
+  let do_campaign (c : Check.Schedule.config) seed schedules use_matrix classing coalesce
+      durable shards domains out use_shrink arms =
     let configs =
-      if use_matrix then Check.Fuzz.matrix ~n ~lambda ()
-      else
-        [
-          {
-            Check.Schedule.default with
-            n;
-            lambda;
-            classing;
-            storage;
-            policy;
-            coalesce;
-            eager;
-            wan_clusters = wan;
-            repair;
-          };
-        ]
+      if use_matrix then Check.Fuzz.matrix ~n:c.n ~lambda:c.lambda ()
+      else [ { c with classing; coalesce; batch_ops = 0; batch_bytes = 0; batch_hold = 0.0 } ]
     in
     let configs =
       List.map
-        (fun c ->
-          let c =
-            {
-              c with
-              Check.Schedule.arms;
-              durable = durable || c.Check.Schedule.durable;
-              fast_read = fast_read || c.Check.Schedule.fast_read;
-            }
+        (fun (m : Check.Schedule.config) ->
+          let m =
+            { m with arms; durable = durable || m.durable; fast_read = c.fast_read || m.fast_read }
           in
           (* like --durable: with --matrix, force batching onto every
              configuration that doesn't already set its own knobs — and
              not onto eager ones, which System.create refuses batched *)
-          let c =
-            if
-              (batch_ops > 0 || batch_bytes > 0 || batch_hold > 0.0)
-              && (not (Check.Schedule.batching c))
-              && not c.Check.Schedule.eager
+          let m =
+            if Check.Schedule.batching c && (not (Check.Schedule.batching m)) && not m.eager
             then
-              { c with Check.Schedule.batch_ops = batch_ops; batch_bytes; batch_hold }
-            else c
+              { m with
+                batch_ops = c.batch_ops; batch_bytes = c.batch_bytes; batch_hold = c.batch_hold }
+            else m
           in
           (* the runner refuses per-System arms with shards > 1, so
              never force shards onto an armed config *)
-          if shards > 1 && c.Check.Schedule.arms = [] then
-            { c with Check.Schedule.shards }
-          else c)
+          if shards > 1 && m.arms = [] then { m with shards } else m)
         configs
     in
     let failures =
@@ -601,25 +520,21 @@ let check_cmd =
           (List.length fs) out;
         exit 1
   in
-  let go n lambda seed schedules use_matrix classing storage policy coalesce eager
-      durable fast_read wan repair batch_ops batch_bytes batch_hold shards domains out
-      use_shrink replay arms =
+  let go c seed schedules use_matrix classing coalesce durable shards domains out use_shrink
+      replay arms =
     match replay with
     | Some file -> do_replay file
     | None -> (
         try
-          do_campaign n lambda seed schedules use_matrix classing storage policy coalesce
-            eager durable fast_read wan repair batch_ops batch_bytes batch_hold shards
-            domains out use_shrink arms
+          do_campaign c seed schedules use_matrix classing coalesce durable shards domains out
+            use_shrink arms
         with Invalid_argument msg ->
           Printf.eprintf "paso-sim check: %s\n" msg;
           exit 2)
   in
   let term =
-    Term.(const go $ n_arg $ lambda_arg $ seed_arg $ schedules $ matrix $ classing
-          $ storage $ policy $ coalesce $ eager $ durable $ fast_read_arg $ wan $ repair
-          $ batch_ops_arg $ batch_bytes_arg $ batch_hold_arg $ shards $ domains $ out
-          $ shrink $ replay $ arms)
+    Term.(const go $ config_term $ seed_arg $ schedules $ matrix $ classing_arg $ coalesce
+          $ durable $ shards $ domains $ out $ shrink $ replay $ arms)
   in
   Cmd.v
     (Cmd.info "check"
@@ -868,11 +783,10 @@ let traffic_cmd =
                    migrates). Reports migration counts and per-shard loads.")
   in
   let policy =
-    Arg.(value & opt (some string) None
+    Arg.(value & opt (some (knob_conv Knob.policy)) None
          & info [ "policy" ] ~docv:"POLICY"
-             ~doc:"Override the scenario's adaptive replication policy: static, \
-                   counter[:K] or doubling (the spelling of $(b,paso-sim check)). \
-                   Join/leave counts appear in the JSON outcome when non-static.")
+             ~doc:("Override the scenario's adaptive replication policy: " ^ Knob.policy.doc
+                  ^ ". Join/leave counts appear in the JSON outcome when non-static."))
   in
   let json = Arg.(value & flag & info [ "json" ] ~doc:"Emit results as JSON.") in
   let out =
@@ -893,13 +807,6 @@ let traffic_cmd =
       Printf.eprintf "traffic: --shards must be >= 1\n";
       exit 2
     end;
-    (match policy with
-    | Some p -> (
-        try ignore (Check.Runner.policy_of_string p)
-        with Invalid_argument _ ->
-          Printf.eprintf "traffic: unknown policy %S (static | counter[:K] | doubling)\n" p;
-          exit 2)
-    | None -> ());
     if list_flag then begin
       List.iter print_endline Traffic.Scenario.names;
       exit 0
@@ -982,8 +889,9 @@ let traffic_cmd =
           o.o_migrations o.o_deferred
           (String.concat "; "
              (Array.to_list (Array.map (Printf.sprintf "%.0f") o.o_shard_loads)));
-      if o.o_policy <> "static" then
-        Printf.printf "%-16s policy %s  joins %d  leaves %d\n" "" o.o_policy
+      if o.o_policy <> Static then
+        Printf.printf "%-16s policy %s  joins %d  leaves %d\n" ""
+          (Knob.policy.print o.o_policy)
           o.o_policy_joins o.o_policy_leaves
     in
     let j =

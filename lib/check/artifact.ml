@@ -17,6 +17,7 @@ let of_outcome config steps (o : Runner.outcome) =
 (* ---- encoding ---- *)
 
 let num i = Json.Num (float_of_int i)
+let spelled (k : _ Schedule.Knob.t) v = Json.Str (k.print v)
 
 let step_to_json (s : Schedule.step) =
   let name = Schedule.step_name s in
@@ -34,7 +35,7 @@ let arm_to_json (a : Schedule.arm) =
       ("site", Json.Str a.arm_site);
       ("skip", num a.arm_skip);
       ("times", num a.arm_times);
-      ("action", Json.Str a.arm_action);
+      ("action", spelled Schedule.Knob.arm_action a.arm_action);
     ]
 
 let config_to_json (c : Schedule.config) =
@@ -42,13 +43,13 @@ let config_to_json (c : Schedule.config) =
     ([
       ("n", num c.n);
       ("lambda", num c.lambda);
-      ("classing", Json.Str c.classing);
-      ("storage", Json.Str c.storage);
-      ("policy", Json.Str c.policy);
+      ("classing", spelled Schedule.Knob.classing c.classing);
+      ("storage", spelled Schedule.Knob.storage c.storage);
+      ("policy", spelled Schedule.Knob.policy c.policy);
       ("coalesce", Json.Bool c.coalesce);
       ("eager", Json.Bool c.eager);
       ("wan", num c.wan_clusters);
-      ("repair", Json.Str c.repair);
+      ("repair", spelled Schedule.Knob.repair c.repair);
       ("durable", Json.Bool c.durable);
     ]
     (* fast_read only when on, batch fields only when batching:
@@ -94,46 +95,6 @@ let field v name conv =
       | Error e -> Error (Printf.sprintf "field %S: %s" name e))
   | None -> Error (Printf.sprintf "missing field %S" name)
 
-let step_of_json v =
-  let* parts = Json.to_list v in
-  match parts with
-  | Json.Str name :: rest -> (
-      let two conv =
-        match rest with
-        | [ a; b ] ->
-            let* a = Json.to_int a in
-            let* b = Json.to_int b in
-            Ok (conv a b)
-        | _ -> Error (Printf.sprintf "step %S wants two arguments" name)
-      in
-      match name with
-      | "insert" -> two (fun m h -> Schedule.Insert (m, h))
-      | "read" -> two (fun m h -> Schedule.Read (m, h))
-      | "take" -> two (fun m h -> Schedule.Take (m, h))
-      | "crash" -> (
-          match rest with
-          | [ m ] ->
-              let* m = Json.to_int m in
-              Ok (Schedule.Crash m)
-          | _ -> Error "step \"crash\" wants one argument")
-      | "snapshot" -> (
-          match rest with
-          | [ m ] ->
-              let* m = Json.to_int m in
-              Ok (Schedule.Snapshot m)
-          | _ -> Error "step \"snapshot\" wants one argument")
-      | "recover" -> if rest = [] then Ok Schedule.Recover else Error "recover is nullary"
-      | "advance" -> if rest = [] then Ok Schedule.Advance else Error "advance is nullary"
-      | _ -> Error (Printf.sprintf "unknown step %S" name))
-  | _ -> Error "a step is a [name, ...] array"
-
-let arm_of_json v =
-  let* arm_site = field v "site" Json.to_str in
-  let* arm_skip = field v "skip" Json.to_int in
-  let* arm_times = field v "times" Json.to_int in
-  let* arm_action = field v "action" Json.to_str in
-  Ok { Schedule.arm_site; arm_skip; arm_times; arm_action }
-
 let rec map_result f = function
   | [] -> Ok []
   | x :: rest ->
@@ -141,73 +102,67 @@ let rec map_result f = function
       let* ys = map_result f rest in
       Ok (y :: ys)
 
+let knob (k : _ Schedule.Knob.t) v =
+  let* s = Json.to_str v in
+  k.parse s
+
+let step_of_json v =
+  let* parts = Json.to_list v in
+  match parts with
+  | Json.Str name :: rest -> (
+      let* args = map_result Json.to_int rest in
+      match (name, args) with
+      | "insert", [ m; h ] -> Ok (Schedule.Insert (m, h))
+      | "read", [ m; h ] -> Ok (Schedule.Read (m, h))
+      | "take", [ m; h ] -> Ok (Schedule.Take (m, h))
+      | "crash", [ m ] -> Ok (Schedule.Crash m)
+      | "snapshot", [ m ] -> Ok (Schedule.Snapshot m)
+      | "recover", [] -> Ok Schedule.Recover
+      | "advance", [] -> Ok Schedule.Advance
+      | ("insert" | "read" | "take" | "crash" | "snapshot" | "recover" | "advance"), _ ->
+          Error (Printf.sprintf "step %S: wrong number of arguments" name)
+      | _ -> Error (Printf.sprintf "unknown step %S" name))
+  | _ -> Error "a step is a [name, ...] array"
+
+let arm_of_json v =
+  let* arm_site = field v "site" Json.to_str in
+  let* arm_skip = field v "skip" Json.to_int in
+  let* arm_times = field v "times" Json.to_int in
+  let* arm_action = field v "action" (knob Schedule.Knob.arm_action) in
+  Ok { Schedule.arm_site; arm_skip; arm_times; arm_action }
+
 let config_of_json v =
   let* n = field v "n" Json.to_int in
   let* lambda = field v "lambda" Json.to_int in
-  let* classing = field v "classing" Json.to_str in
-  let* storage = field v "storage" Json.to_str in
-  let* policy = field v "policy" Json.to_str in
+  let* classing = field v "classing" (knob Schedule.Knob.classing) in
+  let* storage = field v "storage" (knob Schedule.Knob.storage) in
+  let* policy = field v "policy" (knob Schedule.Knob.policy) in
   let* coalesce = field v "coalesce" Json.to_bool in
   let* eager = field v "eager" Json.to_bool in
   let* wan_clusters = field v "wan" Json.to_int in
-  let* repair = field v "repair" Json.to_str in
-  (* absent in pre-durability artifacts: default false *)
-  let* durable =
-    match Json.get v "durable" with None -> Ok false | Some x -> Json.to_bool x
+  let* repair = field v "repair" (knob Schedule.Knob.repair) in
+  (* Fields later formats added and [config_to_json] writes only when
+     off their default: absent, they take [Schedule.default]'s value. *)
+  let opt name conv default =
+    match Json.get v name with None -> Ok default | Some _ -> field v name conv
   in
-  (* absent in pre-fast-read artifacts (and whenever off): false *)
-  let* fast_read =
-    match Json.get v "fast_read" with None -> Ok false | Some x -> Json.to_bool x
-  in
-  (* absent in pre-batching artifacts (and in unbatched ones): 0 = off *)
-  let opt_int name =
-    match Json.get v name with None -> Ok 0 | Some x -> Json.to_int x
-  in
-  let* batch_ops = opt_int "batch_ops" in
-  let* batch_bytes = opt_int "batch_bytes" in
-  let* batch_hold =
-    match Json.get v "batch_hold" with
-    | None -> Ok 0.0
-    | Some (Json.Num x) -> Ok x
-    | Some _ -> Error "field \"batch_hold\": expected a number"
-  in
-  (* absent in pre-sharding artifacts (and unsharded ones): 1 shard *)
-  let* shards =
-    match Json.get v "shards" with
-    | None -> Ok 1
-    | Some x -> (
-        match Json.to_int x with
-        | Ok s when s < 1 -> Error (Printf.sprintf "field \"shards\": %d < 1" s)
-        | r -> r)
-  in
-  (* absent in pre-rebalancing artifacts (and whenever off): false *)
-  let* rebalance =
-    match Json.get v "rebalance" with None -> Ok false | Some x -> Json.to_bool x
-  in
+  let d = Schedule.default in
+  let* durable = opt "durable" Json.to_bool d.durable in
+  let* fast_read = opt "fast_read" Json.to_bool d.fast_read in
+  let* batch_ops = opt "batch_ops" Json.to_int d.batch_ops in
+  let* batch_bytes = opt "batch_bytes" Json.to_int d.batch_bytes in
+  let* batch_hold = opt "batch_hold" Json.to_float d.batch_hold in
+  let* shards = opt "shards" Json.to_int d.shards in
+  let* rebalance = opt "rebalance" Json.to_bool d.rebalance in
   let* seed = field v "seed" Json.to_int in
   let* arms = field v "arms" Json.to_list in
   let* arms = map_result arm_of_json arms in
-  Ok
-    {
-      Schedule.n;
-      lambda;
-      classing;
-      storage;
-      policy;
-      coalesce;
-      eager;
-      wan_clusters;
-      repair;
-      durable;
-      fast_read;
-      batch_ops;
-      batch_bytes;
-      batch_hold;
-      shards;
-      rebalance;
-      seed;
-      arms;
-    }
+  let c =
+    { Schedule.n; lambda; classing; storage; policy; coalesce; eager; wan_clusters; repair;
+      durable; fast_read; batch_ops; batch_bytes; batch_hold; shards; rebalance; seed; arms }
+  in
+  let* () = Schedule.validate c in
+  Ok c
 
 let violation_of_json v =
   let* parts = Json.to_list v in

@@ -15,7 +15,8 @@
     v}
     [steps] entries are [[name]] for nullary steps and
     [[name, machine-hint, head-hint]] (or [[name, machine-hint]] for
-    [crash]) otherwise. The whole file round-trips: [load] of a [save]
+    [crash]) otherwise. Every knob is spelled by its
+    {!Schedule.Knob}. The whole file round-trips: [load] of a [save]
     yields the identical schedule, and replaying it reproduces the
     recorded [trace_digest] exactly. *)
 
@@ -29,7 +30,16 @@ type t = {
 val of_outcome : Schedule.config -> Schedule.step list -> Runner.outcome -> t
 
 val to_json : t -> Json.t
+
 val of_json : Json.t -> (t, string) result
+(** [Error] on a malformed document, an unknown knob spelling, or a
+    config {!Schedule.validate} refuses — so a loaded artifact always
+    runs. *)
+
+val config_to_json : Schedule.config -> Json.t
+
+val config_of_json : Json.t -> (Schedule.config, string) result
+(** [config_of_json (config_to_json c) = Ok c] for every valid [c]. *)
 
 val save : string -> t -> unit
 (** Write (pretty-printed) to the given path, creating it. *)

@@ -14,24 +14,25 @@ let gen_steps rng ~len =
       | _ -> Schedule.Snapshot (Sim.Rng.int rng 64))
 
 let matrix ?(n = 8) ?(lambda = 2) () =
+  let open Paso in
   let base = { Schedule.default with n; lambda } in
   [
-    { base with classing = "head"; storage = "hash" };
-    { base with classing = "signature"; storage = "tree" };
-    { base with classing = "single"; storage = "linear" };
-    { base with classing = "arity"; storage = "multi" };
-    { base with policy = "counter:4" };
-    { base with storage = "multi"; policy = "doubling" };
+    { base with classing = Obj_class.By_head; storage = Storage.Hash };
+    { base with classing = Obj_class.By_signature; storage = Storage.Tree };
+    { base with classing = Obj_class.Single_class; storage = Storage.Linear };
+    { base with classing = Obj_class.By_arity; storage = Storage.Multi };
+    { base with policy = Counter 4.0 };
+    { base with storage = Storage.Multi; policy = Doubling };
     { base with coalesce = true };
     { base with eager = true };
-    { base with wan_clusters = 2; policy = "counter:4" };
-    { base with repair = "lrf" };
+    { base with wan_clusters = 2; policy = Counter 4.0 };
+    { base with repair = Some Repair.Lrf };
     { base with durable = true };
-    { base with durable = true; classing = "signature"; storage = "tree" };
+    { base with durable = true; classing = Obj_class.By_signature; storage = Storage.Tree };
     (* gcast batching: default knobs, and tight caps that force
        frequent frame cuts under a counter policy with crashes *)
     { base with batch_ops = 16; batch_bytes = 4096; batch_hold = 500.0 };
-    { base with batch_ops = 2; batch_hold = 200.0; policy = "counter:4"; durable = true };
+    { base with batch_ops = 2; batch_hold = 200.0; policy = Counter 4.0; durable = true };
     (* torn WAL tails under crashes: recovery must replay the surviving
        prefix and reconcile the rest from live members. Bounded [times]
        — an unlimited tail-eating arm plus a beyond-λ blackout could
@@ -40,14 +41,14 @@ let matrix ?(n = 8) ?(lambda = 2) () =
     {
       base with
       durable = true;
-      policy = "counter:4";
+      policy = Counter 4.0;
       arms =
         [
           {
             Schedule.arm_site = "durable.crash.tail";
             arm_skip = 0;
             arm_times = 2;
-            arm_action = "torn:5";
+            arm_action = Torn 5;
           };
         ];
     };
@@ -59,14 +60,14 @@ let matrix ?(n = 8) ?(lambda = 2) () =
     {
       base with
       durable = true;
-      policy = "counter:4";
+      policy = Counter 4.0;
       arms =
         [
           {
             Schedule.arm_site = "durable.wal.append";
             arm_skip = 0;
             arm_times = 2;
-            arm_action = "torn:5";
+            arm_action = Torn 5;
           };
         ];
     };
@@ -75,10 +76,10 @@ let matrix ?(n = 8) ?(lambda = 2) () =
     { base with fast_read = true };
     (* view-change straddle: an adaptive policy migrating write groups
        while fast reads race the token's view component *)
-    { base with fast_read = true; policy = "counter:4"; eager = true };
+    { base with fast_read = true; policy = Counter 4.0; eager = true };
     (* probation straddle: durable rejoiners are probational until
        resync — a fast pick landing on one must fall back *)
-    { base with fast_read = true; durable = true; policy = "counter:4" };
+    { base with fast_read = true; durable = true; policy = Counter 4.0 };
     (* crash-during-collect: kill the machine delivering a gcast while
        snapshots (and fast reads) are in flight; bounded so the run
        stays within the λ recovery discipline *)
@@ -91,7 +92,7 @@ let matrix ?(n = 8) ?(lambda = 2) () =
             Schedule.arm_site = "vsync.gcast.deliver";
             arm_skip = 25;
             arm_times = 2;
-            arm_action = "crash-hit-node";
+            arm_action = Crash_hit_node;
           };
         ];
     };
@@ -100,17 +101,23 @@ let matrix ?(n = 8) ?(lambda = 2) () =
        deterministically. No per-System arms here — the runner refuses
        them with more than one shard. *)
     { base with shards = 2 };
-    { base with shards = 4; classing = "signature"; storage = "tree" };
-    { base with shards = 2; policy = "counter:4"; eager = true };
+    { base with shards = 4; classing = Obj_class.By_signature; storage = Storage.Tree };
+    { base with shards = 2; policy = Counter 4.0; eager = true };
     { base with shards = 4; durable = true };
     (* load-aware class migration: rent-to-buy moves fire at round
        barriers (the runner uses an aggressive rebalance config so
        short schedules migrate); snapshots and reads race migrations
        through the coordinator's in-flight refcounts *)
     { base with shards = 2; rebalance = true };
-    { base with shards = 4; rebalance = true; classing = "signature"; storage = "tree" };
+    {
+      base with
+      shards = 4;
+      rebalance = true;
+      classing = Obj_class.By_signature;
+      storage = Storage.Tree;
+    };
     { base with shards = 4; rebalance = true; durable = true };
-    { base with shards = 2; rebalance = true; fast_read = true; policy = "counter:4" };
+    { base with shards = 2; rebalance = true; fast_read = true; policy = Counter 4.0 };
     (* migrate-under-crash: crash machines exactly when a class move
        fires; the move's preconditions are re-checked and a now-invalid
        move is dropped, never half-applied *)
@@ -124,27 +131,27 @@ let matrix ?(n = 8) ?(lambda = 2) () =
             Schedule.arm_site = "rebalance.migrate";
             arm_skip = 0;
             arm_times = 2;
-            arm_action = "crash-hit-node";
+            arm_action = Crash_hit_node;
           };
         ];
     };
     (* live policies under migration: doubling's tuned K and counters
        must ride quiesce-extract-install with the class, and the
        policy's joins/leaves must stay deterministic across domains *)
-    { base with shards = 4; rebalance = true; policy = "doubling" };
+    { base with shards = 4; rebalance = true; policy = Doubling };
     (* crash-resets-counters: kill the issuing machine mid-stream so
        recovered machines restart their §5.1 counters from zero rather
        than resuming stale state *)
     {
       base with
-      policy = "counter:4";
+      policy = Counter 4.0;
       arms =
         [
           {
             Schedule.arm_site = "paso.op.issued";
             arm_skip = 13;
             arm_times = 2;
-            arm_action = "crash-hit-node";
+            arm_action = Crash_hit_node;
           };
         ];
     };

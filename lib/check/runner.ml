@@ -10,75 +10,6 @@ type outcome = {
 
 let heads = [| "a"; "b"; "c" |]
 
-(* ---- config decoding ---- *)
-
-let classing_of_string = function
-  | "single" -> Obj_class.Single_class
-  | "arity" -> Obj_class.By_arity
-  | "head" -> Obj_class.By_head
-  | "signature" -> Obj_class.By_signature
-  | s -> invalid_arg ("Check.Runner: unknown classing " ^ s)
-
-let storage_of_string s =
-  match Storage.kind_of_string s with
-  | Some k -> k
-  | None -> invalid_arg ("Check.Runner: unknown storage kind " ^ s)
-
-let policy_of_string s =
-  match String.split_on_char ':' s with
-  | [ "static" ] -> Policy.static
-  | [ "counter" ] -> Adaptive.Live_policy.counter ~k:4.0 ()
-  | [ "counter"; k ] -> (
-      match float_of_string_opt k with
-      | Some k when k > 0.0 -> Adaptive.Live_policy.counter ~k ()
-      | _ -> invalid_arg ("Check.Runner: bad counter constant in " ^ s))
-  | [ "doubling" ] ->
-      Adaptive.Live_policy.doubling
-        ~k_of_ell:(fun ell -> Float.max 2.0 (float_of_int ell))
-        ()
-  | _ -> invalid_arg ("Check.Runner: unknown policy " ^ s)
-
-let repair_of_string = function
-  | "none" -> None
-  | "lrf" -> Some Repair.Lrf
-  | "fifo" -> Some Repair.Fifo_replace
-  | "random" -> Some Repair.Random_replace
-  | s -> invalid_arg ("Check.Runner: unknown repair strategy " ^ s)
-
-let batch_cfg (c : Schedule.config) =
-  if not (Schedule.batching c) then None
-  else
-    Some
-      (Net.Batch.cfg
-         ?max_ops:(if c.batch_ops > 0 then Some c.batch_ops else None)
-         ?max_bytes:(if c.batch_bytes > 0 then Some c.batch_bytes else None)
-         ?hold:(if c.batch_hold > 0.0 then Some c.batch_hold else None)
-         ())
-
-let system_config (c : Schedule.config) : System.config =
-  {
-    System.default_config with
-    n = c.n;
-    lambda = c.lambda;
-    classing = classing_of_string c.classing;
-    storage = storage_of_string c.storage;
-    policy = policy_of_string c.policy;
-    eager_reads = c.eager;
-    fast_read = c.fast_read;
-    group_map = (if c.coalesce then Some (fun _ -> "shared") else None);
-    repair = repair_of_string c.repair;
-    batch = batch_cfg c;
-    seed = c.seed;
-    topology =
-      (if c.wan_clusters > 1 then
-         System.Wan
-           {
-             clusters = Array.init c.n (fun m -> m mod c.wan_clusters);
-             remote = Net.Cost_model.v ~alpha:5000.0 ~beta:4.0;
-           }
-       else System.default_config.System.topology);
-  }
-
 (* ---- arm installation ---- *)
 
 (* Much more trigger-happy than [Rebalance.default_cfg]: fuzz
@@ -94,21 +25,12 @@ let checker_rebalance_cfg =
     rb_decay = 0.5;
   }
 
-let coordinator_site (a : Schedule.arm) =
-  String.length a.arm_site >= 10 && String.sub a.arm_site 0 10 = "rebalance."
-
-(* Coordinator sites (["rebalance.*"]) arm [Shard.failpoints]: they
-   fire at a round barrier, instrument no write or transmission a
-   Delay/Truncate could act on, and so take the crash actions only.
-   Every other site is per-System and arms shard 0's registry; with
-   [shards > 1] such arms are refused — an armed crash on one shard
-   would desynchronise the shards' mirrored up/down state. [down] is
-   shared with the step loop so that failpoint-induced crashes are
-   recovered in the drain phase like scheduled ones. *)
+(* Coordinator sites (["rebalance.*"]) arm [Shard.failpoints]; every
+   other site arms shard 0's registry ({!Schedule.validate} has refused
+   the combinations neither can run). [down] is shared with the step
+   loop so that failpoint-induced crashes are recovered in the drain
+   phase like scheduled ones. *)
 let install_arm sh ~down ~corrupt (a : Schedule.arm) =
-  let coord = coordinator_site a in
-  if (not coord) && Array.length (Shard.systems sh) > 1 then
-    invalid_arg "Check.Runner: failpoint arms are unsupported with shards > 1";
   let n = (System.config (Shard.sub sh 0)).System.n in
   let crash m =
     if m >= 0 && m < n && Shard.is_up sh m then begin
@@ -117,28 +39,19 @@ let install_arm sh ~down ~corrupt (a : Schedule.arm) =
     end
   in
   let handler : Sim.Failpoint.info -> Sim.Failpoint.effect_ =
-    match String.split_on_char ':' a.arm_action with
-    | [ "crash-hit-node" ] -> fun info -> crash info.Sim.Failpoint.fp_node; Sim.Failpoint.Nothing
-    | [ "crash-aux-node" ] -> fun info -> crash info.Sim.Failpoint.fp_aux; Sim.Failpoint.Nothing
-    | [ "crash-node"; i ] -> (
-        match int_of_string_opt i with
-        | Some m -> fun _ -> crash m; Sim.Failpoint.Nothing
-        | None -> invalid_arg ("Check.Runner: bad machine in arm action " ^ a.arm_action))
-    | _ when coord ->
-        invalid_arg ("Check.Runner: unsupported coordinator arm action " ^ a.arm_action)
-    | [ "delay"; d ] -> (
-        match float_of_string_opt d with
-        | Some d when d >= 0.0 -> fun _ -> Sim.Failpoint.Delay d
-        | _ -> invalid_arg ("Check.Runner: bad delay in arm action " ^ a.arm_action))
-    | [ "torn"; k ] -> (
-        match int_of_string_opt k with
-        | Some k when k > 0 -> fun _ -> Sim.Failpoint.Truncate k
-        | _ -> invalid_arg ("Check.Runner: bad byte count in arm action " ^ a.arm_action))
-    | [ "drop" ] -> fun _ -> Sim.Failpoint.Drop
-    | [ "corrupt-history" ] -> fun _ -> corrupt := true; Sim.Failpoint.Nothing
-    | _ -> invalid_arg ("Check.Runner: unknown arm action " ^ a.arm_action)
+    match a.arm_action with
+    | Crash_hit_node -> fun info -> crash info.Sim.Failpoint.fp_node; Sim.Failpoint.Nothing
+    | Crash_aux_node -> fun info -> crash info.Sim.Failpoint.fp_aux; Sim.Failpoint.Nothing
+    | Crash_node m -> fun _ -> crash m; Sim.Failpoint.Nothing
+    | Delay d -> fun _ -> Sim.Failpoint.Delay d
+    | Torn k -> fun _ -> Sim.Failpoint.Truncate k
+    | Drop -> fun _ -> Sim.Failpoint.Drop
+    | Corrupt_history -> fun _ -> corrupt := true; Sim.Failpoint.Nothing
   in
-  let fps = if coord then Shard.failpoints sh else System.failpoints (Shard.sub sh 0) in
+  let fps =
+    if Schedule.coordinator_site a then Shard.failpoints sh
+    else System.failpoints (Shard.sub sh 0)
+  in
   let times = if a.arm_times < 0 then None else Some a.arm_times in
   Sim.Failpoint.arm fps ~site:a.arm_site ~skip:a.arm_skip ?times handler
 
@@ -150,9 +63,12 @@ let install_arm sh ~down ~corrupt (a : Schedule.arm) =
    trace. *)
 
 let run_shard ?(domains = 1) (c : Schedule.config) steps =
+  (match Schedule.validate c with
+  | Ok () -> ()
+  | Error e -> invalid_arg ("Check.Runner: " ^ e));
   let rebalance = if c.rebalance then Some checker_rebalance_cfg else None in
   let sh =
-    Shard.create ~tracing:true ~shards:c.shards ~domains ?rebalance (system_config c)
+    Shard.create ~tracing:true ~shards:c.shards ~domains ?rebalance (Schedule.to_system c)
   in
   if c.durable then
     Array.iter (fun s -> ignore (Durable.Manager.attach s)) (Shard.systems sh);

@@ -14,17 +14,6 @@ type outcome = {
   final_time : float;  (** virtual time at quiescence *)
 }
 
-val batch_cfg : Schedule.config -> Net.Batch.cfg option
-(** The gcast batching config a schedule maps to: [None] unless
-    {!Schedule.batching}, with zero fields taking the [Net.Batch.cfg]
-    defaults. *)
-
-val policy_of_string : string -> Paso.Policy.t
-(** A fresh adaptive-policy instance for the spelling used across the
-    CLIs and scenario files: ["static"], ["counter"] (K = 4),
-    ["counter:K"], or ["doubling"] (K(ℓ) = max 2 ℓ).
-    @raise Invalid_argument on anything else. *)
-
 val run : ?domains:int -> Schedule.config -> Schedule.step list -> outcome
 (** Drive the schedule through a {!Paso.Shard} composition of
     [shards] engine shards; [shards = 1] is the unsharded run (shard 0
@@ -37,11 +26,11 @@ val run : ?domains:int -> Schedule.config -> Schedule.step list -> outcome
     at a round barrier and their crashes fan out across every shard
     like a scheduled Crash step. Every other arm is per-System and arms
     shard 0's registry, which is only allowed with [shards = 1].
-    @raise Invalid_argument on a malformed config (unknown classing /
-    storage / policy / repair name, an unknown arm action, or
-    [shards < 1]), or on a config with [shards > 1] carrying per-System
-    failpoint arms (they are per-shard and would desynchronise the
-    shards' mirrored up/down state). *)
+    @raise Invalid_argument on a config {!Schedule.validate} refuses:
+    one [System.create] would refuse, [shards < 1], a config with
+    [shards > 1] carrying per-System failpoint arms (they are
+    per-shard and would desynchronise the shards' mirrored up/down
+    state), or a coordinator arm with a non-crash action. *)
 
 val run_shard :
   ?domains:int -> Schedule.config -> Schedule.step list -> outcome * Paso.Shard.t

@@ -11,13 +11,6 @@ type strategy =
       candidates : universe:info list -> Template.t -> string list;
     }
 
-let label = function
-  | Single_class -> "single"
-  | By_arity -> "arity"
-  | By_head -> "head"
-  | By_signature -> "signature"
-  | Custom { label; _ } -> label
-
 let head_name ~arity v =
   (* Concatenation, not [Printf]: this runs on every insert's classify. *)
   String.concat ""

@@ -28,8 +28,6 @@ type strategy =
       candidates : universe:info list -> Template.t -> string list;
     }
 
-val label : strategy -> string
-
 val classify : strategy -> Pobj.t -> info
 (** The class of an object. Total and deterministic. *)
 

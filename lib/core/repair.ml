@@ -1,10 +1,5 @@
 type strategy = Lrf | Fifo_replace | Random_replace
 
-let strategy_name = function
-  | Lrf -> "lrf"
-  | Fifo_replace -> "fifo"
-  | Random_replace -> "random"
-
 type t = {
   last_failure : float array;
   out_since : (string, float array) Hashtbl.t; (* per class *)

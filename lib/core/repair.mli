@@ -16,8 +16,6 @@
 
 type strategy = Lrf | Fifo_replace | Random_replace
 
-val strategy_name : strategy -> string
-
 type t
 
 val create : n:int -> seed:int -> t

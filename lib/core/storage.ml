@@ -17,19 +17,6 @@ type t = {
   cost : op_cost;
 }
 
-let kind_name = function
-  | Hash -> "hash"
-  | Tree -> "tree"
-  | Linear -> "linear"
-  | Multi -> "multi"
-
-let kind_of_string = function
-  | "hash" -> Some Hash
-  | "tree" -> Some Tree
-  | "linear" -> Some Linear
-  | "multi" -> Some Multi
-  | _ -> None
-
 let unit_cost _ = 1.0
 let log_cost l = log (float_of_int (l + 2)) /. log 2.0
 let scan_cost l = Float.max 1.0 (0.5 *. float_of_int l)

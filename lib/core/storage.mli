@@ -30,9 +30,6 @@ type t = {
   cost : op_cost;
 }
 
-val kind_name : kind -> string
-val kind_of_string : string -> kind option
-
 val cost_of_kind : kind -> op_cost
 (** Hash: I=Q=D=1. Tree: I=Q=D=log₂(ℓ+2). Linear: I=1,
     Q=D=max(1, ℓ/2). Multi: I=D=1+log₂(ℓ+2) (every index maintained),

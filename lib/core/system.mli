@@ -100,6 +100,10 @@ val default_config : config
 (** 8 machines, λ = 2, [By_head] classing, hash stores, default cost
     model, read groups on, static policy, no repair. *)
 
+val validate : config -> unit
+(** The checks {!create} runs on its config.
+    @raise Invalid_argument as {!create} does. *)
+
 val init_delay : float
 (** §3.1 initialisation phase: the delay (5000 time units) between a
     machine's recovery and its re-joining of groups. *)

@@ -20,7 +20,7 @@ type outcome = {
   o_shard_loads : float array;
   o_migrations : int;
   o_deferred : int;
-  o_policy : string;
+  o_policy : Check.Schedule.policy;
   o_policy_joins : int;
   o_policy_leaves : int;
 }
@@ -58,7 +58,7 @@ let config_of (sc : Scenario.t) =
     (* A fresh policy instance per run: live policies carry mutable
        counters, so sharing one across runs would leak state. Shard
        further clones it per shard. *)
-    policy = Check.Runner.policy_of_string sc.sc_policy;
+    policy = Check.Schedule.make_policy sc.sc_policy;
     seed = sc.sc_seed;
   }
 
@@ -222,10 +222,10 @@ let to_json o =
     @
     (* Like the scenario field: emitted only when non-static, so every
        pre-existing outcome document is unchanged. *)
-    if o.o_policy = "static" then []
+    if o.o_policy = Static then []
     else
       [
-        ("policy", J.Str o.o_policy);
+        ("policy", J.Str (Check.Schedule.Knob.policy.print o.o_policy));
         ("policy_joins", J.Num (float_of_int o.o_policy_joins));
         ("policy_leaves", J.Num (float_of_int o.o_policy_leaves));
       ])

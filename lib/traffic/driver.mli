@@ -36,7 +36,7 @@ type outcome = {
       (** cumulative §4 cost-model load per shard *)
   o_migrations : int;  (** classes moved between shards *)
   o_deferred : int;  (** moves skipped: in-flight class or cooldown *)
-  o_policy : string;  (** the scenario's policy spelling *)
+  o_policy : Check.Schedule.policy;  (** the scenario's policy *)
   o_policy_joins : int;
       (** write-group joins the adaptive policy executed (0 under
           static); merged across shards like every other counter *)

@@ -26,7 +26,7 @@ type t = {
   sc_lambda : int;
   sc_clusters : int list;
   sc_remote_mult : float;
-  sc_policy : string;
+  sc_policy : Check.Schedule.policy;
   sc_deadline : float option;
   sc_faults : faults;
   sc_phases : phase list;
@@ -124,13 +124,6 @@ let validate t =
           "cluster sizes do not sum to n"
   in
   let* () = check (t.sc_remote_mult >= 1.0) "remote_mult < 1" in
-  let* () =
-    (* Same spelling as [paso-sim check]: static | counter[:K] | doubling. *)
-    try
-      ignore (Check.Runner.policy_of_string t.sc_policy);
-      Ok ()
-    with Invalid_argument _ -> Error (Printf.sprintf "unknown policy %S" t.sc_policy)
-  in
   let* () =
     match t.sc_deadline with
     | Some d when d <= 0.0 -> Error "non-positive deadline"
@@ -256,7 +249,8 @@ let to_json t =
       | None -> [])
     (* Back-compat: the policy field only appears when non-static, so
        pre-existing scenario JSON (and its digests) is unchanged. *)
-    @ (if t.sc_policy <> "static" then [ ("policy", J.Str t.sc_policy) ] else [])
+    @ (if t.sc_policy = Static then []
+       else [ ("policy", J.Str (Check.Schedule.Knob.policy.print t.sc_policy)) ])
     @ [
         ("faults", faults_to_json t.sc_faults);
         ("phases", J.Arr (List.map phase_to_json t.sc_phases));
@@ -354,8 +348,10 @@ let of_json j =
   let* sc_remote_mult = num j "remote_mult" in
   let* sc_policy =
     match J.get j "policy" with
-    | None | Some J.Null -> Ok "static"
-    | Some v -> J.to_str v
+    | None | Some J.Null -> Ok Check.Schedule.Static
+    | Some v ->
+        let* s = J.to_str v in
+        Check.Schedule.Knob.policy.parse s
   in
   let* sc_deadline =
     match J.get j "deadline" with
@@ -422,7 +418,7 @@ let base name ~seed =
     sc_lambda = 2;
     sc_clusters = [];
     sc_remote_mult = 1.0;
-    sc_policy = "static";
+    sc_policy = Static;
     sc_deadline = None;
     sc_faults = No_faults;
     sc_phases = [];

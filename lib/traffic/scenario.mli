@@ -13,7 +13,8 @@
     they can live in files, ride CI artifacts, and be diffed. A library
     of named scenarios ({!find} / {!all}) covers the regimes the
     ROADMAP names: ramp to a million clients, flash crowd, diurnal
-    shift, rolling failures, WAN partition, recovery storm. *)
+    shift, self-similar web load, rolling failures, WAN partition,
+    recovery storm. *)
 
 type mix = { mi_insert : int; mi_read : int; mi_take : int }
 (** Relative operation weights within a phase (≥ 0, sum > 0). *)
@@ -54,13 +55,12 @@ type t = {
       (** [[]] = LAN; else WAN cluster sizes summing to [sc_n] *)
   sc_remote_mult : float;
       (** WAN inter-cluster cost multiplier over the §3.3 defaults *)
-  sc_policy : string;
-      (** adaptive replication policy, [Check.Runner.policy_of_string]
-          spelling: ["static"] (the default), ["counter"],
-          ["counter:K"] or ["doubling"]. The driver instantiates a
-          fresh policy per run. JSON back-compat: the field is emitted
-          only when non-static, so pre-existing scenario documents and
-          digests are unchanged. *)
+  sc_policy : Check.Schedule.policy;
+      (** adaptive replication policy, spelled in JSON by
+          {!Check.Schedule.Knob.policy} ([Static] is the default). The
+          driver instantiates a fresh policy per run. JSON back-compat:
+          the field is emitted only when non-static, so pre-existing
+          scenario documents and digests are unchanged. *)
   sc_deadline : float option;  (** per-op deadline ([System.op_deadline]) *)
   sc_faults : faults;
   sc_phases : phase list;
@@ -101,9 +101,11 @@ val all : t list
     - ["flash_crowd"] — ON/OFF bursts over hot classes while rolling
       faults cycle machines through crash/probation/recovery;
     - ["diurnal"] — alternating day/night Poisson plateaus;
+    - ["web_selfsim"] — self-similar web-like load: ON/OFF bursts with
+      Pareto-distributed dwell times over read-heavy traffic;
     - ["rolling_failures"] — steady load over a periodic crash rota;
     - ["wan_partition"] — three-cluster WAN, one cluster partitioned
-      away mid-run, latency-weighted replica choice armed;
+      away mid-run;
     - ["recovery_storm"] — λ machines crash together and re-join as a
       herd under sustained load. *)
 

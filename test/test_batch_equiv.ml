@@ -29,7 +29,7 @@ open Paso
 module Schedule = Check.Schedule
 
 let base classing =
-  { Schedule.default with Schedule.classing; seed = 3 }
+  { Schedule.default with classing = List.assoc classing Schedule.Knob.classings; seed = 3 }
 
 (* Tight knobs: 8-op / 1 KiB frames, a 400-unit hold window. Small
    enough that byte and op cuts both fire on burst schedules. *)
@@ -165,7 +165,7 @@ let concurrent_prop ~classing =
 let seed = 0x9a0b
 
 let () =
-  let strategies = [ "single"; "arity"; "head"; "signature" ] in
+  let strategies = List.map fst Schedule.Knob.classings in
   let to_alcotest i p = QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| seed; i |]) p in
   Alcotest.run "batch-equivalence"
     [

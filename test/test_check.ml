@@ -101,7 +101,7 @@ let synthetic_config =
           Check.Schedule.arm_site = "check.step";
           arm_skip = 5;
           arm_times = 1;
-          arm_action = "corrupt-history";
+          arm_action = Corrupt_history;
         };
       ];
   }
@@ -137,7 +137,7 @@ let test_arm_routing () =
       Check.Schedule.arm_site = "check.step";
       arm_skip = 1;
       arm_times = 1;
-      arm_action = "crash-node:3";
+      arm_action = Crash_node 3;
     }
   in
   let config = { Check.Schedule.default with seed = 4; arms = [ crash_at_step ] } in
@@ -156,9 +156,21 @@ let test_arm_routing () =
            {
              config with
              shards = 2;
-             arms = [ { crash_at_step with arm_site = "rebalance.migrate"; arm_action = "delay:5" } ];
+             arms = [ { crash_at_step with arm_site = "rebalance.migrate"; arm_action = Delay 5.0 } ];
            }
            steps))
+
+(* [a]'s JSON with config field [name] set to [v] (added if the
+   encoder left it out). *)
+let with_config_field (a : Check.Artifact.t) name v =
+  let set fields = (name, v) :: List.remove_assoc name fields in
+  match Check.Artifact.to_json a with
+  | Check.Json.Obj fields ->
+      Check.Json.Obj
+        (List.map
+           (function "config", Check.Json.Obj c -> ("config", Check.Json.Obj (set c)) | f -> f)
+           fields)
+  | _ -> Alcotest.fail "artifact JSON is not an object"
 
 (* The shard count of an artifact must name a real composition: the
    runner has no bare path to fall back to. *)
@@ -167,24 +179,7 @@ let test_artifact_rejects_bad_shards () =
     Check.Artifact.of_outcome { Check.Schedule.default with shards = 2 } []
       (Check.Runner.run Check.Schedule.default [])
   in
-  let with_shards k =
-    match Check.Artifact.to_json a with
-    | Check.Json.Obj fields ->
-        Check.Json.Obj
-          (List.map
-             (function
-               | "config", Check.Json.Obj c ->
-                   ( "config",
-                     Check.Json.Obj
-                       (List.map
-                          (function
-                            | "shards", _ -> ("shards", Check.Json.Num (float_of_int k))
-                            | f -> f)
-                          c) )
-               | f -> f)
-             fields)
-    | _ -> Alcotest.fail "artifact JSON is not an object"
-  in
+  let with_shards k = with_config_field a "shards" (Check.Json.Num (float_of_int k)) in
   (match Check.Artifact.of_json (with_shards 3) with
   | Ok a' -> Alcotest.(check int) "3 shards accepted" 3 a'.a_config.Check.Schedule.shards
   | Error e -> Alcotest.failf "3 shards rejected: %s" e);
@@ -194,6 +189,155 @@ let test_artifact_rejects_bad_shards () =
       | Ok _ -> Alcotest.failf "shards = %d accepted" k
       | Error _ -> ())
     [ 0; -1 ]
+
+(* Every field of a saved artifact that could name a config the
+   runner cannot build is refused at load time, so [check --replay]
+   reports a bad file instead of dying on an uncaught exception. *)
+let test_artifact_rejects_bad_fields () =
+  let steps = steps_of_seed 7 in
+  let a = Check.Artifact.of_outcome synthetic_config steps (Check.Runner.run synthetic_config steps) in
+  let arm action =
+    Check.Json.Arr
+      [
+        Check.Json.Obj
+          [
+            ("site", Check.Json.Str "check.step");
+            ("skip", Check.Json.Num 5.0);
+            ("times", Check.Json.Num 1.0);
+            ("action", Check.Json.Str action);
+          ];
+      ]
+  in
+  let str s = Check.Json.Str s in
+  let file = Filename.temp_file "paso-artifact" ".json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove file)
+    (fun () ->
+      List.iter
+        (fun (what, name, v) ->
+          Out_channel.with_open_text file (fun oc ->
+              output_string oc (Check.Json.pretty (with_config_field a name v)));
+          match Check.Artifact.load file with
+          | Ok _ -> Alcotest.failf "artifact with %s loaded" what
+          | Error _ -> ())
+        [
+          ("unknown classing", "classing", str "bogus");
+          ("unknown storage", "storage", str "bogus");
+          ("unknown policy", "policy", str "bogus");
+          ("negative counter K", "policy", str "counter:-3");
+          ("unknown repair", "repair", str "bogus");
+          ("unknown arm action", "arms", arm "bogus");
+          ("zero-byte torn arm", "arms", arm "torn:0");
+          ("lambda + 1 > n", "lambda", Check.Json.Num 8.0);
+          ("per-System arm with 2 shards", "shards", Check.Json.Num 2.0);
+        ])
+
+(* Every name in a knob's table prints and parses back to itself; the
+   payload-carrying knobs round-trip their canonical spellings, and
+   bare "counter" is K = 4. *)
+let test_knob_spellings () =
+  let module K = Check.Schedule.Knob in
+  let table (k : _ K.t) entries =
+    List.iter
+      (fun (name, v) ->
+        Alcotest.(check string) ("prints " ^ name) name (k.print v);
+        Alcotest.(check bool) ("parses " ^ name) true (k.parse name = Ok v))
+      entries
+  in
+  table K.classing K.classings;
+  table K.storage K.storages;
+  table K.repair K.repairs;
+  table K.policy
+    Check.Schedule.[ ("static", Static); ("counter:4", Counter 4.0); ("counter:0.5", Counter 0.5);
+                     ("doubling", Doubling) ];
+  table K.arm_action
+    Check.Schedule.
+      [
+        ("crash-hit-node", Crash_hit_node); ("crash-node:3", Crash_node 3);
+        ("crash-aux-node", Crash_aux_node); ("delay:250", Delay 250.0); ("torn:5", Torn 5);
+        ("drop", Drop); ("corrupt-history", Corrupt_history);
+      ];
+  Alcotest.(check bool) "bare counter is K = 4" true
+    (K.policy.parse "counter" = Ok (Check.Schedule.Counter 4.0));
+  List.iter
+    (fun s -> Alcotest.(check bool) ("rejects policy " ^ s) true (Result.is_error (K.policy.parse s)))
+    [ "counter:0"; "counter:-3"; "counter:nan"; "counter:x"; "static:1"; "Counter" ];
+  List.iter
+    (fun s ->
+      Alcotest.(check bool) ("rejects arm action " ^ s) true (Result.is_error (K.arm_action.parse s)))
+    [ "torn:0"; "delay:-1"; "crash-node"; "crash-node:x"; "drop:1"; "" ]
+
+let config_roundtrips c =
+  Check.Artifact.config_of_json (Check.Artifact.config_to_json c) = Ok c
+
+let test_matrix_roundtrip () =
+  List.iter
+    (fun c ->
+      Alcotest.(check bool) (Check.Schedule.label c ^ " round-trips") true (config_roundtrips c))
+    (Check.Fuzz.matrix ())
+
+(* Valid configs over every knob constructor: batching only without
+   eager reads, and with several shards only coordinator crash arms —
+   the combinations [Schedule.validate] accepts. *)
+let gen_config =
+  let open QCheck2.Gen in
+  let open Check.Schedule in
+  let pick table = map snd (oneofl table) in
+  let per_system_arm =
+    let* arm_site = oneofl [ "check.step"; "vsync.gcast.deliver"; "durable.wal.append" ] in
+    let* arm_action =
+      oneof
+        [
+          return Crash_hit_node; map (fun i -> Crash_node i) (int_range (-1) 12);
+          return Crash_aux_node; map (fun d -> Delay d) (float_range 0.0 1e4);
+          map (fun k -> Torn k) (int_range 1 64); return Drop; return Corrupt_history;
+        ]
+    in
+    return (arm_site, arm_action)
+  in
+  let coordinator_arm =
+    map
+      (fun a -> ("rebalance.migrate", a))
+      (oneof [ return Crash_hit_node; map (fun i -> Crash_node i) (int_bound 12); return Crash_aux_node ])
+  in
+  let* n = int_range 1 12 in
+  let* lambda = int_range 0 (n - 1) in
+  let* classing = pick Knob.classings in
+  let* storage = pick Knob.storages in
+  let* policy =
+    oneof [ return Static; return Doubling; map (fun k -> Counter k) (float_range 1e-3 1e3) ]
+  in
+  let* repair = pick Knob.repairs in
+  let* coalesce = bool in
+  let* eager = bool in
+  let* wan_clusters = int_bound 4 in
+  let* durable = bool in
+  let* fast_read = bool in
+  let* batch_ops = if eager then return 0 else int_bound 32 in
+  let* batch_bytes = if eager then return 0 else int_bound 8192 in
+  let* batch_hold = if eager then return 0.0 else float_range 0.0 1e3 in
+  let* shards = int_range 1 4 in
+  let* rebalance = bool in
+  let* seed = int_bound 1_000_000 in
+  let* arms =
+    list_size (int_bound 3) (if shards > 1 then coordinator_arm else oneof [ per_system_arm; coordinator_arm ])
+  in
+  let* skips = list_repeat (List.length arms) (pair (int_bound 50) (int_range (-1) 5)) in
+  let arms =
+    List.map2
+      (fun (arm_site, arm_action) (arm_skip, arm_times) -> { arm_site; arm_skip; arm_times; arm_action })
+      arms skips
+  in
+  return
+    {
+      n; lambda; classing; storage; policy; coalesce; eager; wan_clusters; repair; durable;
+      fast_read; batch_ops; batch_bytes; batch_hold; shards; rebalance; seed; arms;
+    }
+
+let prop_config_roundtrip =
+  QCheck2.Test.make ~name:"config JSON round-trip over every knob constructor" ~count:500
+    ~print:(fun c -> Check.Json.to_string (Check.Artifact.config_to_json c))
+    gen_config config_roundtrips
 
 (* ---- Shrinker ---- *)
 
@@ -243,8 +387,8 @@ let test_probation_straddle () =
       Check.Schedule.default with
       n = 8;
       lambda = 2;
-      classing = "head";
-      policy = "counter:4";
+      classing = Obj_class.By_head;
+      policy = Counter 4.0;
       durable = true;
       seed = 2755231;
     }
@@ -281,7 +425,7 @@ let test_migrated_while_down () =
       Check.Schedule.default with
       n = 8;
       lambda = 2;
-      classing = "head";
+      classing = Obj_class.By_head;
       durable = true;
       shards = 4;
       rebalance = true;
@@ -314,9 +458,9 @@ let test_last_member_leave () =
       Check.Schedule.default with
       n = 8;
       lambda = 2;
-      classing = "head";
-      storage = "hash";
-      policy = "counter:4";
+      classing = Obj_class.By_head;
+      storage = Storage.Hash;
+      policy = Counter 4.0;
       durable = true;
       fast_read = true;
       seed = 330562;
@@ -349,9 +493,9 @@ let test_local_read_after_leave () =
       Check.Schedule.default with
       n = 8;
       lambda = 2;
-      classing = "head";
-      storage = "hash";
-      policy = "counter:4";
+      classing = Obj_class.By_head;
+      storage = Storage.Hash;
+      policy = Counter 4.0;
       fast_read = true;
       shards = 2;
       rebalance = true;
@@ -389,7 +533,7 @@ let test_local_read_after_leave () =
    All run with the counter policy and the durable layer. *)
 let crash_loss_pins =
   let durable seed =
-    { Check.Schedule.default with policy = "counter:4"; durable = true; seed }
+    { Check.Schedule.default with policy = Counter 4.0; durable = true; seed }
   in
   let fast seed = { (durable seed) with fast_read = true } in
   Check.Schedule.
@@ -522,6 +666,11 @@ let () =
         [
           Alcotest.test_case "save/load/replay round-trip" `Quick test_artifact_roundtrip;
           Alcotest.test_case "shards < 1 rejected" `Quick test_artifact_rejects_bad_shards;
+          Alcotest.test_case "bad knob spellings and configs rejected" `Quick
+            test_artifact_rejects_bad_fields;
+          Alcotest.test_case "knob tables print and parse back" `Quick test_knob_spellings;
+          Alcotest.test_case "every matrix config round-trips" `Quick test_matrix_roundtrip;
+          QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 23 |]) prop_config_roundtrip;
         ] );
       ( "shrinker",
         [

@@ -44,13 +44,13 @@ let config_a =
           Check.Schedule.arm_site = "vsync.gcast.deliver";
           arm_skip = 5;
           arm_times = 1;
-          arm_action = "crash-hit-node";
+          arm_action = Crash_hit_node;
         };
         {
           Check.Schedule.arm_site = "net.transmit";
           arm_skip = 40;
           arm_times = 3;
-          arm_action = "delay:250";
+          arm_action = Delay 250.0;
         };
       ];
   }
@@ -71,12 +71,12 @@ let config_b =
     Check.Schedule.default with
     Check.Schedule.n = 6;
     lambda = 2;
-    classing = "signature";
-    storage = "tree";
-    policy = "counter:3";
+    classing = Paso.Obj_class.By_signature;
+    storage = Paso.Storage.Tree;
+    policy = Counter 3.0;
     eager = true;
     wan_clusters = 2;
-    repair = "lrf";
+    repair = Some Paso.Repair.Lrf;
     seed = 5;
     arms =
       [
@@ -84,7 +84,7 @@ let config_b =
           Check.Schedule.arm_site = "vsync.join.transfer";
           arm_skip = 2;
           arm_times = 1;
-          arm_action = "crash-aux-node";
+          arm_action = Crash_aux_node;
         };
       ];
   }

@@ -45,7 +45,7 @@ let test_empty_candidates () =
   List.iter
     (fun s ->
       Alcotest.(check (option int))
-        (Repair.strategy_name s ^ " empty")
+        (Check.Schedule.Knob.repair.print (Some s) ^ " empty")
         None
         (Repair.choose r s ~cls:"c" ~candidates:[]))
     [ Repair.Lrf; Repair.Fifo_replace; Repair.Random_replace ]

@@ -102,16 +102,24 @@ let test_scenario_roundtrip () =
   Alcotest.(check int) "seven shipped scenarios" 7 (List.length Traffic.Scenario.all);
   (* a non-static policy survives the round-trip; the field is emitted
      only then, so every pre-policy document parses as "static" *)
-  let sc = { (List.hd Traffic.Scenario.all) with Traffic.Scenario.sc_policy = "doubling" } in
-  (match Traffic.Scenario.parse (Traffic.Scenario.to_string sc) with
+  let sc = { (List.hd Traffic.Scenario.all) with Traffic.Scenario.sc_policy = Doubling } in
+  let text = Traffic.Scenario.to_string sc in
+  (match Traffic.Scenario.parse text with
   | Ok sc' ->
-      Alcotest.(check string) "policy survives round-trip" "doubling"
-        sc'.Traffic.Scenario.sc_policy
+      Alcotest.(check bool) "policy survives round-trip" true
+        (sc'.Traffic.Scenario.sc_policy = Doubling)
   | Error e -> Alcotest.failf "policy round-trip failed: %s" e);
-  (match
-     Traffic.Scenario.parse
-       (Traffic.Scenario.to_string { sc with Traffic.Scenario.sc_policy = "bogus" })
-   with
+  let respelled =
+    match Check.Json.of_string text with
+    | Ok (Check.Json.Obj fields) ->
+        Check.Json.to_string
+          (Check.Json.Obj
+             (List.map
+                (function "policy", _ -> ("policy", Check.Json.Str "bogus") | f -> f)
+                fields))
+    | _ -> Alcotest.fail "scenario JSON is not an object"
+  in
+  (match Traffic.Scenario.parse respelled with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "unknown policy spelling accepted");
   List.iter
@@ -198,7 +206,7 @@ let small =
     sc_lambda = 2;
     sc_clusters = [ 3; 3 ];
     sc_remote_mult = 2.0;
-    sc_policy = "static";
+    sc_policy = Static;
     sc_deadline = Some 1.5e5;
     sc_faults = Storm { at = 8.0e5; down = 2; outage = 3.0e5; stagger = 5.0e4 };
     sc_phases =
