@@ -231,6 +231,49 @@ let checkpoint_encode_verify iters =
     if not (Durable.Codec.is_single_frame img) then failwith "checkpoint_encode_verify"
   done
 
+(* Slot-log store kernels at l = 512 live objects, one pair per kind:
+   a FIFO insert + take with the benchmark's (Sym head, Any) template,
+   which every workload's store/remove pair pays at each replica, and a
+   ground [Template.exact] find of a live object (the lazy exact index
+   for hash, a scan for linear). *)
+let store_live = 512
+
+let store_obj i =
+  Pobj.make ~uid:(Uid.make ~machine:0 ~serial:i) [ Value.Sym "k"; Value.Int i ]
+
+let store_filled kind =
+  let s = Store.create kind in
+  for i = 0 to store_live - 1 do
+    s.Storage.insert (store_obj i)
+  done;
+  s
+
+let store_insert_remove kind iters =
+  let s = store_filled kind in
+  let tmpl = Template.headed "k" [ Template.Any ] in
+  for i = 1 to iters do
+    s.Storage.insert (store_obj (store_live + i));
+    ignore (Sys.opaque_identity (s.Storage.remove_oldest tmpl))
+  done
+
+let store_find kind iters =
+  let s = store_filled kind in
+  let tmpls =
+    Array.init store_live (fun i -> Template.exact [ Value.Sym "k"; Value.Int i ])
+  in
+  for i = 1 to iters do
+    ignore (Sys.opaque_identity (s.Storage.find tmpls.(i * 7 mod store_live)))
+  done
+
+let store_kernels =
+  List.concat_map
+    (fun (name, kind, iters) ->
+      [
+        ("store_" ^ name ^ "_ins_rem", store_insert_remove kind, iters);
+        ("store_" ^ name ^ "_find", store_find kind, iters);
+      ])
+    [ ("hash", Storage.Hash, 200_000); ("linear", Storage.Linear, 20_000) ]
+
 let kernel_specs =
   [
     ("calibration", calibration, 2_000_000);
@@ -244,6 +287,7 @@ let kernel_specs =
     ("sc_list_scan", sc_list_scan, 50_000);
     ("checkpoint_encode_verify", checkpoint_encode_verify, 2_000);
   ]
+  @ store_kernels
 
 (* ---- recovery (full state transfer vs durable log replay + delta) ----
 
@@ -1067,6 +1111,7 @@ let trajectory_row ?bench label p =
       ("slo_ramp_p999", num [ "slo"; "ramp"; "p999" ]);
       ("checkpoint_encode_verify_ns", opt_num (kernel_ns "checkpoint_encode_verify"));
       ("history_round_ns", opt_num (kernel_ns "history_round"));
+      ("store_hash_ins_rem_ns", opt_num (kernel_ns "store_hash_ins_rem"));
       ("history_bytes_per_op", num [ "history"; "bytes_per_op" ]);
       ( "bench",
         match bench with

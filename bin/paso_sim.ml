@@ -167,8 +167,9 @@ let run_cmd =
            ~mtbf:5.0e5 ~mttr:2.0e5);
     let o = Workload.Live_driver.replay sys ~head:"cli" events in
     if trace then Sim.Trace.dump Format.std_formatter (Paso.System.trace sys);
-    Printf.printf "ops run      %d (skipped %d)\n" o.Workload.Live_driver.ops_run
-      o.Workload.Live_driver.ops_skipped;
+    Printf.printf "ops run      %d (skipped %d, orphaned %d)\n"
+      o.Workload.Live_driver.ops_run o.Workload.Live_driver.ops_skipped
+      o.Workload.Live_driver.ops_orphaned;
     Printf.printf "messages     %d\n" o.Workload.Live_driver.messages;
     Printf.printf "msg cost     %.0f\n" o.Workload.Live_driver.msg_cost;
     if Check.Schedule.batching c then

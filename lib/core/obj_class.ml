@@ -12,9 +12,10 @@ type strategy =
     }
 
 let head_name ~arity v =
-  (* Concatenation, not [Printf]: this runs on every insert's classify. *)
+  (* Concatenation, not [Printf]: this runs on every insert's classify.
+     [Value.key], so equal heads name one class. *)
   String.concat ""
-    [ "h/"; string_of_int arity; "/"; Value.type_name v; ":"; Value.to_string v ]
+    [ "h/"; string_of_int arity; "/"; Value.type_name v; ":"; Value.key v ]
 
 let classify strategy o =
   match strategy with

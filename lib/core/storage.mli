@@ -9,7 +9,11 @@
 
     Each store carries its abstract cost profile [I(·)/Q(·)/D(·)] as
     functions of the live-object count ℓ, in the normalised time units
-    of §5. *)
+    of §5. The profile is the model; the wall-clock cost is the
+    structure's own. The hash and linear stores keep their objects in
+    one insertion-ordered {!Store_log}; the hash store's exact index is
+    built lazily, on its first fully-ground query, so a class that is
+    only ever queried by head template never pays for it. *)
 
 type kind = Hash | Tree | Linear | Multi
 

@@ -1,130 +1,4 @@
-module Imap = Map.Make (Int)
-module Iset = Set.Make (Int)
-
-type state = {
-  mutable items : Pobj.t Imap.t; (* seq -> object, insertion-ordered *)
-  index : (string, Iset.t ref) Hashtbl.t; (* canonical tuple -> seqs *)
-  mutable next_seq : int;
-  mutable count : int; (* = Imap.cardinal items, maintained: size () is
-                          on the per-operation cost path *)
-}
-
-(* One buffer pass, no intermediate list — this runs at every replica
-   per store/remove. The rendered string is identical to
-   [String.concat "\x00" (List.map (type_name ^ ":" ^ to_string))]. *)
-let canonical_fields fields =
-  let buf = Buffer.create 48 in
-  List.iteri
-    (fun i v ->
-      if i > 0 then Buffer.add_char buf '\x00';
-      Buffer.add_string buf (Value.type_name v);
-      Buffer.add_char buf ':';
-      Buffer.add_string buf (Value.to_string v))
-    fields;
-  Buffer.contents buf
-
-let canonical_obj o = canonical_fields (Pobj.fields o)
-
-(* A template answerable via the exact index: every field pinned by Eq
-   and no whole-object predicate. *)
-let exact_key tmpl =
-  let rec all_eq acc = function
-    | [] -> Some (List.rev acc)
-    | Template.Eq v :: rest -> all_eq (v :: acc) rest
-    | (Template.Any | Template.Type_is _ | Template.Range _ | Template.Pred _) :: _ ->
-        None
-  in
-  if Template.size tmpl >= 0 then
-    match all_eq [] (Template.specs tmpl) with
-    | Some values -> Some (canonical_fields values)
-    | None -> None
-  else None
-
-(* A where-clause is handled on the index path too: any object matching
-   an all-Eq template lives in exactly that bucket, and bucket hits are
-   re-verified with the full [Template.matches] (which includes where). *)
-
-let index_add state key seq =
-  match Hashtbl.find_opt state.index key with
-  | Some set -> set := Iset.add seq !set
-  | None -> Hashtbl.add state.index key (ref (Iset.singleton seq))
-
-let index_remove state key seq =
-  match Hashtbl.find_opt state.index key with
-  | Some set ->
-      set := Iset.remove seq !set;
-      if Iset.is_empty !set then Hashtbl.remove state.index key
-  | None -> ()
-
-(* Early-exit scans: iteration is in ascending seq (= insertion)
-   order, so the first hit is the oldest match — stop there instead of
-   walking the rest of the map as a fold would. *)
-exception Found of int * Pobj.t
-
-let scan_oldest state tmpl =
-  match
-    Imap.iter
-      (fun seq o -> if Template.matches tmpl o then raise_notrace (Found (seq, o)))
-      state.items
-  with
-  | () -> None
-  | exception Found (seq, o) -> Some (seq, o)
-
-let lookup state tmpl =
-  match exact_key tmpl with
-  | Some key -> begin
-      match Hashtbl.find_opt state.index key with
-      | Some set -> begin
-          (* Oldest seq in the bucket whose object fully matches (the
-             full check also covers any where-clause). *)
-          match
-            Iset.iter
-              (fun seq ->
-                let o = Imap.find seq state.items in
-                if Template.matches tmpl o then raise_notrace (Found (seq, o)))
-              !set
-          with
-          | () -> None
-          | exception Found (seq, o) -> Some (seq, o)
-        end
-      | None -> None
-    end
-  | None -> scan_oldest state tmpl
-
-let make state =
-  let insert o =
-    let seq = state.next_seq in
-    state.next_seq <- seq + 1;
-    state.items <- Imap.add seq o state.items;
-    state.count <- state.count + 1;
-    index_add state (canonical_obj o) seq
-  in
-  let find tmpl = Option.map snd (lookup state tmpl) in
-  let remove_oldest tmpl =
-    match lookup state tmpl with
-    | Some (seq, o) ->
-        state.items <- Imap.remove seq state.items;
-        state.count <- state.count - 1;
-        index_remove state (canonical_obj o) seq;
-        Some o
-    | None -> None
-  in
-  let size () = state.count in
-  let to_list () = List.map snd (Imap.bindings state.items) in
-  let bytes () = Storage.snapshot_bytes (to_list ()) in
-  {
-    Storage.kind = Storage.Hash;
-    insert;
-    find;
-    remove_oldest;
-    size;
-    bytes;
-    to_list;
-    cost = Storage.cost_of_kind Storage.Hash;
-  }
-
-let create () =
-  make { items = Imap.empty; index = Hashtbl.create 64; next_seq = 0; count = 0 }
+let create () = Store_log.storage Storage.Hash (Store_log.create ~indexed:true)
 
 let load objs =
   let store = create () in

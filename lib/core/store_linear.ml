@@ -1,55 +1,4 @@
-module Imap = Map.Make (Int)
-
-type state = {
-  mutable items : Pobj.t Imap.t;
-  mutable next_seq : int;
-  mutable count : int; (* = Imap.cardinal items; size () is on the
-                          per-operation cost path *)
-}
-
-exception Found of int * Pobj.t
-
-(* Iteration is in ascending seq order, so the first hit is the oldest
-   match — stop there rather than folding over the whole map. *)
-let find_entry state tmpl =
-  match
-    Imap.iter
-      (fun seq o -> if Template.matches tmpl o then raise_notrace (Found (seq, o)))
-      state.items
-  with
-  | () -> None
-  | exception Found (seq, o) -> Some (seq, o)
-
-let make state =
-  let insert o =
-    state.items <- Imap.add state.next_seq o state.items;
-    state.next_seq <- state.next_seq + 1;
-    state.count <- state.count + 1
-  in
-  let find tmpl = Option.map snd (find_entry state tmpl) in
-  let remove_oldest tmpl =
-    match find_entry state tmpl with
-    | Some (seq, o) ->
-        state.items <- Imap.remove seq state.items;
-        state.count <- state.count - 1;
-        Some o
-    | None -> None
-  in
-  let size () = state.count in
-  let to_list () = List.map snd (Imap.bindings state.items) in
-  let bytes () = Storage.snapshot_bytes (to_list ()) in
-  {
-    Storage.kind = Storage.Linear;
-    insert;
-    find;
-    remove_oldest;
-    size;
-    bytes;
-    to_list;
-    cost = Storage.cost_of_kind Storage.Linear;
-  }
-
-let create () = make { items = Imap.empty; next_seq = 0; count = 0 }
+let create () = Store_log.storage Storage.Linear (Store_log.create ~indexed:false)
 
 let load objs =
   let store = create () in

@@ -1,5 +1,6 @@
-(** Linear-list store: the structure for general pattern matching.
-    Every query scans in insertion order, so Q(ℓ) = D(ℓ) = Θ(ℓ). *)
+(** Linear-list store: the structure for general pattern matching. A
+    {!Store_log} without an index: every query scans in insertion
+    order, so Q(ℓ) = D(ℓ) = Θ(ℓ). *)
 
 val create : unit -> Storage.t
 

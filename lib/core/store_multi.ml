@@ -10,30 +10,6 @@ type state = {
                           per-operation cost path *)
 }
 
-(* Single buffer pass; renders identically to the obvious
-   [String.concat]-of-[List.map] (see Store_hash.canonical_fields). *)
-let canonical_fields fields =
-  let buf = Buffer.create 48 in
-  List.iteri
-    (fun i v ->
-      if i > 0 then Buffer.add_char buf '\x00';
-      Buffer.add_string buf (Value.type_name v);
-      Buffer.add_char buf ':';
-      Buffer.add_string buf (Value.to_string v))
-    fields;
-  Buffer.contents buf
-
-let canonical_obj o = canonical_fields (Pobj.fields o)
-
-let exact_key tmpl =
-  let rec all_eq acc = function
-    | [] -> Some (List.rev acc)
-    | Template.Eq v :: rest -> all_eq (v :: acc) rest
-    | (Template.Any | Template.Type_is _ | Template.Range _ | Template.Pred _) :: _ ->
-        None
-  in
-  Option.map canonical_fields (all_eq [] (Template.specs tmpl))
-
 let index_add state key seq =
   match Hashtbl.find_opt state.exact key with
   | Some set -> set := Iset.add seq !set
@@ -49,7 +25,7 @@ let index_remove state key seq =
 (* Route a template to the cheapest index; each path yields the oldest
    full match. *)
 let lookup state tmpl =
-  match exact_key tmpl with
+  match Store_log.exact_key tmpl with
   | Some key -> begin
       match Hashtbl.find_opt state.exact key with
       | Some set -> begin
@@ -102,13 +78,13 @@ let make state =
     state.next_seq <- seq + 1;
     state.items <- Imap.add seq o state.items;
     state.count <- state.count + 1;
-    index_add state (canonical_obj o) seq;
+    index_add state (Store_log.key o) seq;
     state.ordered <- Avl.add_item state.ordered (Pobj.field o 0) seq o
   in
   let remove_entry seq o =
     state.items <- Imap.remove seq state.items;
     state.count <- state.count - 1;
-    index_remove state (canonical_obj o) seq;
+    index_remove state (Store_log.key o) seq;
     state.ordered <- Avl.remove_item state.ordered (Pobj.field o 0) seq
   in
   let find tmpl = Option.map snd (lookup state tmpl) in

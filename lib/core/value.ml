@@ -34,12 +34,16 @@ let pp ppf = function
   | Bool b -> Format.pp_print_bool ppf b
   | Sym s -> Format.pp_print_string ppf s
 
-(* Same renderings as [pp], without spinning up a formatter — this is
-   on the storage canonical-key path, hit at every replica per
-   store/remove. (Printf's ["%g"]/["%S"] conversions are the ones [pp]
-   uses, so the strings are identical.) *)
-let to_string = function
+(* [pp]'s rendering, except where it tells equal values apart: -0.0
+   prints "-0" and a negative NaN "-nan", though [compare] equates them
+   with 0.0 and NaN. Built without a formatter — this is on the
+   class-naming path of every insert. (Printf's ["%g"]/["%S"]
+   conversions are the ones [pp] uses, so the other strings are
+   identical.) *)
+let key = function
   | Int i -> string_of_int i
+  | Float f when Float.is_nan f -> "nan"
+  | Float f when f = 0.0 -> "0"
   | Float f -> Printf.sprintf "%g" f
   | Str s -> Printf.sprintf "%S" s
   | Bool b -> string_of_bool b

@@ -25,4 +25,7 @@ val size : t -> int
 
 val pp : Format.formatter -> t -> unit
 
-val to_string : t -> string
+val key : t -> string
+(** Rendering for hash keys and class names: [equal a b] implies
+    [key a = key b]. The same string as {!pp} except that every zero
+    float renders ["0"] and every NaN ["nan"]. *)

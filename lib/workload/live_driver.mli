@@ -7,11 +7,16 @@
     class's head template; [Update m] → alternately an [insert] and a
     [read&del] from [m] (the paper's §5 assumption that these come in
     pairs, keeping ℓ fixed); [Fail]/[Recover] → machine crash/recovery.
-    Operations on machines that happen to be down are skipped. *)
+    Operations on machines that happen to be down are skipped. An
+    operation whose issuing machine crashes before it returns is
+    orphaned: it never answers, so as soon as that machine is down the
+    replay counts it and goes on with the next event. Every [Read] and
+    [Update] is thus run, skipped or orphaned. *)
 
 type outcome = {
-  ops_run : int;
-  ops_skipped : int;
+  ops_run : int;  (** operations issued that returned *)
+  ops_skipped : int;  (** operations whose machine was down at issue *)
+  ops_orphaned : int;  (** operations issued that never returned *)
   msg_cost : float;  (** total bus cost of the replay *)
   messages : int;
   work : float;  (** total server work *)

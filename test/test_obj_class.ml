@@ -131,7 +131,8 @@ let prop_sc_list_exhaustive strategy_name strategy =
 
 (* By_head class names are built by concatenation; they must stay
    byte-equal to the [Printf] rendering they replaced, for every value
-   constructor and for strings holding the name's own separators. *)
+   constructor and for strings holding the name's own separators. The
+   value renders through [Value.key]. *)
 let gen_value =
   QCheck2.Gen.(
     let str =
@@ -143,7 +144,8 @@ let gen_value =
         map (fun i -> Value.Int i) int;
         map (fun i -> Value.Int (-i)) (int_bound 1000);
         map (fun f -> Value.Float f) float;
-        map (fun f -> Value.Float f) (oneofl [ Float.nan; Float.infinity; -0.0; 1e-300 ]);
+        map (fun f -> Value.Float f)
+          (oneofl [ Float.nan; Float.neg Float.nan; Float.infinity; -0.0; 1e-300 ]);
         map (fun s -> Value.Str s) str;
         map (fun s -> Value.Sym s) str;
         map (fun b -> Value.Bool b) bool;
@@ -157,7 +159,7 @@ let prop_head_name_printf =
       let k = Pobj.arity o in
       String.equal
         (Obj_class.class_of Obj_class.By_head o)
-        (Printf.sprintf "h/%d/%s:%s" k (Value.type_name v) (Value.to_string v)))
+        (Printf.sprintf "h/%d/%s:%s" k (Value.type_name v) (Value.key v)))
 
 let () =
   Alcotest.run "obj_class"

@@ -1,6 +1,7 @@
-(* Tests for the three storage structures, including the cross-store
+(* Tests for the four storage structures, including the cross-store
    equivalence property: all stores implement the same abstract
-   multiset-with-insertion-order semantics. *)
+   multiset-with-insertion-order semantics, checked against a list
+   model. *)
 
 open Paso
 
@@ -123,49 +124,202 @@ let test_hash_index_with_where () =
   Alcotest.(check bool) "where true" true (s.Storage.find yes <> None);
   Alcotest.(check bool) "where false" true (s.Storage.find no = None)
 
-(* Cross-store equivalence: random op sequences give identical results
-   on all three stores. This is the determinism the replication
-   protocol relies on. *)
-let prop_store_equivalence =
-  let open QCheck2 in
-  let gen_op =
-    Gen.(
-      oneof
+(* Equal floats must share a key: -0.0 = 0.0 and -nan = nan under
+   [Value.equal], so an exact find of one finds the other on every
+   kind, the indexed ones included. *)
+let test_equal_floats_found () =
+  List.iter
+    (fun (stored, asked) ->
+      for_all_kinds (fun name s ->
+          s.Storage.insert (obj [ vs "k"; Value.Float stored ]);
+          let tmpl = Template.exact [ vs "k"; Value.Float asked ] in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: find %g finds %g" name asked stored)
+            true
+            (s.Storage.find tmpl <> None);
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: take %g takes %g" name asked stored)
+            true
+            (s.Storage.remove_oldest tmpl <> None)))
+    [ (-0.0, 0.0); (0.0, -0.0); (Float.neg Float.nan, Float.nan) ]
+
+(* --- random op sequences ----------------------------------------------- *)
+
+(* Queries over heads a/b/c: the benchmark's head template, ground
+   templates (the exact-index path), ground + where (index hit filtered
+   by the clause), a range on the second field and a whole-store
+   predicate scan. All but the first take from the middle of a class. *)
+type query =
+  | Head of int
+  | Exact of int * int
+  | Exact_where of int * int
+  | In_range of int * int
+  | Scan of int
+
+let heads = [| "a"; "b"; "c" |]
+
+(* Small value domain (0..13) so ground templates hit buckets of
+   several objects; 6 and 13 are 0.0 and -0.0, one bucket. *)
+let value v = if v mod 7 = 6 then Value.Float (if v mod 2 = 0 then 0.0 else -0.0) else vi v
+
+let template = function
+  | Head h -> Template.headed heads.(h) [ Template.Any ]
+  | Exact (h, v) -> Template.exact [ vs heads.(h); value v ]
+  | Exact_where (h, v) ->
+      Template.make
+        ~where:("odd-serial", fun o -> (Pobj.uid o).Uid.serial mod 2 = 1)
+        [ Template.Eq (vs heads.(h)); Template.Eq (value v) ]
+  | In_range (h, lo) ->
+      Template.make [ Template.Eq (vs heads.(h)); Template.Range (vi lo, vi (lo + 3)) ]
+  | Scan lo ->
+      Template.make
         [
-          map (fun (h, v) -> `Insert (h mod 3, v)) (pair small_nat small_nat);
-          map (fun h -> `Find (h mod 3)) small_nat;
-          map (fun h -> `Remove (h mod 3)) small_nat;
-        ])
+          Template.Any;
+          Template.Pred ("ge", function Value.Int i -> i >= lo | _ -> false);
+        ]
+
+type op = Insert of int * int | Find of query | Remove of query
+
+let gen_query =
+  QCheck2.Gen.(
+    let h = int_bound 2 and v = int_bound 13 in
+    frequency
+      [
+        (3, map (fun h -> Head h) h);
+        (3, map2 (fun h v -> Exact (h, v)) h v);
+        (2, map2 (fun h v -> Exact_where (h, v)) h v);
+        (1, map2 (fun h v -> In_range (h, v)) h v);
+        (1, map (fun v -> Scan v) v);
+      ])
+
+(* [ins : take] weights set whether the stores grow or drain. *)
+let gen_ops ~ins ~take len =
+  QCheck2.Gen.(
+    list_size len
+      (frequency
+         [
+           (ins, map2 (fun h v -> Insert (h, v)) (int_bound 2) (int_bound 13));
+           (1, map (fun q -> Find q) gen_query);
+           (take, map (fun q -> Remove q) gen_query);
+         ]))
+
+(* Runs [ops] through a store; the outcome is every answer's uid plus the
+   final contents in order. *)
+let run_ops (store : Storage.t) ops =
+  let serial = ref 0 in
+  let answers =
+    List.filter_map
+      (function
+        | Insert (h, v) ->
+            incr serial;
+            let uid = Uid.make ~machine:9 ~serial:!serial in
+            store.Storage.insert (Pobj.make ~uid [ vs heads.(h); value v ]);
+            None
+        | Find q -> Some (Option.map Pobj.uid (store.Storage.find (template q)))
+        | Remove q ->
+            Some (Option.map Pobj.uid (store.Storage.remove_oldest (template q))))
+      ops
   in
-  Test.make ~name:"hash/tree/linear/multi agree on random op sequences" ~count:200
-    Gen.(list_size (int_range 1 60) gen_op)
-    (fun ops ->
-      let heads = [| "a"; "b"; "c" |] in
-      let run kind =
-        let s = Store.create kind in
-        let out = ref [] in
-        let serial = ref 0 in
-        List.iter
-          (fun op ->
-            match op with
-            | `Insert (h, v) ->
-                incr serial;
-                s.Storage.insert
-                  (Pobj.make
-                     ~uid:(Uid.make ~machine:9 ~serial:!serial)
-                     [ vs heads.(h); vi v ])
-            | `Find h ->
-                let r = s.Storage.find (Template.headed heads.(h) [ Template.Any ]) in
-                out := Option.map Pobj.uid r :: !out
-            | `Remove h ->
-                let r = s.Storage.remove_oldest (Template.headed heads.(h) [ Template.Any ]) in
-                out := Option.map Pobj.uid r :: !out)
-          ops;
-        (!out, List.map Pobj.uid (s.Storage.to_list ()))
-      in
-      let h = run Storage.Hash and t = run Storage.Tree in
-      let l = run Storage.Linear and m = run Storage.Multi in
-      h = t && t = l && l = m)
+  (answers, List.map Pobj.uid (store.Storage.to_list ()), store.Storage.size ())
+
+(* The reference: a list in insertion order; find and remove take the
+   first element [Template.matches] accepts. *)
+let reference () =
+  let items = ref [] in
+  let find tmpl = List.find_opt (Template.matches tmpl) !items in
+  let remove_oldest tmpl =
+    let hit = find tmpl in
+    Option.iter (fun o -> items := List.filter (fun x -> x != o) !items) hit;
+    hit
+  in
+  let to_list () = !items in
+  {
+    Storage.kind = Storage.Linear;
+    insert = (fun o -> items := !items @ [ o ]);
+    find;
+    remove_oldest;
+    size = (fun () -> List.length !items);
+    bytes = (fun () -> Storage.snapshot_bytes (to_list ()));
+    to_list;
+    cost = Storage.cost_of_kind Storage.Linear;
+  }
+
+let agree_with_reference ops =
+  let expected = run_ops (reference ()) ops in
+  List.for_all (fun (_, kind) -> run_ops (Store.create kind) ops = expected) kinds
+
+(* Cross-store equivalence: random op sequences give identical results
+   on all four stores and on the list model. This is the determinism
+   the replication protocol relies on. *)
+let print_ops ops =
+  let q = function
+    | Head h -> Printf.sprintf "head %d" h
+    | Exact (h, v) -> Printf.sprintf "exact %d %d" h v
+    | Exact_where (h, v) -> Printf.sprintf "exact-where %d %d" h v
+    | In_range (h, lo) -> Printf.sprintf "range %d %d" h lo
+    | Scan lo -> Printf.sprintf "scan %d" lo
+  in
+  String.concat "; "
+    (List.map
+       (function
+         | Insert (h, v) -> Printf.sprintf "insert %d %d" h v
+         | Find x -> "find " ^ q x
+         | Remove x -> "remove " ^ q x)
+       ops)
+
+let prop_store_equivalence =
+  QCheck2.Test.make ~name:"hash/tree/linear/multi agree on random op sequences" ~count:300
+    ~print:print_ops
+    (gen_ops ~ins:3 ~take:2 (QCheck2.Gen.int_range 1 80))
+    agree_with_reference
+
+(* Long runs: a growth phase then a drain phase, so each store grows
+   past its initial slots, compacts under a hole-filled prefix and
+   rebuilds an exact index built earlier. Not shrunk: shrinking
+   thousands of ops takes minutes, and the short property above
+   shrinks whatever this one finds. *)
+let prop_store_equivalence_long =
+  QCheck2.Test.make
+    ~name:"every kind agrees with the list model across growth and compaction" ~count:12
+    QCheck2.Gen.(
+      no_shrink
+        (pair
+           (gen_ops ~ins:4 ~take:1 (int_range 300 1500))
+           (gen_ops ~ins:1 ~take:4 (int_range 300 1500))))
+    (fun (grow, drain) -> agree_with_reference (grow @ drain))
+
+(* Space guard: a FIFO store at l = 512 keeps at most 4l slots after
+   100k insert/take pairs, with and without its exact index built, and
+   shrinks once drained. *)
+let test_log_space_bounded () =
+  List.iter
+    (fun indexed ->
+      let log = Store_log.create ~indexed in
+      let live = 512 in
+      for i = 1 to live do
+        Store_log.insert log (obj [ vs "k"; vi i ])
+      done;
+      if indexed then ignore (Store_log.find log (Template.exact [ vs "k"; vi 1 ]));
+      let tmpl = Template.headed "k" [ Template.Any ] in
+      for i = 1 to 100_000 do
+        Store_log.insert log (obj [ vs "k"; vi (live + i) ]);
+        match Store_log.remove_oldest log tmpl with
+        | Some o ->
+            Alcotest.(check bool) "FIFO" true (Pobj.field o 1 = vi i)
+        | None -> Alcotest.fail "take missed"
+      done;
+      Alcotest.(check int) "live" live (Store_log.size log);
+      let cap = Store_log.capacity log in
+      if cap > 4 * live then
+        Alcotest.failf "indexed=%b: %d slots for %d live objects" indexed cap live;
+      (* Draining gives the slots back. *)
+      for _ = 1 to live - 8 do
+        ignore (Store_log.remove_oldest log tmpl)
+      done;
+      let cap = Store_log.capacity log in
+      if cap > 64 then
+        Alcotest.failf "indexed=%b: %d slots for 8 live objects" indexed cap)
+    [ false; true ]
 
 let test_multi_routing () =
   let s = Store.create Storage.Multi in
@@ -222,13 +376,18 @@ let () =
           Alcotest.test_case "to_list insertion order" `Quick test_to_list_insertion_order;
           Alcotest.test_case "snapshot/load roundtrip" `Quick test_load_roundtrip;
           Alcotest.test_case "bytes grow" `Quick test_bytes_grow;
+          Alcotest.test_case "equal floats share a key" `Quick test_equal_floats_found;
         ] );
       ( "tree",
         [
           Alcotest.test_case "range query" `Quick test_tree_range_query;
           Alcotest.test_case "duplicate keys FIFO" `Quick test_tree_duplicate_keys;
         ] );
-      ("hash", [ Alcotest.test_case "index honours where" `Quick test_hash_index_with_where ]);
+      ( "hash",
+        [
+          Alcotest.test_case "index honours where" `Quick test_hash_index_with_where;
+          Alcotest.test_case "slot log stays within 4l" `Quick test_log_space_bounded;
+        ] );
       ( "multi",
         [
           Alcotest.test_case "routes to all three indexes" `Quick test_multi_routing;
@@ -237,6 +396,7 @@ let () =
       ( "properties",
         [
           QCheck_alcotest.to_alcotest prop_store_equivalence;
+          QCheck_alcotest.to_alcotest prop_store_equivalence_long;
           QCheck_alcotest.to_alcotest prop_tree_balanced_big;
         ] );
     ]

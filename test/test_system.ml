@@ -106,6 +106,22 @@ let test_selective_matching () =
   | Some o -> Alcotest.(check bool) "predicate respected" true (Pobj.field o 2 = v_sym "high")
   | None -> Alcotest.fail "predicate read failed"
 
+(* The default config names a head class by its first field, so a read
+   of [Eq 0.0] must reach the class of a stored -0.0 (and [Eq nan] that
+   of a stored -nan): [Value.equal] holds, so a fail here breaks §2. *)
+let test_equal_float_heads_share_class () =
+  List.iter
+    (fun (stored, asked) ->
+      let sys = System.create System.default_config in
+      insert_sync sys ~machine:0 [ Value.Float stored; v_int 1 ];
+      let tmpl = Template.make [ Template.Eq (Value.Float asked); Template.Any ] in
+      let r = read_sync sys ~machine:3 tmpl in
+      Alcotest.(check bool)
+        (Printf.sprintf "read %g finds %g" asked stored)
+        true (r <> None);
+      check_no_violations sys)
+    [ (-0.0, 0.0); (0.0, -0.0); (Float.neg Float.nan, Float.nan) ]
+
 let test_range_query_tree_store () =
   let sys = make ~storage:Storage.Tree ~classing:Obj_class.By_signature () in
   List.iter (fun i -> insert_sync sys ~machine:0 [ v_int i; v_sym "row" ]) [ 1; 5; 9; 13 ];
@@ -879,6 +895,8 @@ let () =
           Alcotest.test_case "read&del takes oldest" `Quick test_read_del_oldest_first;
           Alcotest.test_case "predicate criteria" `Quick test_selective_matching;
           Alcotest.test_case "range query on tree store" `Quick test_range_query_tree_store;
+          Alcotest.test_case "equal float heads share a class" `Quick
+            test_equal_float_heads_share_class;
         ] );
       ( "groups",
         [

@@ -51,9 +51,36 @@ let test_value_size_positive () =
     [ Value.Int 0; Value.Float 0.0; Value.Str ""; Value.Bool false; Value.Sym "" ]
 
 let test_value_pp () =
-  Alcotest.(check string) "int" "42" (Value.to_string (Value.Int 42));
-  Alcotest.(check string) "sym unquoted" "task" (Value.to_string (Value.Sym "task"));
-  Alcotest.(check string) "str quoted" "\"task\"" (Value.to_string (Value.Str "task"))
+  Alcotest.(check string) "int" "42" (Value.key (Value.Int 42));
+  Alcotest.(check string) "sym unquoted" "task" (Value.key (Value.Sym "task"));
+  Alcotest.(check string) "str quoted" "\"task\"" (Value.key (Value.Str "task"))
+
+(* [key] is what hash keys and class names are built from: equal
+   values must render equally, and it must keep [pp]'s rendering
+   everywhere else (class names, and so shard placement, hash it). *)
+let prop_key_respects_equal =
+  let gen =
+    QCheck2.Gen.(
+      oneof
+        [
+          map (fun f -> Value.Float f)
+            (oneof
+               [ float; oneofl [ 0.0; -0.0; Float.nan; Float.neg Float.nan; 1e-300 ] ]);
+          map (fun i -> Value.Int i) (int_range (-3) 3);
+          map (fun s -> Value.Str s) (string_size (int_bound 2));
+          map (fun s -> Value.Sym s) (string_size (int_bound 2));
+          map (fun b -> Value.Bool b) bool;
+        ])
+  in
+  QCheck2.Test.make ~name:"key: equal values render equally" ~count:1000
+    (QCheck2.Gen.pair gen gen) (fun (a, b) ->
+      let same_as_pp v =
+        match v with
+        | Value.Float f when f = 0.0 || Float.is_nan f -> true
+        | _ -> Value.key v = Format.asprintf "%a" Value.pp v
+      in
+      ((not (Value.equal a b)) || Value.key a = Value.key b)
+      && same_as_pp a && same_as_pp b)
 
 (* --- Uid -------------------------------------------------------------------- *)
 
@@ -109,6 +136,7 @@ let () =
           QCheck_alcotest.to_alcotest test_compare_total_order_prop;
           Alcotest.test_case "sizes positive" `Quick test_value_size_positive;
           Alcotest.test_case "printing" `Quick test_value_pp;
+          QCheck_alcotest.to_alcotest prop_key_respects_equal;
         ] );
       ( "uid",
         [

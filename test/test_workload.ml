@@ -244,6 +244,27 @@ let test_replay_with_failures () =
   Alcotest.(check int) "semantics clean" 0
     (List.length (Paso.Semantics.check (Paso.System.history sys)))
 
+(* Machine 3 crashes while its insert is in flight: the insert never
+   returns, and the replay must still issue the reads after it. It must
+   give up on the insert when 3 crashes, not when the fault schedule has
+   drained: the read from 3 comes while 3 is still down, so it is
+   skipped rather than run after the recovery at 1e6. *)
+let test_replay_survives_orphaned_op () =
+  let sys = Paso.System.create { Paso.System.default_config with n = 6; lambda = 2 } in
+  Workload.Faultgen.apply sys
+    [
+      { Workload.Faultgen.at = 1.0; action = `Crash 3 };
+      { Workload.Faultgen.at = 1.0e6; action = `Recover 3 };
+    ];
+  let events = [| Model.Update 3; Model.Read 3; Model.Read 2; Model.Read 4 |] in
+  let o = Workload.Live_driver.replay ~prefill:0 sys ~head:"job" events in
+  Alcotest.(check int) "orphaned" 1 o.Workload.Live_driver.ops_orphaned;
+  Alcotest.(check int) "read from the crashed machine skipped" 1
+    o.Workload.Live_driver.ops_skipped;
+  Alcotest.(check int) "ops run" 2 o.Workload.Live_driver.ops_run;
+  Alcotest.(check int) "semantics clean" 0
+    (List.length (Paso.Semantics.check (Paso.System.history sys)))
+
 let () =
   Alcotest.run "workload"
     [
@@ -274,5 +295,7 @@ let () =
         [
           Alcotest.test_case "replay runs everything" `Quick test_replay_runs_everything;
           Alcotest.test_case "replay with failures" `Quick test_replay_with_failures;
+          Alcotest.test_case "replay survives an orphaned op" `Quick
+            test_replay_survives_orphaned_op;
         ] );
     ]
