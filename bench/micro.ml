@@ -16,7 +16,7 @@ let obj i = Paso.Pobj.make ~uid:(uid ()) [ Paso.Value.Sym "b"; Paso.Value.Int i 
 let prefill kind n =
   let s = Paso.Store.create kind in
   for i = 1 to n do
-    s.Paso.Storage.insert (obj i)
+    Paso.Store.insert s (obj i)
   done;
   s
 
@@ -24,15 +24,15 @@ let store_cycle kind =
   let s = prefill kind 1000 in
   let tmpl = Paso.Template.headed "b" [ Paso.Template.Any ] in
   Staged.stage (fun () ->
-      s.Paso.Storage.insert (obj 0);
-      ignore (s.Paso.Storage.remove_oldest tmpl))
+      Paso.Store.insert s (obj 0);
+      ignore (Paso.Store.remove_oldest s tmpl))
 
 let store_hit kind =
   let s = prefill kind 1000 in
   let tmpl =
     Paso.Template.make [ Paso.Template.Eq (Paso.Value.Sym "b"); Paso.Template.Eq (Paso.Value.Int 500) ]
   in
-  Staged.stage (fun () -> ignore (s.Paso.Storage.find tmpl))
+  Staged.stage (fun () -> ignore (Paso.Store.find s tmpl))
 
 let template_match =
   let o = obj 7 in

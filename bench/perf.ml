@@ -244,7 +244,7 @@ let store_obj i =
 let store_filled kind =
   let s = Store.create kind in
   for i = 0 to store_live - 1 do
-    s.Storage.insert (store_obj i)
+    Store.insert s (store_obj i)
   done;
   s
 
@@ -252,8 +252,8 @@ let store_insert_remove kind iters =
   let s = store_filled kind in
   let tmpl = Template.headed "k" [ Template.Any ] in
   for i = 1 to iters do
-    s.Storage.insert (store_obj (store_live + i));
-    ignore (Sys.opaque_identity (s.Storage.remove_oldest tmpl))
+    Store.insert s (store_obj (store_live + i));
+    ignore (Sys.opaque_identity (Store.remove_oldest s tmpl))
   done
 
 let store_find kind iters =
@@ -262,7 +262,7 @@ let store_find kind iters =
     Array.init store_live (fun i -> Template.exact [ Value.Sym "k"; Value.Int i ])
   in
   for i = 1 to iters do
-    ignore (Sys.opaque_identity (s.Storage.find tmpls.(i * 7 mod store_live)))
+    ignore (Sys.opaque_identity (Store.find s tmpls.(i * 7 mod store_live)))
   done
 
 let store_kernels =

@@ -12,7 +12,8 @@ type snapshot = (string * (Pobj.t list * marker list * Uid.t list)) list
 type t = {
   machine : int;
   kind : Storage.kind;
-  stores : (string, Storage.t) Hashtbl.t;
+  cost : Storage.op_cost;
+  stores : (string, Store.t) Hashtbl.t;
   marks : (string, marker list ref) Hashtbl.t; (* per class, oldest first *)
   (* Tombstones: uids this server has removed (or learned were
      removed), so durable-recovery reconciliation can tell "removed
@@ -37,6 +38,7 @@ let create ?stats ~machine ~kind () =
   {
     machine;
     kind;
+    cost = Storage.cost_of_kind kind;
     stores = Hashtbl.create 8;
     marks = Hashtbl.create 8;
     track_tombs = false;
@@ -77,8 +79,8 @@ let handle t = function
   | Store { cls; obj } ->
       Sim.Stats.incr_counter t.c_stores;
       let s = store_for t cls in
-      let work = s.Storage.cost.insert_cost (s.Storage.size ()) in
-      s.Storage.insert obj;
+      let work = t.cost.insert_cost (Store.size s) in
+      Store.insert s obj;
       (* Fire (and consume) the markers this object matches — the same
          deterministic decision at every replica. *)
       let r = marks_for t cls in
@@ -88,13 +90,13 @@ let handle t = function
   | Mem_read { cls; tmpl } ->
       Sim.Stats.incr_counter t.c_queries;
       let s = store_for t cls in
-      let work = s.Storage.cost.query_cost (s.Storage.size ()) in
-      (s.Storage.find tmpl, work, [])
+      let work = t.cost.query_cost (Store.size s) in
+      (Store.find s tmpl, work, [])
   | Remove { cls; tmpl } ->
       Sim.Stats.incr_counter t.c_removes;
       let s = store_for t cls in
-      let work = s.Storage.cost.delete_cost (s.Storage.size ()) in
-      let removed = s.Storage.remove_oldest tmpl in
+      let work = t.cost.delete_cost (Store.size s) in
+      let removed = Store.remove_oldest s tmpl in
       (match removed with
       | Some o when t.track_tombs ->
           Hashtbl.replace t.tombs cls (Uid.Set.add (Pobj.uid o) (tombs_of t cls))
@@ -113,17 +115,17 @@ let handle t = function
 let local_read t ~cls tmpl =
   Sim.Stats.incr_counter t.c_queries;
   let s = store_for t cls in
-  let work = s.Storage.cost.query_cost (s.Storage.size ()) in
-  (s.Storage.find tmpl, work)
+  let work = t.cost.query_cost (Store.size s) in
+  (Store.find s tmpl, work)
 
 let live_count t ~cls =
   match Hashtbl.find_opt t.stores cls with
-  | Some s -> s.Storage.size ()
+  | Some s -> Store.size s
   | None -> 0
 
 let query_work t ~cls =
   let s = store_for t cls in
-  s.Storage.cost.query_cost (s.Storage.size ())
+  t.cost.query_cost (Store.size s)
 
 let holds t ~cls = Hashtbl.mem t.stores cls
 
@@ -140,7 +142,7 @@ let snapshot t ~classes =
     (fun cls ->
       let objs =
         match Hashtbl.find_opt t.stores cls with
-        | Some s -> s.Storage.to_list ()
+        | Some s -> Store.to_list s
         | None -> []
       in
       (cls, (objs, markers t ~cls, tombstones t ~cls)))
@@ -187,7 +189,7 @@ let basis t ~classes =
       (fun cls ->
         let uids =
           match Hashtbl.find_opt t.stores cls with
-          | Some s -> List.map Pobj.uid (s.Storage.to_list ())
+          | Some s -> List.map Pobj.uid (Store.to_list s)
           | None -> []
         in
         (cls, (uids, tombstones t ~cls)))
@@ -231,21 +233,21 @@ let delta_against t ~classes ~basis ~joiner_objs =
       let dt = tombs_of t cls in
       let s = store_for t cls in
       let purge =
-        List.filter (fun o -> Uid.Set.mem (Pobj.uid o) dt) (s.Storage.to_list ())
+        List.filter (fun o -> Uid.Set.mem (Pobj.uid o) dt) (Store.to_list s)
       in
       if purge <> [] then begin
         Hashtbl.replace t.stores cls
           (Store.load t.kind
              (List.filter
                 (fun o -> not (Uid.Set.mem (Pobj.uid o) dt))
-                (s.Storage.to_list ())));
+                (Store.to_list s)));
         purged := (cls, List.map Pobj.uid purge) :: !purged
       end;
       (* 2. The donor's (post-purge) order, then adoptions: joiner-held
          uids the donor neither holds nor has tombstoned. *)
       let auth =
         match Hashtbl.find_opt t.stores cls with
-        | Some s -> s.Storage.to_list ()
+        | Some s -> Store.to_list s
         | None -> []
       in
       let auth_uids = Uid.Tbl.create 16 in
@@ -268,7 +270,7 @@ let delta_against t ~classes ~basis ~joiner_objs =
         (* The donor adopts too — its store must match the reconciled
            order it is about to hand out. *)
         let s = store_for t cls in
-        List.iter s.Storage.insert adopt_objs
+        List.iter (Store.insert s) adopt_objs
       end;
       order := (cls, List.map Pobj.uid auth @ adopt_uids) :: !order;
       (* 3. Ship what the joiner is missing, a fresh marker image, and
@@ -302,7 +304,7 @@ let install_delta t d =
             (fun o ->
               let u = Pobj.uid o in
               if not (Uid.Tbl.mem pool u) then Uid.Tbl.replace pool u o)
-            (s.Storage.to_list ())
+            (Store.to_list s)
       | None -> ())
     d.d_order;
   List.iter
@@ -320,18 +322,18 @@ let reconcile_adopt t ~cls obj =
   if
     (not (Uid.Set.mem (Pobj.uid obj) (tombs_of t cls)))
     && not
-         (List.exists (fun o -> Uid.equal (Pobj.uid o) (Pobj.uid obj)) (s.Storage.to_list ()))
-  then s.Storage.insert obj
+         (List.exists (fun o -> Uid.equal (Pobj.uid o) (Pobj.uid obj)) (Store.to_list s))
+  then Store.insert s obj
 
 let reconcile_purge t ~cls uid =
   add_tombs t cls [ uid ];
   match Hashtbl.find_opt t.stores cls with
   | None -> ()
   | Some s ->
-      if List.exists (fun o -> Uid.equal (Pobj.uid o) uid) (s.Storage.to_list ()) then
+      if List.exists (fun o -> Uid.equal (Pobj.uid o) uid) (Store.to_list s) then
         Hashtbl.replace t.stores cls
           (Store.load t.kind
-             (List.filter (fun o -> not (Uid.equal (Pobj.uid o) uid)) (s.Storage.to_list ())))
+             (List.filter (fun o -> not (Uid.equal (Pobj.uid o) uid)) (Store.to_list s)))
 
 let install t snapshot =
   List.iter

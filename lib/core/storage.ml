@@ -6,17 +6,6 @@ type op_cost = {
   delete_cost : int -> float;
 }
 
-type t = {
-  kind : kind;
-  insert : Pobj.t -> unit;
-  find : Template.t -> Pobj.t option;
-  remove_oldest : Template.t -> Pobj.t option;
-  size : unit -> int;
-  bytes : unit -> int;
-  to_list : unit -> Pobj.t list;
-  cost : op_cost;
-}
-
 let unit_cost _ = 1.0
 let log_cost l = log (float_of_int (l + 2)) /. log 2.0
 let scan_cost l = Float.max 1.0 (0.5 *. float_of_int l)

@@ -148,8 +148,9 @@ end
 
 (* Every [pick] is resolved at run time against what the run has made
    so far (an inserted object, an issued op); a negative pick names an
-   object no insert produced. Times come from a small range so equal
-   and out-of-order instants are common. *)
+   object no insert produced, or no op (the command is skipped).
+   Times come from a small range so equal and out-of-order instants
+   are common. *)
 type cmd =
   | Insert of int * float * int  (** machine, issue, class: begin_op + note_inserted *)
   | Bare_insert of int * float  (** an insert op without its object *)
@@ -217,7 +218,9 @@ let run cmds =
       Pobj.make ~uid:(Uid.make ~machine:99 ~serial:p) [ Value.Int p ]
     else !objs.(p mod !nobjs)
   in
-  let op p = if History.op_count h = 0 then None else Some (p mod History.op_count h) in
+  let op p =
+    if p < 0 || History.op_count h = 0 then None else Some (p mod History.op_count h)
+  in
   let push_ref rr =
     let n = History.op_count h - 1 in
     if n = Array.length !refs then refs := Array.append !refs (Array.make (max 16 n) rr);
