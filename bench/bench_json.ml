@@ -92,12 +92,12 @@ let get_num j path =
   in
   go j path
 
-let kernels j =
+let kernels ?(field = "ns_per_op") j =
   match J.get j "kernels" with
   | Some (J.Arr ks) ->
       List.filter_map
         (fun k ->
-          match (J.get k "name", J.get k "ns_per_op") with
+          match (J.get k "name", J.get k field) with
           | Some (J.Str name), Some (J.Num ns) -> Some (name, ns)
           | _ -> None)
         ks

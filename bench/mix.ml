@@ -76,13 +76,20 @@ let drive sys ~n ~classes ~ops =
   done;
   System.run sys
 
+(* On OCaml 5.1 [Gc.allocated_bytes] counts the minor heap only up to
+   the last minor collection, so a reading can miss up to a whole minor
+   heap (2 MB); emptying the minor heap first makes it exact. *)
+let allocated_bytes () =
+  Gc.minor ();
+  Gc.allocated_bytes ()
+
 let run_once ?batch ~n ~lambda ~classes ~ops () =
   let sys = System.create { System.default_config with n; lambda; batch } in
-  let a0 = Gc.allocated_bytes () in
+  let a0 = allocated_bytes () in
   let t0 = now_s () in
   drive sys ~n ~classes ~ops;
   let wall = now_s () -. t0 in
-  let alloc = Gc.allocated_bytes () -. a0 in
+  let alloc = allocated_bytes () -. a0 in
   let stats = System.stats sys in
   ( wall,
     alloc,

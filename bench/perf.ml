@@ -17,6 +17,11 @@
      perf.exe --only slo [--slo-domains D]  just the traffic-suite SLO
                                       section (virtual-time quantiles;
                                       deterministic, host-independent)
+     perf.exe --only kernels          just the microbench kernels
+     perf.exe --ab PARENT CHANGE [--workload W] [--runs N] [--seed N]
+                                      alternate two paso_bench.exe builds
+                                      N times (default 10) on one workload
+                                      and sign-test their ops/s
 *)
 
 open Paso
@@ -33,6 +38,10 @@ let pr = ref ""
 let bench_json = ref ""
 let only = ref ""
 let slo_domains = ref 1
+let ab = ref None
+let ab_workload = ref "mix"
+let ab_runs = ref 10
+let ab_seed = ref ""
 
 let args =
   [
@@ -58,18 +67,43 @@ let args =
        row" );
     ( "--only",
       Arg.Set_string only,
-      "SECTION compute only this section (supported: slo, rebalance, adaptive) — slo skips \
-       the wall-clock benches so a CI job can gate the deterministic SLO rows \
+      "SECTION compute only this section (supported: slo, rebalance, adaptive, kernels) — \
+       slo skips the wall-clock benches so a CI job can gate the deterministic SLO rows \
        alone; rebalance runs just the skewed-mix migration gate" );
     ( "--slo-domains",
       Arg.Set_int slo_domains,
       "D domains for the slo scenario replays (default 1; the numbers are \
        byte-identical at any D, only wall-clock changes)" );
+    ( "--ab",
+      (let parent = ref "" in
+       Arg.Tuple
+         [
+           Arg.Set_string parent;
+           Arg.String (fun change -> ab := Some (!parent, change));
+         ]),
+      "PARENT_EXE CHANGE_EXE alternate two paso_bench.exe builds on one workload and \
+       sign-test their ops/s (prints faster, slower or unresolved)" );
+    ("--workload", Arg.Set_string ab_workload, "W paso_bench workload for --ab (default mix)");
+    ("--runs", Arg.Set_int ab_runs, "N run pairs for --ab (default 10)");
+    ("--seed", Arg.Set_string ab_seed, "N paso_bench seed for --ab (default its own)");
   ]
 
 let median = Mix.median
 
 (* ---- kernel timing ---- *)
+
+let trial f iters =
+  let a0 = Mix.allocated_bytes () in
+  let t0 = Mix.now_s () in
+  f iters;
+  let wall = Mix.now_s () -. t0 in
+  let alloc = Mix.allocated_bytes () -. a0 in
+  (wall, alloc)
+
+(* What a trial's own clock and counter readings allocate, measured
+   around an empty body and subtracted, so a kernel that allocates
+   nothing reads exactly 0 B/op. *)
+let harness_bytes = lazy (snd (trial ignore 0))
 
 (* Kernel ns/op is the MINIMUM over the trials, not the median:
    scheduler preemptions and frequency excursions only ever add time,
@@ -86,14 +120,9 @@ let time_kernel ~reps ~iters f =
   (* warmup *)
   let runs =
     List.init reps (fun _ ->
-        Gc.minor ();
-        let a0 = Gc.allocated_bytes () in
-        let t0 = Mix.now_s () in
-        f iters;
-        let wall = Mix.now_s () -. t0 in
-        let alloc = Gc.allocated_bytes () -. a0 in
+        let wall, alloc = trial f iters in
         let it = float_of_int iters in
-        (wall /. it *. 1e9, alloc /. it))
+        (wall /. it *. 1e9, (alloc -. Lazy.force harness_bytes) /. it))
   in
   ( List.fold_left Float.min Float.infinity (List.map fst runs),
     median (List.map snd runs) )
@@ -153,6 +182,43 @@ let event_heap_cancel iters =
     Sim.Event_heap.cancel h doomed;
     ignore (Sim.Event_heap.pop h)
   done
+
+(* The shared bus's traffic through the engine: [bus_in_flight]
+   deliveries on one lane, each re-arming [bus_gap] after it fires, so
+   lane pushes arrive in time order as [Net.Bus.occupy]'s do, plus
+   [bus_timers] heap timers re-arming every [timer_period]. Every event
+   counts as one op. The engine and the closures are built once and
+   reused, and [run] leaves the engine empty, so a trial's allocation
+   is the engine's own: [--gate] requires it to be 0 B/op. *)
+let bus_in_flight = 8
+let bus_timers = 2
+let bus_gap = 8.0
+let timer_period = 50.0
+let bus_engine = Sim.Engine.create ()
+let bus_lane = Sim.Engine.lane bus_engine
+let bus_left = ref 0
+
+let rec bus_deliver () =
+  if !bus_left > 0 then begin
+    decr bus_left;
+    Sim.Engine.schedule_lane bus_lane ~delay:bus_gap bus_deliver
+  end
+
+let rec bus_timer () =
+  if !bus_left > 0 then begin
+    decr bus_left;
+    ignore (Sim.Engine.schedule bus_engine ~delay:timer_period bus_timer)
+  end
+
+let engine_bus iters =
+  bus_left := iters;
+  for _ = 1 to bus_in_flight do
+    bus_deliver ()
+  done;
+  for _ = 1 to bus_timers do
+    bus_timer ()
+  done;
+  Sim.Engine.run bus_engine
 
 let trace_emit iters =
   let tr = Sim.Trace.create ~capacity:4096 () in
@@ -235,35 +301,44 @@ let checkpoint_encode_verify iters =
    a FIFO insert + take with the benchmark's (Sym head, Any) template,
    which every workload's store/remove pair pays at each replica, and a
    ground [Template.exact] find of a live object (the lazy exact index
-   for hash, a scan for linear). *)
+   for hash, a scan for linear). Objects, templates and stores are
+   built once, outside the timed loops, so a kernel's B/op is the
+   store's own: the [Some] box of each answer, 16 B. *)
 let store_live = 512
 
-let store_obj i =
-  Pobj.make ~uid:(Uid.make ~machine:0 ~serial:i) [ Value.Sym "k"; Value.Int i ]
+(* Twice the live count: the FIFO kernel inserts [pool.(next)] while
+   the store holds the [store_live] objects before it. *)
+let store_pool =
+  Array.init (2 * store_live) (fun i ->
+      Pobj.make ~uid:(Uid.make ~machine:0 ~serial:i) [ Value.Sym "k"; Value.Int i ])
 
 let store_filled kind =
   let s = Store.create kind in
   for i = 0 to store_live - 1 do
-    Store.insert s (store_obj i)
+    Store.insert s store_pool.(i)
   done;
   s
 
-let store_insert_remove kind iters =
+let store_insert_remove kind =
   let s = store_filled kind in
   let tmpl = Template.headed "k" [ Template.Any ] in
-  for i = 1 to iters do
-    Store.insert s (store_obj (store_live + i));
-    ignore (Sys.opaque_identity (Store.remove_oldest s tmpl))
-  done
+  let next = ref store_live in
+  fun iters ->
+    for _ = 1 to iters do
+      Store.insert s store_pool.(!next);
+      next := (!next + 1) mod Array.length store_pool;
+      ignore (Sys.opaque_identity (Store.remove_oldest s tmpl))
+    done
 
-let store_find kind iters =
+let store_find kind =
   let s = store_filled kind in
   let tmpls =
     Array.init store_live (fun i -> Template.exact [ Value.Sym "k"; Value.Int i ])
   in
-  for i = 1 to iters do
-    ignore (Sys.opaque_identity (Store.find s tmpls.(i * 7 mod store_live)))
-  done
+  fun iters ->
+    for i = 1 to iters do
+      ignore (Sys.opaque_identity (Store.find s tmpls.(i * 7 mod store_live)))
+    done
 
 let store_kernels =
   List.concat_map
@@ -281,6 +356,7 @@ let kernel_specs =
     ("stats_total_add", stats_total_add, 2_000_000);
     ("event_heap_churn", event_heap_churn, 500_000);
     ("event_heap_cancel", event_heap_cancel, 500_000);
+    ("engine_bus", engine_bus, 1_000_000);
     ("trace_emit", trace_emit, 500_000);
     ("history_round", history_round, 300_000);
     ("sc_list_eq_head", sc_list_eq_head, 100_000);
@@ -818,21 +894,22 @@ let acceptance = (32, 2, 8, 3000) (* n, lambda, classes, ops *)
 let table_shapes ~fast =
   if fast then [ (8, 4); (16, 8) ] else [ (8, 4); (16, 8); (32, 16); (64, 32); (64, 4) ]
 
-let profile ~fast =
-  let reps = if fast then 2 else 3 in
+let kernels_profile ~fast =
   let scale = if fast then 5 else 1 in
   (* Kernel trials are milliseconds each, so min-of-5 costs nothing
      even in fast mode and pins the estimator down (one quiet trial is
      enough; five chances to get it beat two). *)
   let kreps = 5 in
-  let kernels =
-    List.map
-      (fun (name, f, iters) ->
-        let ns, alloc = time_kernel ~reps:kreps ~iters:(iters / scale) f in
-        Printf.printf "  kernel %-22s %10.1f ns/op %10.1f B/op\n%!" name ns alloc;
-        Bench_json.kernel_json ~name ~ns_per_op:ns ~alloc_b_per_op:alloc)
-      kernel_specs
-  in
+  List.map
+    (fun (name, f, iters) ->
+      let ns, alloc = time_kernel ~reps:kreps ~iters:(iters / scale) f in
+      Printf.printf "  kernel %-22s %10.1f ns/op %10.1f B/op\n%!" name ns alloc;
+      Bench_json.kernel_json ~name ~ns_per_op:ns ~alloc_b_per_op:alloc)
+    kernel_specs
+
+let profile ~fast =
+  let reps = if fast then 2 else 3 in
+  let kernels = kernels_profile ~fast in
   let n, lambda, classes, ops = acceptance in
   let mix = Mix.measure ~warmup:1 ~reps ~n ~lambda ~classes ~ops () in
   Printf.printf "  e8 mix (n=%d, %d classes, %d ops): %.0f ops/s, %.0f events/s\n%!" n
@@ -888,6 +965,9 @@ let profile ~fast =
     ]
 
 (* ---- regression gate ---- *)
+
+(* Kernels whose allocation the gate holds at exactly 0 B/op. *)
+let zero_alloc_kernels = [ "engine_bus" ]
 
 let gate_against ~path ~tol fresh =
   match Bench_json.load path with
@@ -1022,6 +1102,20 @@ let gate_against ~path ~tol fresh =
                 | Some fresh_ns -> check_latency ("kernel." ^ name) fresh_ns base_ns
                 | None -> ())
             (Bench_json.kernels base);
+          (* Exact allocation checks: no host factor and no
+             tolerance. One boxed float in a whole trial fails. *)
+          List.iter
+            (fun name ->
+              match
+                List.assoc_opt name (Bench_json.kernels ~field:"alloc_b_per_op" fresh)
+              with
+              | Some b ->
+                  let ok = b <= 0.0 in
+                  Printf.printf "  %-28s alloc %g B/op (must be 0)  %s\n" ("kernel." ^ name) b
+                    (if ok then "ok" else "REGRESSION");
+                  if not ok then failures := ("kernel." ^ name ^ ".alloc") :: !failures
+              | None -> ())
+            zero_alloc_kernels;
           if !failures <> [] then begin
             Printf.printf "gate: FAILED (%s)\n" (String.concat ", " (List.rev !failures));
             exit 1
@@ -1112,6 +1206,10 @@ let trajectory_row ?bench label p =
       ("checkpoint_encode_verify_ns", opt_num (kernel_ns "checkpoint_encode_verify"));
       ("history_round_ns", opt_num (kernel_ns "history_round"));
       ("store_hash_ins_rem_ns", opt_num (kernel_ns "store_hash_ins_rem"));
+      ("engine_bus_ns", opt_num (kernel_ns "engine_bus"));
+      ( "engine_bus_alloc_b_per_op",
+        opt_num
+          (List.assoc_opt "engine_bus" (Bench_json.kernels ~field:"alloc_b_per_op" p)) );
       ("history_bytes_per_op", num [ "history"; "bytes_per_op" ]);
       ( "bench",
         match bench with
@@ -1138,8 +1236,108 @@ let append_trajectory ?bench ~path ~label p =
          ("rows", J.Arr (rows @ [ trajectory_row ?bench label p ]));
        ])
 
+(* ---- A/B: two paso_bench.exe builds, alternated ---- *)
+
+(* ops/s of one [exe --workload w] run: the metrics line it prints last. *)
+let bench_ops_per_s exe workload =
+  let seed = if !ab_seed = "" then [||] else [| "--seed"; !ab_seed |] in
+  let ic =
+    Unix.open_process_args_in exe (Array.append [| exe; "--workload"; workload |] seed)
+  in
+  let last = ref "" in
+  (try
+     while true do
+       last := input_line ic
+     done
+   with End_of_file -> ());
+  let fail why =
+    Printf.eprintf "ab: %s --workload %s: %s\n" exe workload why;
+    exit 2
+  in
+  (match Unix.close_process_in ic with
+  | Unix.WEXITED 0 -> ()
+  | _ -> fail "the run failed");
+  match J.of_string !last with
+  | Ok j -> (
+      match Bench_json.get_num j [ "metrics"; "ops_per_s"; "value" ] with
+      | Some v -> v
+      | None -> fail "no ops_per_s on the last line")
+  | Error e -> fail e
+
+(* Linear-interpolated quantile of a non-empty list. *)
+let quantile xs q =
+  let a = Array.of_list (List.sort compare xs) in
+  let pos = q *. float_of_int (Array.length a - 1) in
+  let i = int_of_float pos in
+  let frac = pos -. float_of_int i in
+  if i + 1 < Array.length a then a.(i) +. (frac *. (a.(i + 1) -. a.(i))) else a.(i)
+
+(* Two-sided exact sign test: P(a split at least as uneven as
+   [wins] of [n]) under a fair coin. *)
+let sign_test_p ~wins ~n =
+  let k = max wins (n - wins) in
+  let choose n k =
+    let r = ref 1.0 in
+    for i = 1 to k do
+      r := !r *. float_of_int (n - k + i) /. float_of_int i
+    done;
+    !r
+  in
+  let tail = ref 0.0 in
+  for j = k to n do
+    tail := !tail +. choose n j
+  done;
+  Float.min 1.0 (2.0 *. !tail /. (2.0 ** float_of_int n))
+
+(* Runs alternate which build goes first, so neither always follows
+   the other on a warming or cooling host. A side is faster when it
+   wins at least nine pairs in ten (ties count for neither) and the
+   medians differ by more than the parent's interquartile range. *)
+let ab_run ~parent ~change ~workload ~runs =
+  if runs < 1 then begin
+    Printf.eprintf "ab: --runs must be at least 1\n";
+    exit 2
+  end;
+  let pairs =
+    List.init runs (fun i ->
+        let run exe = bench_ops_per_s exe workload in
+        let p, c =
+          if i mod 2 = 0 then
+            let p = run parent in
+            (p, run change)
+          else
+            let c = run change in
+            (run parent, c)
+        in
+        Printf.printf "  pair %2d: parent %10.0f  change %10.0f ops/s\n%!" (i + 1) p c;
+        (p, c))
+  in
+  let ps = List.map fst pairs and cs = List.map snd pairs in
+  let wins = List.length (List.filter (fun (p, c) -> c > p) pairs) in
+  let losses = List.length (List.filter (fun (p, c) -> c < p) pairs) in
+  let pv = sign_test_p ~wins ~n:(wins + losses) in
+  let pm = quantile ps 0.5 and cm = quantile cs 0.5 in
+  let q1 = quantile ps 0.25 and q3 = quantile ps 0.75 in
+  let clear = Float.abs (cm -. pm) > q3 -. q1 in
+  let verdict =
+    if 10 * wins >= 9 * runs && cm > pm && clear then "faster"
+    else if 10 * losses >= 9 * runs && cm < pm && clear then "slower"
+    else "unresolved"
+  in
+  Printf.printf
+    "ab %s: parent median %.0f ops/s (q1 %.0f, q3 %.0f), change median %.0f ops/s (q1 %.0f, \
+     q3 %.0f, %+.1f%%), change faster in %d of %d pairs, sign test p = %.4f: %s\n"
+    workload pm q1 q3 cm (quantile cs 0.25) (quantile cs 0.75)
+    (100.0 *. ((cm /. pm) -. 1.0))
+    wins runs pv verdict
+
 let () =
   Arg.parse args (fun a -> raise (Arg.Bad ("unexpected argument " ^ a))) "perf.exe [options]";
+  (match !ab with
+  | Some (parent, change) ->
+      ab_run ~parent ~change ~workload:!ab_workload ~runs:!ab_runs;
+      exit 0
+  | None -> ());
   Printf.printf "perf baseline harness (%s profile)\n%!"
     (if !only <> "" then !only ^ " only" else if !fast then "fast" else "full");
   let p =
@@ -1156,6 +1354,7 @@ let () =
            (self-gating, >= 4 cores) *)
         J.Obj
           [ ("rebalance", rebalance_profile ~reps:(if !fast then 2 else 3) ~fast:!fast) ]
+    | "kernels" -> J.Obj [ ("kernels", J.Arr (kernels_profile ~fast:!fast)) ]
     | "adaptive" ->
         (* just the deterministic E15 competitiveness rows and the E13
            WAN wake row — both virtual-time only, with the
@@ -1163,7 +1362,7 @@ let () =
         J.Obj [ ("adaptive", adaptive_profile ()); ("markers", markers_profile ()) ]
     | s ->
         Printf.eprintf
-          "perf: unknown --only section %S (supported: slo, rebalance, adaptive)\n" s;
+          "perf: unknown --only section %S (supported: slo, rebalance, adaptive, kernels)\n" s;
         exit 2
   in
   if !out <> "" then Bench_json.save !out (J.Obj [ ("version", J.Num 1.0); (!label, p) ]);

@@ -29,6 +29,9 @@ let compute x =
 let task_tmpl = Template.headed "task" [ Template.Type_is "int" ]
 let result_tmpl = Template.headed "result" [ Template.Any; Template.Any ]
 
+(* Failed checks: any makes the example exit 1. *)
+let fails = ref 0
+
 let () =
   let sys = System.create { System.default_config with n = n_machines; lambda = 2 } in
   let results = Hashtbl.create 16 in
@@ -94,6 +97,15 @@ let () =
   List.iter
     (fun x -> Printf.printf "  sigma(%d) = %d\n" x (Hashtbl.find results x))
     (List.init n_tasks (fun i -> i + 1));
-  match Semantics.check (System.history sys) with
+  (match Semantics.check (System.history sys) with
   | [] -> print_endline "semantics check: clean"
-  | vs -> List.iter (fun v -> Format.printf "VIOLATION %a@." Semantics.pp_violation v) vs
+  | vs ->
+      List.iter
+        (fun v ->
+          incr fails;
+          Format.printf "VIOLATION %a@." Semantics.pp_violation v)
+        vs);
+  if !fails > 0 then begin
+    Printf.printf "fails=%d\n" !fails;
+    exit 1
+  end

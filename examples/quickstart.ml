@@ -4,6 +4,9 @@
 
 open Paso
 
+(* Failed checks: any makes the example exit 1. *)
+let fails = ref 0
+
 let () =
   (* A PASO system: 6 machines, tolerating lambda = 2 simultaneous
      crashes. Objects are classed by their head symbol (the Linda
@@ -68,8 +71,16 @@ let () =
   (match Semantics.check (System.history sys) with
   | [] -> print_endline "semantics check: clean"
   | vs ->
-      List.iter (fun v -> Format.printf "VIOLATION %a@." Semantics.pp_violation v) vs);
+      List.iter
+        (fun v ->
+          incr fails;
+          Format.printf "VIOLATION %a@." Semantics.pp_violation v)
+        vs);
   Printf.printf "total messages: %d, total message cost: %.0f, total work: %.1f\n"
     (Sim.Stats.count (System.stats sys) "net.msgs")
     (Sim.Stats.total (System.stats sys) "net.msg_cost")
-    (Sim.Stats.total (System.stats sys) "work.total")
+    (Sim.Stats.total (System.stats sys) "work.total");
+  if !fails > 0 then begin
+    Printf.printf "fails=%d\n" !fails;
+    exit 1
+  end

@@ -18,9 +18,11 @@ let key_of_values n field =
 (* [Some] the canonical key of the tuple an all-[Eq] template pins. *)
 let exact_key tmpl =
   let n = Template.arity tmpl in
-  let ground i = match Template.spec tmpl i with Template.Eq _ -> true | _ -> false in
-  let rec all_ground i = i >= n || (ground i && all_ground (i + 1)) in
-  if all_ground 0 then
+  let i = ref 0 in
+  while !i < n && (match Template.spec tmpl !i with Template.Eq _ -> true | _ -> false) do
+    incr i
+  done;
+  if !i = n then
     Some
       (key_of_values n (fun i ->
            match Template.spec tmpl i with Template.Eq v -> v | _ -> assert false))
@@ -133,27 +135,30 @@ let punch t i =
   end
 
 let scan t tmpl =
-  let rec go i =
-    if i >= t.tail then -1
-    else
-      let o = t.slots.(i) in
-      if o != hole && Template.matches tmpl o then i else go (i + 1)
-  in
-  go t.head
+  let i = ref t.head in
+  while
+    !i < t.tail
+    && (let o = t.slots.(!i) in
+        o == hole || not (Template.matches tmpl o))
+  do
+    incr i
+  done;
+  if !i < t.tail then !i else -1
 
 (* Oldest matching slot of bucket [b], or -1. *)
 let bucket_scan t tmpl b =
   while b.first < b.len && t.slots.(b.ids.(b.first)) == hole do
     b.first <- b.first + 1
   done;
-  let rec go j =
-    if j >= b.len then -1
-    else
-      let i = b.ids.(j) in
-      let o = t.slots.(i) in
-      if o != hole && Template.matches tmpl o then i else go (j + 1)
-  in
-  go b.first
+  let j = ref b.first in
+  while
+    !j < b.len
+    && (let o = t.slots.(b.ids.(!j)) in
+        o == hole || not (Template.matches tmpl o))
+  do
+    incr j
+  done;
+  if !j < b.len then b.ids.(!j) else -1
 
 (* Slot of the oldest object matching [tmpl], or -1: the exact index
    for an all-[Eq] template when the kind keeps one, else a scan from

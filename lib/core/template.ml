@@ -40,10 +40,13 @@ let matches_value spec v =
   | Pred (_, p) -> p v
 
 let matches t o =
-  Pobj.arity o = Array.length t.specs
-  && (let ok = ref true in
-      Array.iteri (fun i s -> if !ok && not (matches_value s (Pobj.field o i)) then ok := false) t.specs;
-      !ok)
+  let n = Array.length t.specs in
+  Pobj.arity o = n
+  && (let i = ref 0 in
+      while !i < n && matches_value t.specs.(!i) (Pobj.field o !i) do
+        incr i
+      done;
+      !i = n)
   && match t.where with None -> true | Some (_, p) -> p o
 
 let spec_size = function

@@ -1,5 +1,8 @@
 type t = {
   engine : Sim.Engine.t;
+  (* Deliveries finish in [free_at] order, so they take the engine's
+     FIFO lane rather than its heap. *)
+  lane : Sim.Engine.lane;
   model : Cost_model.t;
   (* Handles interned at creation: every message charges these two
      cells, so the per-transmit cost is two field writes. *)
@@ -15,6 +18,7 @@ type t = {
 let create engine model stats =
   {
     engine;
+    lane = Sim.Engine.lane engine;
     model;
     c_msgs = Sim.Stats.counter stats "net.msgs";
     a_cost = Sim.Stats.accumulator stats "net.msg_cost";
@@ -36,7 +40,7 @@ let occupy t ~cost ~extra deliver =
   t.cost <- t.cost +. cost;
   Sim.Stats.incr_counter t.c_msgs;
   Sim.Stats.add_to t.a_cost cost;
-  ignore (Sim.Engine.schedule t.engine ~delay:(finish -. now) deliver)
+  Sim.Engine.schedule_lane t.lane ~delay:(finish -. now) deliver
 
 let transmit t ?(extra = 0.0) ~size deliver =
   occupy t ~cost:(Cost_model.msg_cost t.model ~size) ~extra deliver

@@ -29,6 +29,22 @@ val schedule_at : t -> time:float -> (unit -> unit) -> event_id
 
 val cancel : t -> event_id -> unit
 
+type lane
+(** A FIFO lane: a cheaper path for events scheduled in time order,
+    such as a shared medium's deliveries. Lane events cannot be
+    cancelled. *)
+
+val lane : t -> lane
+(** A new, empty lane of the engine. *)
+
+val schedule_lane : lane -> delay:float -> (unit -> unit) -> unit
+(** [schedule_lane l ~delay f] runs [f] at [now t +. delay], computed
+    exactly as {!schedule} does, and in the same order {!schedule}
+    would give it: events run by [(time, insertion order)] whether
+    they sit on a lane or not. A push earlier than the lane's last
+    pending event goes to the heap instead.
+    @raise Invalid_argument if [delay] is negative or NaN. *)
+
 val run : t -> unit
 (** Run until no events remain. *)
 

@@ -20,7 +20,13 @@
    physically removing every cancelled entry and emptying the
    graveyard. Compaction preserves the pop order because ordering is
    the strict total order [(time, stamp)], independent of array
-   layout. *)
+   layout.
+
+   Sifts are hole-based: the moving entry is held in locals while each
+   level shifts one entry into the hole, and it is written once where
+   it stops. No float crosses a function boundary on the engine's
+   paths ([add_after], [settle], [root_before], [take_root]), because
+   a float argument or result of a call is boxed. *)
 
 type id = int
 
@@ -47,38 +53,60 @@ let create () =
     live = 0;
   }
 
-let lt t i j =
-  t.times.(i) < t.times.(j)
-  || (t.times.(i) = t.times.(j) && t.stamps.(i) < t.stamps.(j))
-
-let swap t i j =
-  let tm = t.times.(i) in
-  t.times.(i) <- t.times.(j);
-  t.times.(j) <- tm;
-  let st = t.stamps.(i) in
-  t.stamps.(i) <- t.stamps.(j);
-  t.stamps.(j) <- st;
-  let p = t.payloads.(i) in
-  t.payloads.(i) <- t.payloads.(j);
-  t.payloads.(j) <- p
-
-let rec sift_up t i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if lt t i parent then begin
-      swap t i parent;
-      sift_up t parent
+(* Move the entry at [i] up to its place. *)
+let sift_up t i =
+  let time = t.times.(i) and stamp = t.stamps.(i) and payload = t.payloads.(i) in
+  let hole = ref i in
+  let moving = ref true in
+  while !moving && !hole > 0 do
+    let parent = (!hole - 1) / 2 in
+    let pt = t.times.(parent) in
+    if time < pt || (time = pt && stamp < t.stamps.(parent)) then begin
+      t.times.(!hole) <- pt;
+      t.stamps.(!hole) <- t.stamps.(parent);
+      t.payloads.(!hole) <- t.payloads.(parent);
+      hole := parent
     end
+    else moving := false
+  done;
+  if !hole <> i then begin
+    t.times.(!hole) <- time;
+    t.stamps.(!hole) <- stamp;
+    t.payloads.(!hole) <- payload
   end
 
-let rec sift_down t i =
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let smallest = ref i in
-  if l < t.len && lt t l !smallest then smallest := l;
-  if r < t.len && lt t r !smallest then smallest := r;
-  if !smallest <> i then begin
-    swap t i !smallest;
-    sift_down t !smallest
+(* Move the entry at [i] down to its place. *)
+let sift_down t i =
+  let time = t.times.(i) and stamp = t.stamps.(i) and payload = t.payloads.(i) in
+  let hole = ref i in
+  let moving = ref true in
+  while !moving do
+    let l = (2 * !hole) + 1 in
+    if l >= t.len then moving := false
+    else begin
+      let r = l + 1 in
+      let c =
+        if
+          r < t.len
+          && (t.times.(r) < t.times.(l)
+             || (t.times.(r) = t.times.(l) && t.stamps.(r) < t.stamps.(l)))
+        then r
+        else l
+      in
+      let ct = t.times.(c) in
+      if ct < time || (ct = time && t.stamps.(c) < stamp) then begin
+        t.times.(!hole) <- ct;
+        t.stamps.(!hole) <- t.stamps.(c);
+        t.payloads.(!hole) <- t.payloads.(c);
+        hole := c
+      end
+      else moving := false
+    end
+  done;
+  if !hole <> i then begin
+    t.times.(!hole) <- time;
+    t.stamps.(!hole) <- stamp;
+    t.payloads.(!hole) <- payload
   end
 
 let grow t filler =
@@ -118,18 +146,38 @@ let compact t =
     sift_down t i
   done
 
-let add t ~time payload =
-  if Float.is_nan time then invalid_arg "Event_heap.add: NaN time";
-  if t.payloads = [||] then t.payloads <- Array.make (Array.length t.times) payload
-  else if t.len = Array.length t.times then grow t payload;
+let fresh_stamp t =
   let stamp = t.next_stamp in
   t.next_stamp <- stamp + 1;
-  t.times.(t.len) <- time;
-  t.stamps.(t.len) <- stamp;
-  t.payloads.(t.len) <- payload;
-  t.len <- t.len + 1;
+  stamp
+
+(* Append [payload] in a new last slot (time still to be written);
+   returns the slot. *)
+let reserve t payload =
+  if t.payloads = [||] then t.payloads <- Array.make (Array.length t.times) payload
+  else if t.len = Array.length t.times then grow t payload;
+  let i = t.len in
+  t.stamps.(i) <- fresh_stamp t;
+  t.payloads.(i) <- payload;
+  t.len <- i + 1;
   t.live <- t.live + 1;
-  sift_up t (t.len - 1);
+  i
+
+let add t ~time payload =
+  if Float.is_nan time then invalid_arg "Event_heap.add: NaN time";
+  let i = reserve t payload in
+  t.times.(i) <- time;
+  let stamp = t.stamps.(i) in
+  sift_up t i;
+  stamp
+
+let add_after t base ~delay payload =
+  let time = base.(0) +. delay in
+  if Float.is_nan time then invalid_arg "Event_heap.add: NaN time";
+  let i = reserve t payload in
+  t.times.(i) <- time;
+  let stamp = t.stamps.(i) in
+  sift_up t i;
   stamp
 
 let cancel t stamp =
@@ -140,8 +188,6 @@ let cancel t stamp =
       compact t
   end
 
-(* Remove the root; returns its (time, stamp, payload) via refs to
-   avoid a tuple allocation on the tombstone-skip path. *)
 let drop_root t =
   t.len <- t.len - 1;
   if t.len > 0 then begin
@@ -153,29 +199,36 @@ let drop_root t =
   t.payloads.(t.len) <- t.payloads.(0);
   if t.len > 1 then sift_down t 0
 
-let rec pop t =
-  if t.len = 0 then None
-  else begin
-    let time = t.times.(0) and stamp = t.stamps.(0) in
+let settle t =
+  while t.len > 0 && Pending.Graveyard.exhume t.cancelled t.stamps.(0) do
+    drop_root t
+  done;
+  t.len > 0
+
+let root_before t times i stamp =
+  let a = t.times.(0) and b = times.(i) in
+  a < b || (a = b && t.stamps.(0) < stamp)
+
+let root_at_or_before t horizon = t.times.(0) <= horizon
+
+let take_root t clock =
+  clock.(0) <- t.times.(0);
+  let payload = t.payloads.(0) in
+  drop_root t;
+  t.live <- t.live - 1;
+  payload
+
+let pop t =
+  if settle t then begin
+    let time = t.times.(0) in
     let payload = t.payloads.(0) in
     drop_root t;
-    if Pending.Graveyard.exhume t.cancelled stamp then pop t
-    else begin
-      t.live <- t.live - 1;
-      Some (time, payload)
-    end
+    t.live <- t.live - 1;
+    Some (time, payload)
   end
+  else None
 
-let rec peek_time t =
-  if t.len = 0 then None
-  else begin
-    let stamp = t.stamps.(0) in
-    if Pending.Graveyard.exhume t.cancelled stamp then begin
-      drop_root t;
-      peek_time t
-    end
-    else Some t.times.(0)
-  end
+let peek_time t = if settle t then Some t.times.(0) else None
 
 let size t = t.live
 let is_empty t = t.live = 0

@@ -116,6 +116,199 @@ let test_engine_counts () =
   Alcotest.(check int) "executed" 2 (Sim.Engine.events_executed eng);
   Alcotest.(check int) "none pending" 0 (Sim.Engine.pending eng)
 
+(* --- Engine lanes --------------------------------------------------------- *)
+
+let test_lane_heap_fallback () =
+  let eng = Sim.Engine.create () in
+  let lane = Sim.Engine.lane eng in
+  let log = ref [] in
+  let ev name () = log := (name, Sim.Engine.now eng) :: !log in
+  Sim.Engine.schedule_lane lane ~delay:5.0 (ev "a");
+  ignore (Sim.Engine.schedule eng ~delay:2.0 (ev "b"));
+  (* Below the lane's tail (5.0): the heap takes it, after "b". *)
+  Sim.Engine.schedule_lane lane ~delay:2.0 (ev "c");
+  (* Equal to the tail: stays on the lane, after "a". *)
+  Sim.Engine.schedule_lane lane ~delay:5.0 (ev "d");
+  Sim.Engine.run eng;
+  Alcotest.(check (list (pair string (float 0.0))))
+    "single-heap order" [ ("b", 2.0); ("c", 2.0); ("a", 5.0); ("d", 5.0) ] (List.rev !log)
+
+let test_lane_pending () =
+  let eng = Sim.Engine.create () in
+  let lane = Sim.Engine.lane eng in
+  Sim.Engine.schedule_lane lane ~delay:1.0 (fun () -> ());
+  Sim.Engine.schedule_lane lane ~delay:3.0 (fun () -> ());
+  ignore (Sim.Engine.schedule eng ~delay:2.0 (fun () -> ()));
+  Alcotest.(check int) "lane events count" 3 (Sim.Engine.pending eng);
+  ignore (Sim.Engine.step eng);
+  Alcotest.(check int) "after one step" 2 (Sim.Engine.pending eng);
+  Sim.Engine.run eng;
+  Alcotest.(check int) "drained" 0 (Sim.Engine.pending eng);
+  Alcotest.(check int) "executed" 3 (Sim.Engine.events_executed eng)
+
+let test_lane_run_until () =
+  let eng = Sim.Engine.create () in
+  let lane = Sim.Engine.lane eng in
+  let fired = ref [] in
+  Sim.Engine.schedule_lane lane ~delay:1.0 (fun () -> fired := 1.0 :: !fired);
+  Sim.Engine.schedule_lane lane ~delay:5.0 (fun () -> fired := 5.0 :: !fired);
+  Sim.Engine.run_until eng 3.0;
+  Alcotest.(check (list (float 0.0))) "only the due lane event" [ 1.0 ] !fired;
+  check_float "clock at horizon" 3.0 (Sim.Engine.now eng);
+  Alcotest.(check int) "lane event still pending" 1 (Sim.Engine.pending eng);
+  Sim.Engine.run eng;
+  check_float "fires at its own time" 5.0 (Sim.Engine.now eng)
+
+(* Differential property: random programs over the heap, lanes,
+   cancels and nested scheduling run in the order of a reference model
+   that keeps every pending event in one list sorted by (time,
+   insertion seq), with the clock equal at every step. *)
+type act =
+  | Sched of float * act list  (* schedule ~delay *)
+  | Sched_at of float * act list  (* schedule_at ~time:(now +. d) *)
+  | Lane of int * float * act list  (* schedule_lane on lane k *)
+  | Cancel of int  (* the (k mod n)-th heap event scheduled so far *)
+
+let rec pp_act = function
+  | Sched (d, c) -> Printf.sprintf "S%g%s" d (pp_acts c)
+  | Sched_at (d, c) -> Printf.sprintf "A%g%s" d (pp_acts c)
+  | Lane (k, d, c) -> Printf.sprintf "L%d:%g%s" k d (pp_acts c)
+  | Cancel k -> Printf.sprintf "C%d" k
+
+and pp_acts = function
+  | [] -> ""
+  | c -> "[" ^ String.concat " " (List.map pp_act c) ^ "]"
+
+type program = { lanes : int; acts : act list; horizons : float list }
+
+let pp_program p =
+  Printf.sprintf "lanes %d, acts %s, run_until %s" p.lanes (pp_acts p.acts)
+    (String.concat " " (List.map string_of_float p.horizons))
+
+let gen_program =
+  let open QCheck2.Gen in
+  (* Zeros and repeats for equal times; 0.1 and 0.7 for rounding. *)
+  let delay = oneofl [ 0.0; 0.0; 0.1; 0.5; 0.7; 1.0; 1.0; 2.0; 3.0 ] in
+  let rec act depth =
+    let children =
+      if depth = 0 then return [] else list_size (int_bound 2) (act (depth - 1))
+    in
+    frequency
+      [
+        (3, map2 (fun d c -> Sched (d, c)) delay children);
+        (1, map2 (fun d c -> Sched_at (d, c)) delay children);
+        (4, map3 (fun k d c -> Lane (k, d, c)) (int_bound 2) delay children);
+        (1, map (fun k -> Cancel k) nat);
+      ]
+  in
+  map3
+    (fun lanes acts horizons -> { lanes; acts; horizons = List.sort compare horizons })
+    (int_range 1 3)
+    (list_size (int_range 1 12) (act 3))
+    (list_size (int_bound 3) (oneofl [ 0.0; 0.5; 1.0; 1.7; 3.0; 4.5 ]))
+
+(* Label -1 marks the clock after a [run_until]. *)
+let run_engine p =
+  let eng = Sim.Engine.create () in
+  let lanes = Array.init p.lanes (fun _ -> Sim.Engine.lane eng) in
+  let heap_ids = ref [||] in
+  let next = ref 0 in
+  let log = ref [] in
+  let rec exec = function
+    | Sched (d, c) ->
+        let id = Sim.Engine.schedule eng ~delay:d (fire (label ()) c) in
+        heap_ids := Array.append !heap_ids [| id |]
+    | Sched_at (d, c) ->
+        let time = Sim.Engine.now eng +. d in
+        let id = Sim.Engine.schedule_at eng ~time (fire (label ()) c) in
+        heap_ids := Array.append !heap_ids [| id |]
+    | Lane (k, d, c) -> Sim.Engine.schedule_lane lanes.(k mod p.lanes) ~delay:d (fire (label ()) c)
+    | Cancel k ->
+        let n = Array.length !heap_ids in
+        if n > 0 then Sim.Engine.cancel eng !heap_ids.(k mod n)
+  and label () =
+    incr next;
+    !next
+  and fire l c () =
+    log := (l, Sim.Engine.now eng) :: !log;
+    List.iter exec c
+  in
+  List.iter exec p.acts;
+  List.iter
+    (fun h ->
+      Sim.Engine.run_until eng h;
+      log := (-1, Sim.Engine.now eng) :: !log)
+    p.horizons;
+  Sim.Engine.run eng;
+  (List.rev !log, Sim.Engine.events_executed eng)
+
+let run_model p =
+  let clock = ref 0.0 in
+  let pending = ref [] in  (* (time, seq, children), seq = label *)
+  let heap_labels = ref [||] in
+  let next = ref 0 in
+  let log = ref [] in
+  let exec = function
+    | Sched (d, c) | Sched_at (d, c) ->
+        incr next;
+        pending := (!clock +. d, !next, c) :: !pending;
+        heap_labels := Array.append !heap_labels [| !next |]
+    | Lane (_, d, c) ->
+        incr next;
+        pending := (!clock +. d, !next, c) :: !pending
+    | Cancel k ->
+        let n = Array.length !heap_labels in
+        if n > 0 then begin
+          let l = !heap_labels.(k mod n) in
+          pending := List.filter (fun (_, s, _) -> s <> l) !pending
+        end
+  in
+  let rec drain horizon =
+    match List.sort compare (List.map (fun (t, s, _) -> (t, s)) !pending) with
+    | (t, s) :: _ when t <= horizon ->
+        let _, _, c = List.find (fun (_, s', _) -> s' = s) !pending in
+        pending := List.filter (fun (_, s', _) -> s' <> s) !pending;
+        clock := t;
+        log := (s, t) :: !log;
+        List.iter exec c;
+        drain horizon
+    | _ -> ()
+  in
+  List.iter exec p.acts;
+  List.iter
+    (fun h ->
+      drain h;
+      if !clock < h then clock := h;
+      log := (-1, !clock) :: !log)
+    p.horizons;
+  drain Float.infinity;
+  List.rev !log
+
+let pp_log l =
+  String.concat " " (List.map (fun (s, t) -> Printf.sprintf "%d@%.17g" s t) l)
+
+let prop_engine_matches_model =
+  QCheck2.Test.make ~name:"engine == (time, seq)-sorted model" ~count:500
+    ~print:pp_program gen_program (fun p ->
+      let got, executed = run_engine p in
+      let want = run_model p in
+      if got <> want then
+        QCheck2.Test.fail_reportf "engine: %s\nmodel:  %s" (pp_log got) (pp_log want);
+      let fired = List.length (List.filter (fun (s, _) -> s >= 0) want) in
+      if executed <> fired then
+        QCheck2.Test.fail_reportf "events_executed %d, model fired %d" executed fired;
+      true)
+
+(* A fixed seed keeps the suite deterministic; PASO_QCHECK_SEED=<n>
+   reruns the property on another stream. *)
+let qcheck_seed =
+  match Sys.getenv_opt "PASO_QCHECK_SEED" with
+  | Some s -> (
+      match int_of_string_opt s with
+      | Some i -> i
+      | None -> failwith "PASO_QCHECK_SEED must be an integer")
+  | None -> 0x5e4
+
 (* --- Rng ----------------------------------------------------------------- *)
 
 let test_rng_deterministic () =
@@ -332,6 +525,13 @@ let () =
           Alcotest.test_case "cancel" `Quick test_engine_cancel;
           Alcotest.test_case "negative delay rejected" `Quick test_engine_negative_delay;
           Alcotest.test_case "pending/executed counts" `Quick test_engine_counts;
+          Alcotest.test_case "lane falls back to the heap" `Quick test_lane_heap_fallback;
+          Alcotest.test_case "pending counts lane events" `Quick test_lane_pending;
+          Alcotest.test_case "run_until leaves a later lane event" `Quick
+            test_lane_run_until;
+          QCheck_alcotest.to_alcotest
+            ~rand:(Random.State.make [| qcheck_seed |])
+            prop_engine_matches_model;
         ] );
       ( "rng",
         [
