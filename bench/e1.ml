@@ -48,10 +48,10 @@ let run () =
             List.find (fun m -> not (List.mem m basic)) (List.init n Fun.id)
           in
           let store_msg =
-            Server.msg_size (Server.Store { cls; obj = obj_of sys payload })
+            Server.msg_size (Server.Store { cls; cid = -1; obj = obj_of sys payload })
           in
           let tmpl = Template.headed head [ Template.Any ] in
-          let query_msg = Server.msg_size (Server.Mem_read { cls; tmpl }) in
+          let query_msg = Server.msg_size (Server.Mem_read { cls; cid = -1; tmpl }) in
           let resp_size = Pobj.size (obj_of sys payload) in
           let analytic ~group ~msg ~resp =
             Net.Cost_model.gcast_cost cm ~group_size:group ~msg_size:msg ~resp_size:resp

@@ -220,6 +220,36 @@ let engine_bus iters =
   done;
   Sim.Engine.run bus_engine
 
+(* The fabric's per-message path on the LAN: [fabric_in_flight]
+   transmissions on the shared bus, each delivery sending the next,
+   through the unarmed failpoint registry every system carries. Engine,
+   fabric and closure are built once and the engine drains empty, so a
+   trial's allocation is what one transmit plus its delivery costs the
+   fabric, the bus and the engine (gated at or below the baseline). *)
+let fabric_in_flight = 8
+let fabric_engine = Sim.Engine.create ()
+
+let fabric =
+  Net.Fabric.shared_bus ~failpoints:(Sim.Failpoint.create ()) fabric_engine
+    (Net.Cost_model.v ~alpha:500.0 ~beta:1.0)
+    (Sim.Stats.create ())
+
+let fabric_left = ref 0
+
+let rec fabric_deliver () =
+  if !fabric_left > 0 then begin
+    decr fabric_left;
+    let src = !fabric_left land 7 in
+    Net.Fabric.transmit fabric ~src ~dst:((src + 1) land 7) ~size:64 fabric_deliver
+  end
+
+let fabric_transmit iters =
+  fabric_left := iters;
+  for _ = 1 to fabric_in_flight do
+    fabric_deliver ()
+  done;
+  Sim.Engine.run fabric_engine
+
 let trace_emit iters =
   let tr = Sim.Trace.create ~capacity:4096 () in
   Sim.Trace.enable tr;
@@ -232,6 +262,38 @@ let history_round iters =
   for _ = 1 to iters do
     let id = History.begin_op h ~machine:0 ~kind:History.Insert ~now:1.0 () in
     History.end_op h id ~now:2.0 ~result:None
+  done
+
+(* One inserted object's landmarks, as a mix-shaped run records them:
+   [note_inserted], a first store at each of three replicas, then
+   [note_all_stored]. Uids are dense per machine over 32 machines, and
+   a fresh history starts every [lifecycle_rows] objects, so the index
+   is measured at about 128k rows whatever the iteration count. The
+   objects are built once, outside the trials. *)
+let lifecycle_rows = 1 lsl 17
+
+let lifecycle_objs =
+  lazy
+    (Array.init lifecycle_rows (fun i ->
+         Pobj.make
+           ~uid:(Uid.make ~machine:(i land 31) ~serial:(i lsr 5))
+           [ Value.Sym "k"; Value.Int i ]))
+
+let lifecycle_classes = Array.init 8 (Printf.sprintf "c%d")
+
+let history_lifecycle iters =
+  let objs = Lazy.force lifecycle_objs in
+  let h = ref (History.create ()) in
+  for i = 0 to iters - 1 do
+    let k = i land (lifecycle_rows - 1) in
+    if k = 0 && i > 0 then h := History.create ();
+    let o = objs.(k) in
+    let uid = Pobj.uid o and now = float_of_int i in
+    History.note_inserted !h o ~cls:lifecycle_classes.(i land 7) ~now;
+    History.note_first_store !h uid ~now;
+    History.note_first_store !h uid ~now;
+    History.note_first_store !h uid ~now;
+    History.note_all_stored !h uid ~now
   done
 
 (* A system with a populated class universe, for the sc-list kernels:
@@ -357,8 +419,10 @@ let kernel_specs =
     ("event_heap_churn", event_heap_churn, 500_000);
     ("event_heap_cancel", event_heap_cancel, 500_000);
     ("engine_bus", engine_bus, 1_000_000);
+    ("fabric_transmit", fabric_transmit, 1_000_000);
     ("trace_emit", trace_emit, 500_000);
     ("history_round", history_round, 300_000);
+    ("history_lifecycle", history_lifecycle, 5 * lifecycle_rows);
     ("sc_list_eq_head", sc_list_eq_head, 100_000);
     ("sc_list_scan", sc_list_scan, 50_000);
     ("checkpoint_encode_verify", checkpoint_encode_verify, 2_000);
@@ -966,8 +1030,13 @@ let profile ~fast =
 
 (* ---- regression gate ---- *)
 
-(* Kernels whose allocation the gate holds at exactly 0 B/op. *)
-let zero_alloc_kernels = [ "engine_bus" ]
+(* The e8 mix's allocation per op, from the profile's [alloc_mb]. *)
+let e8_alloc_b_per_op p =
+  match
+    (Bench_json.get_num p [ "e8_mix"; "alloc_mb" ], Bench_json.get_num p [ "e8_mix"; "ops" ])
+  with
+  | Some mb, Some ops when ops > 0.0 -> Some (mb *. 1.048576e6 /. ops)
+  | _ -> None
 
 let gate_against ~path ~tol fresh =
   match Bench_json.load path with
@@ -1102,20 +1171,28 @@ let gate_against ~path ~tol fresh =
                 | Some fresh_ns -> check_latency ("kernel." ^ name) fresh_ns base_ns
                 | None -> ())
             (Bench_json.kernels base);
-          (* Exact allocation checks: no host factor and no
-             tolerance. One boxed float in a whole trial fails. *)
+          (* Exact allocation checks: no host factor and no tolerance.
+             Allocation is a property of the code, not of the host, so
+             every kernel and the e8 mix must allocate at most what the
+             baseline did per op (engine_bus: exactly 0); one boxed
+             float more per op fails. *)
+          let check_alloc name fresh_b base_b =
+            let ok = fresh_b <= base_b in
+            Printf.printf "  %-28s alloc base %12.3f  fresh %12.3f B/op  %s\n" name base_b
+              fresh_b
+              (if ok then "ok" else "REGRESSION");
+            if not ok then failures := (name ^ ".alloc") :: !failures
+          in
+          let allocs p = Bench_json.kernels ~field:"alloc_b_per_op" p in
           List.iter
-            (fun name ->
-              match
-                List.assoc_opt name (Bench_json.kernels ~field:"alloc_b_per_op" fresh)
-              with
-              | Some b ->
-                  let ok = b <= 0.0 in
-                  Printf.printf "  %-28s alloc %g B/op (must be 0)  %s\n" ("kernel." ^ name) b
-                    (if ok then "ok" else "REGRESSION");
-                  if not ok then failures := ("kernel." ^ name ^ ".alloc") :: !failures
+            (fun (name, base_b) ->
+              match List.assoc_opt name (allocs fresh) with
+              | Some b -> check_alloc ("kernel." ^ name) b base_b
               | None -> ())
-            zero_alloc_kernels;
+            (allocs base);
+          (match (e8_alloc_b_per_op fresh, e8_alloc_b_per_op base) with
+          | Some f, Some b -> check_alloc "e8_mix" f b
+          | _ -> ());
           if !failures <> [] then begin
             Printf.printf "gate: FAILED (%s)\n" (String.concat ", " (List.rev !failures));
             exit 1
@@ -1169,6 +1246,9 @@ let trajectory_row ?bench label p =
   let opt_num = function Some x -> J.Num x | None -> J.Null in
   let num path = opt_num (Bench_json.get_num p path) in
   let kernel_ns name = List.assoc_opt name (Bench_json.kernels p) in
+  let kernel_alloc name =
+    List.assoc_opt name (Bench_json.kernels ~field:"alloc_b_per_op" p)
+  in
   let calibration_ns = kernel_ns "calibration" in
   (* A D = 4 figure from a host with fewer than 4 cores measures
      oversubscription, not sharding: record it as null. *)
@@ -1207,9 +1287,11 @@ let trajectory_row ?bench label p =
       ("history_round_ns", opt_num (kernel_ns "history_round"));
       ("store_hash_ins_rem_ns", opt_num (kernel_ns "store_hash_ins_rem"));
       ("engine_bus_ns", opt_num (kernel_ns "engine_bus"));
-      ( "engine_bus_alloc_b_per_op",
-        opt_num
-          (List.assoc_opt "engine_bus" (Bench_json.kernels ~field:"alloc_b_per_op" p)) );
+      ("engine_bus_alloc_b_per_op", opt_num (kernel_alloc "engine_bus"));
+      ("fabric_transmit_alloc_b_per_op", opt_num (kernel_alloc "fabric_transmit"));
+      ("history_lifecycle_ns", opt_num (kernel_ns "history_lifecycle"));
+      ("history_lifecycle_alloc_b_per_op", opt_num (kernel_alloc "history_lifecycle"));
+      ("e8_alloc_b_per_op", opt_num (e8_alloc_b_per_op p));
       ("history_bytes_per_op", num [ "history"; "bytes_per_op" ]);
       ( "bench",
         match bench with

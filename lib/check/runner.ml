@@ -80,7 +80,7 @@ let run_shard ?(domains = 1) (c : Schedule.config) steps =
   let fields i h = [ Value.Sym heads.(h mod Array.length heads); Value.Int i ] in
   List.iteri
     (fun i (step : Schedule.step) ->
-      ignore (Sim.Failpoint.hit step_fps ~site:"check.step" ~node:i ());
+      ignore (Sim.Failpoint.hit step_fps ~site:"check.step" ~node:i ~aux:(-1) ~group:"");
       let up = List.filter (Shard.is_up sh) (List.init c.n Fun.id) in
       let pick m = List.nth up (m mod List.length up) in
       match step with

@@ -39,7 +39,7 @@ type lifecycle = {
    A lifecycle row is ten words: seven landmark floats (NaN = unset),
    [removed_by] (-1 = none), the interned class id with the migrated
    flag in bit 0, and the object (which carries the uid); [index] maps
-   a uid to its row.
+   a uid to its row (see [Dense] below).
 
    Rows live in fixed-size chunks reached through a spine array, so a
    column grows by one chunk at a time and never copies its rows: the
@@ -74,13 +74,109 @@ type life_chunk = {
   obj_c : Pobj.t array;
 }
 
+(* The uid index: an int-keyed map with no hashing, as radix tries
+   whose nodes are [chunk_rows]-slot arrays — leaves hold the values,
+   inner nodes the children, and the root grows a level when a key
+   outgrows it. A machine's serials are issued densely from 0, so its
+   rows fill whole leaves and a lookup is two or three array reads.
+   Negative keys live in a second trie under their complement, so every
+   int is a key, and an in-order walk visits keys in ascending order. *)
+module Dense = struct
+  type 'a node = Nil | Leaf of 'a array | Inner of 'a node array
+
+  type 'a trie = {
+    mutable height : int; (* levels above the leaves *)
+    mutable root : 'a node;
+  }
+
+  type 'a t = { pos : 'a trie; neg : 'a trie; unset : 'a }
+
+  let create unset =
+    { pos = { height = 0; root = Nil }; neg = { height = 0; root = Nil }; unset }
+
+  (* The root covers keys below 2^(chunk_bits * (height + 1)). *)
+  let fits tr key =
+    let b = chunk_bits * (tr.height + 1) in
+    b >= Sys.int_size || key lsr b = 0
+
+  let rec node_get node key shift unset =
+    match node with
+    | Nil -> unset
+    | Leaf a -> Array.unsafe_get a (key land chunk_mask)
+    | Inner a ->
+        node_get
+          (Array.unsafe_get a ((key lsr shift) land chunk_mask))
+          key (shift - chunk_bits) unset
+
+  let trie_get tr key unset =
+    if fits tr key then node_get tr.root key (chunk_bits * tr.height) unset else unset
+
+  let rec node_set node key shift unset v =
+    match node with
+    | Leaf a ->
+        a.(key land chunk_mask) <- v;
+        node
+    | Inner a ->
+        let i = (key lsr shift) land chunk_mask in
+        let c = a.(i) in
+        let c' = node_set c key (shift - chunk_bits) unset v in
+        if c' != c then a.(i) <- c';
+        node
+    | Nil ->
+        let fresh =
+          if shift = 0 then Leaf (Array.make chunk_rows unset)
+          else Inner (Array.make chunk_rows Nil)
+        in
+        node_set fresh key shift unset v
+
+  let trie_set tr key unset v =
+    while not (fits tr key) do
+      (match tr.root with
+      | Nil -> ()
+      | root ->
+          let a = Array.make chunk_rows Nil in
+          a.(0) <- root;
+          tr.root <- Inner a);
+      tr.height <- tr.height + 1
+    done;
+    tr.root <- node_set tr.root key (chunk_bits * tr.height) unset v
+
+  let get d key =
+    if key >= 0 then trie_get d.pos key d.unset else trie_get d.neg (lnot key) d.unset
+
+  let set d key v =
+    if key >= 0 then trie_set d.pos key d.unset v else trie_set d.neg (lnot key) d.unset v
+
+  (* Every value under [node] in key order, downward when [desc]. *)
+  let rec node_iter ~desc f = function
+    | Nil -> ()
+    | Leaf a ->
+        if desc then
+          for i = chunk_rows - 1 downto 0 do
+            f a.(i)
+          done
+        else Array.iter f a
+    | Inner a ->
+        if desc then
+          for i = chunk_rows - 1 downto 0 do
+            node_iter ~desc f a.(i)
+          done
+        else Array.iter (node_iter ~desc f) a
+
+  (* Every value in ascending key order, unset slots included: the
+     negative trie holds [lnot key], so it is walked downward. *)
+  let iter f d =
+    node_iter ~desc:true f d.neg.root;
+    node_iter ~desc:false f d.pos.root
+end
+
 type t = {
   mutable ops : op_chunk array; (* spine; chunk i holds op ids [i*chunk_rows, ...) *)
   mutable next_op : int;
   mutable completed : int;
   mutable lives : life_chunk array;
   mutable next_life : int;
-  index : int Uid.Tbl.t; (* uid -> lifecycle row *)
+  index : int Dense.t Dense.t; (* machine -> serial -> lifecycle row, -1 = none *)
   class_ids : (string, int) Hashtbl.t;
   mutable class_names : string array; (* id -> name *)
 }
@@ -89,6 +185,9 @@ type t = {
 let absent = Pobj.make ~uid:(Uid.make ~machine:(-1) ~serial:(-1)) [ Value.Int 0 ]
 let absent_subj = Obj.repr absent
 
+(* The serial map of a machine with no rows: shared, never written. *)
+let no_serials = Dense.create (-1)
+
 let create () =
   {
     ops = [||];
@@ -96,7 +195,7 @@ let create () =
     completed = 0;
     lives = [||];
     next_life = 0;
-    index = Uid.Tbl.create 256;
+    index = Dense.create no_serials;
     class_ids = Hashtbl.create 16;
     class_names = [||];
   }
@@ -200,9 +299,9 @@ let records t = List.rev (fold (fun acc r -> r :: acc) [] t)
 (* ---- lifecycles ---- *)
 
 let class_id t cls =
-  match Hashtbl.find_opt t.class_ids cls with
-  | Some id -> id
-  | None ->
+  match Hashtbl.find t.class_ids cls with
+  | id -> id
+  | exception Not_found ->
       let id = Hashtbl.length t.class_ids in
       Hashtbl.add t.class_ids cls id;
       t.class_names <- append t.class_names id cls;
@@ -213,9 +312,22 @@ let slot row k = ((row land chunk_mask) * landmarks) + k
 let mark c row k = Float.Array.get c.marks_c (slot row k)
 let set_mark c row k x = Float.Array.set c.marks_c (slot row k) x
 
+let row_of t (uid : Uid.t) = Dense.get (Dense.get t.index uid.machine) uid.serial
+
+let set_row t (uid : Uid.t) row =
+  let serials =
+    match Dense.get t.index uid.machine with
+    | s when s == no_serials ->
+        let s = Dense.create (-1) in
+        Dense.set t.index uid.machine s;
+        s
+    | s -> s
+  in
+  Dense.set serials uid.serial row
+
 let note_inserted t o ~cls ~now =
   let uid = Pobj.uid o in
-  if not (Uid.Tbl.mem t.index uid) then begin
+  if row_of t uid < 0 then begin
     let row = t.next_life in
     let k = row lsr chunk_bits and i = row land chunk_mask in
     if i = 0 then
@@ -231,18 +343,20 @@ let note_inserted t o ~cls ~now =
     set_mark c row insert_issue_k now;
     c.cls_c.(i) <- class_id t cls lsl 1;
     c.obj_c.(i) <- o;
-    Uid.Tbl.add t.index uid row;
+    set_row t uid row;
     t.next_life <- row + 1
   end
 
 (* Set landmark [k] of [uid]'s lifecycle unless already set; [true]
    when this call set it. *)
 let set_once t uid k ~now =
-  match Uid.Tbl.find_opt t.index uid with
-  | Some row ->
-      let c = life_chunk t row in
-      Float.is_nan (mark c row k) && (set_mark c row k now; true)
-  | None -> false
+  let row = row_of t uid in
+  row >= 0
+  &&
+  let c = life_chunk t row in
+  (* Read in place: [mark] returns its float boxed. *)
+  let x = Float.Array.get c.marks_c (slot row k) in
+  Float.is_nan x && (set_mark c row k now; true)
 
 let note_first_store t uid ~now = ignore (set_once t uid first_store_k ~now)
 let note_all_stored t uid ~now = ignore (set_once t uid all_stored_k ~now)
@@ -251,7 +365,7 @@ let note_recovered t uid ~now = ignore (set_once t uid recovered_at_k ~now)
 
 let note_remove_ret t uid ~op_id ~now =
   if set_once t uid remove_ret_k ~now then
-    let row = Uid.Tbl.find t.index uid in
+    let row = row_of t uid in
     (life_chunk t row).removed_by_c.(row land chunk_mask) <- op_id
 
 (* Apply [f chunk row] to every row of class [cls] stored at or before
@@ -308,19 +422,19 @@ let life_view t row =
     migrated_out = cm land 1 = 1;
   }
 
-let lifecycle t uid = Option.map (life_view t) (Uid.Tbl.find_opt t.index uid)
-let forget t uid = Uid.Tbl.remove t.index uid
+let lifecycle t uid =
+  let row = row_of t uid in
+  if row < 0 then None else Some (life_view t row)
 
-(* Live rows in uid order. *)
-let sorted_rows t =
-  let rows = Array.make (Uid.Tbl.length t.index) 0 in
-  ignore (Uid.Tbl.fold (fun _ row n -> rows.(n) <- row; n + 1) t.index 0);
-  let uid row = Pobj.uid (life_chunk t row).obj_c.(row land chunk_mask) in
-  Array.sort (fun a b -> Uid.compare (uid a) (uid b)) rows;
-  rows
+let forget t uid = if row_of t uid >= 0 then set_row t uid (-1)
 
+(* The index walked in key order is uid order: no sort. *)
 let fold_lifecycles f acc t =
-  Array.fold_left (fun acc row -> f acc (life_view t row)) acc (sorted_rows t)
+  let acc = ref acc in
+  Dense.iter
+    (Dense.iter (fun row -> if row >= 0 then acc := f !acc (life_view t row)))
+    t.index;
+  !acc
 
 let lifecycles t = List.rev (fold_lifecycles (fun acc l -> l :: acc) [] t)
 let op_count t = t.next_op

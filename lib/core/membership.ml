@@ -1,14 +1,16 @@
 type cls = {
   info : Obj_class.info;
   group : string;
+  id : int;
+      (* dense, never reused within a System: the slot in [by_id] that
+         resolves this record while it is registered *)
   mutable basic : int list;
   mutable mut : int;
       (* per-class mutation serial: bumped on every delivered
          Store/Remove. One component of the freshness token (the others
          — view id and loss generation — live in vsync / probation_gen);
          also the read-coalescing window key in [Router]. Lives in the
-         class record so the hot deliver path pays one table lookup,
-         not a separate serial-table find+replace. *)
+         class record so the hot deliver path reaches it by id. *)
   mutable load : float;
       (* §4 cost-model weighted op count since the last [take_loads]:
          the rebalancer's per-class demand signal, accumulated at issue
@@ -30,6 +32,8 @@ type t = {
   trace : Sim.Trace.t;
   mutable m_vs : vsync option;
   classes : (string, cls) Hashtbl.t;
+  mutable by_id : cls array; (* id -> record; [gone] once forgotten *)
+  mutable next_id : int;
   group_class : (string, string list ref) Hashtbl.t; (* group -> classes *)
   probation : (string, int option) Hashtbl.t;
       (* groups that lost their last member and may re-form from
@@ -57,6 +61,8 @@ let create ~n ~lambda ~seed ~use_read_groups ~group_map ~servers ~engine ~stats 
     trace;
     m_vs = None;
     classes = Hashtbl.create 16;
+    by_id = [||];
+    next_id = 0;
     group_class = Hashtbl.create 16;
     probation = Hashtbl.create 8;
     prob_waiters = Hashtbl.create 8;
@@ -87,7 +93,47 @@ let group_of_class m cls =
   "wg/" ^ (match m.group_map with Some f -> f cls | None -> cls)
 
 let find m cls = Hashtbl.find_opt m.classes cls
-let knows m cls = Hashtbl.mem m.classes cls
+
+(* The empty slot of [by_id]: the record of no class. *)
+let gone =
+  {
+    info = { Obj_class.name = ""; cls_arity = 0; head = None };
+    group = "";
+    id = -1;
+    basic = [];
+    mut = 0;
+    load = 0.0;
+  }
+
+let live m cs = cs.id >= 0 && m.by_id.(cs.id) == cs
+
+(* The record a message's (name, id) pair designates: the id slot while
+   it still holds that class, the name table otherwise (a forgotten id,
+   or a message built outside this registry); [gone] for an unknown
+   class. *)
+let resolve m ~cls ~cid =
+  let cs = if cid >= 0 && cid < Array.length m.by_id then m.by_id.(cid) else gone in
+  if cs != gone && String.equal cs.info.Obj_class.name cls then cs
+  else match find m cls with Some cs -> cs | None -> gone
+
+(* Enter a new class under the next id, in both the name table and its
+   group's class list. *)
+let register m info ~group ~basic ~mut =
+  let cls = info.Obj_class.name in
+  let id = m.next_id in
+  m.next_id <- id + 1;
+  let cs = { info; group; id; basic; mut; load = 0.0 } in
+  if id = Array.length m.by_id then begin
+    let grown = Array.make (max 8 (2 * id)) gone in
+    Array.blit m.by_id 0 grown 0 id;
+    m.by_id <- grown
+  end;
+  m.by_id.(id) <- cs;
+  Hashtbl.add m.classes cls cs;
+  (match Hashtbl.find_opt m.group_class group with
+  | Some classes -> classes := List.sort compare (cls :: !classes)
+  | None -> Hashtbl.add m.group_class group (ref [ cls ]));
+  cs
 
 let ensure m info =
   match Hashtbl.find_opt m.classes info.Obj_class.name with
@@ -105,11 +151,7 @@ let ensure m info =
             | None -> compute_basic m group)
         | None -> compute_basic m group
       in
-      let cs = { info; group; basic; mut = 0; load = 0.0 } in
-      Hashtbl.add m.classes cls cs;
-      (match Hashtbl.find_opt m.group_class group with
-      | Some classes -> classes := List.sort compare (cls :: !classes)
-      | None -> Hashtbl.add m.group_class group (ref [ cls ]));
+      let cs = register m info ~group ~basic ~mut:0 in
       tracef m "class %s created, B(C) = {%s}" cls
         (String.concat "," (List.map string_of_int basic));
       Sim.Stats.incr m.stats "paso.classes";
@@ -389,12 +431,9 @@ type token = { tk_mut : int; tk_view : int; tk_loss : int }
 let mutation_serial m ~cls =
   match Hashtbl.find_opt m.classes cls with Some cs -> cs.mut | None -> 0
 
-let note_mutation_cs cs = cs.mut <- cs.mut + 1
-
-let note_mutation m ~cls =
-  match Hashtbl.find_opt m.classes cls with
-  | Some cs -> note_mutation_cs cs
-  | None -> ()
+let note_mutation m ~cls ~cid =
+  let cs = resolve m ~cls ~cid in
+  if cs != gone then cs.mut <- cs.mut + 1
 
 let class_token m ~cls =
   match find m cls with
@@ -437,6 +476,7 @@ let forget m ~cls =
   | None -> invalid_arg (Printf.sprintf "Membership.forget: unknown class %s" cls)
   | Some cs ->
       Hashtbl.remove m.classes cls;
+      m.by_id.(cs.id) <- gone;
       (match Hashtbl.find_opt m.group_class cs.group with
       | Some classes ->
           classes := List.filter (fun c -> c <> cls) !classes;
@@ -448,11 +488,7 @@ let adopt m info ~basic ~mut ~loss_gen =
   if Hashtbl.mem m.classes cls then
     invalid_arg (Printf.sprintf "Membership.adopt: class %s already known" cls);
   let group = group_of_class m cls in
-  let cs = { info; group; basic; mut; load = 0.0 } in
-  Hashtbl.add m.classes cls cs;
-  (match Hashtbl.find_opt m.group_class group with
-  | Some classes -> classes := List.sort compare (cls :: !classes)
-  | None -> Hashtbl.add m.group_class group (ref [ cls ]));
+  let cs = register m info ~group ~basic ~mut in
   if loss_gen > probation_generation m group then
     Hashtbl.replace m.probation_gen group loss_gen;
   (* "paso.classes" is deliberately not advanced: the class was counted

@@ -20,13 +20,17 @@
 type cls = {
   info : Obj_class.info;
   group : string;  (** vsync group name, ["wg/" ^ group_map(class)] *)
+  id : int;
+      (** the class id: dense, given when {!ensure} or {!adopt} creates
+          the record and never reused within this registry. Replicated
+          messages carry it beside the name ({!Server.msg}), so the
+          deliver path reaches the record by index. *)
   mutable basic : int list;
       (** B(C): the λ+1 machines currently responsible (as amended by
           support repair), sorted *)
   mutable mut : int;
       (** the class's mutation serial — read it through
-          {!mutation_serial}, advance it through {!note_mutation} /
-          {!note_mutation_cs} *)
+          {!mutation_serial}, advance it through {!note_mutation} *)
   mutable load : float;
       (** §4 cost-model weighted op count since the last {!take_loads}
           — the rebalancer's per-class demand signal, advanced through
@@ -67,7 +71,12 @@ val group_of_class : t -> string -> string
 (** [wg] name for a class, through the configured many-to-one map. *)
 
 val find : t -> string -> cls option
-val knows : t -> string -> bool
+
+val live : t -> cls -> bool
+(** The record still holds its id slot: false once {!forget} cleared
+    it, even if the class has since been adopted again under a new id.
+    Constant time; how an op holding a resolved record learns that its
+    class migrated away mid-op. *)
 
 val ensure : t -> Obj_class.info -> cls * bool
 (** The class's registry entry, creating it on first sight: computes
@@ -197,17 +206,14 @@ val mutation_serial : t -> cls:string -> int
     [Router]'s read-coalescing key embeds it so no read rides a
     response computed against a pre-mutation store. *)
 
-val note_mutation : t -> cls:string -> unit
+val note_mutation : t -> cls:string -> cid:int -> unit
 (** A replicated mutation (Store/Remove) of the class was delivered:
     advance its serial. Called from the vsync deliver callback,
     unconditionally — the token must move whether or not any consumer
-    (batching, fast reads) is currently configured. A no-op for
-    unknown classes (delivered mutations always target ensured ones). *)
-
-val note_mutation_cs : cls -> unit
-(** {!note_mutation} through an already-resolved registry entry: the
-    deliver callback sits on the hottest path in the system and has
-    the entry in hand. *)
+    (batching, fast reads) is currently configured. The record is
+    reached through the id slot [cid] while that slot holds [cls], by
+    name otherwise. A no-op for unknown classes (delivered mutations
+    always target ensured ones). *)
 
 val class_token : t -> cls:string -> token
 (** The class's current freshness token. *)
@@ -246,7 +252,8 @@ val forget : t -> cls:string -> unit
 (** Remove the class from the registry and from its group's class
     list (dropping the list when it empties). The extraction half of a
     migration: the caller has already quiesced and dissolved the vsync
-    group and evicted the replicas. ["paso.classes"] is not
+    group and evicted the replicas. Clears the class's id slot, so
+    {!live} turns false for its record. ["paso.classes"] is not
     decremented — the class still exists, elsewhere. Raises
     [Invalid_argument] for an unknown class. *)
 
@@ -256,8 +263,8 @@ val adopt : t -> Obj_class.info -> basic:int list -> mut:int -> loss_gen:int -> 
     remain comparable), and the group's loss generation is raised to
     at least [loss_gen]. No vsync joins are issued — the caller forms
     the group administratively — and ["paso.classes"] is not advanced
-    (the class was counted at creation). Raises [Invalid_argument] if
-    the class is already known. *)
+    (the class was counted at creation). The record gets a fresh id.
+    Raises [Invalid_argument] if the class is already known. *)
 
 (** {1 Adaptive policy dispatch (§5)} *)
 

@@ -4,7 +4,10 @@ let of_array ~uid fields =
   if Array.length fields = 0 then invalid_arg "Pobj: empty tuple";
   { uid; fields = Array.copy fields }
 
-let make ~uid fields = of_array ~uid (Array.of_list fields)
+(* One copy: the fresh array [Array.of_list] builds is ours to keep. *)
+let make ~uid = function
+  | [] -> invalid_arg "Pobj: empty tuple"
+  | fields -> { uid; fields = Array.of_list fields }
 
 let uid t = t.uid
 let arity t = Array.length t.fields

@@ -12,6 +12,13 @@ type coalesce = {
   mutable rc_waiters : (Pobj.t option -> int -> unit) list; (* resp, responders *)
 }
 
+(* A template's sc-list, and its known classes resolved to their
+   registry records once. [invalidate] drops every entry whenever the
+   class universe changes, so [known] is exactly the names the registry
+   holds; an op that keeps a record past a later change asks
+   [Membership.live]. *)
+type sc_entry = { names : string list; known : Membership.cls list }
+
 type t = {
   classing : Obj_class.strategy;
   lambda : int;
@@ -23,7 +30,7 @@ type t = {
   mutable r_vs : Membership.vsync option;
   (* sc-list memoisation: the classing strategy is fixed per system, so
      the cache is keyed by the template's structural signature alone. *)
-  sc_cache : (string, string list) Hashtbl.t;
+  sc_cache : (string, sc_entry) Hashtbl.t;
   (* scratch for [template_key]: the router is single-threaded and the
      key is fully built before any lookup, so one reusable buffer
      replaces a fresh 64-byte allocation on every op issue. *)
@@ -126,12 +133,13 @@ let template_key r tmpl =
   if List.for_all spec_ok (Template.specs tmpl) then Some (Buffer.contents buf)
   else None
 
-(* Memoised candidate-class derivation. Raw sc-list only — callers
-   still filter by currently-known classes, which is cheap and keeps
-   the cached value independent of anything but the universe. [Custom]
-   strategies may close over external state, so they bypass the cache. *)
-let sc_list r tmpl =
-  let derive () = Obj_class.sc_list r.classing ~universe:(universe r) tmpl in
+(* Memoised candidate-class derivation. [Custom] strategies may close
+   over external state, so they bypass the cache. *)
+let sc_entry r tmpl =
+  let derive () =
+    let names = Obj_class.sc_list r.classing ~universe:(universe r) tmpl in
+    { names; known = List.filter_map (Membership.find r.mem) names }
+  in
   let cacheable =
     match r.classing with
     | Obj_class.Single_class | Obj_class.By_arity | Obj_class.By_head
@@ -153,6 +161,9 @@ let sc_list r tmpl =
             let result = derive () in
             Hashtbl.add r.sc_cache key result;
             result)
+
+let sc_list r tmpl = (sc_entry r tmpl).names
+let candidates r tmpl = (sc_entry r tmpl).known
 
 (* --- read-group restriction --------------------------------------------- *)
 
@@ -211,25 +222,27 @@ let fan_out_ordered r ~group ~from msg ~on_done =
 
 (* --- marker fan-out (§4.3 read-markers) ---------------------------------- *)
 
-let marker_classes r tmpl = sc_list r tmpl |> List.filter (Membership.knows r.mem)
-
 (* Marker traffic rides the batched entry point (it coalesces with the
-   op stream) and is silently dropped for unknown classes or a dead
-   issuer — a marker is the issuer's local state, replicated. *)
-let gcast_marker r ~machine msg =
-  match Membership.find r.mem (Server.msg_class msg) with
-  | Some cs when Vsync.is_up (vs r) machine ->
-      fan_out_batched r ~group:cs.Membership.group ~from:machine msg
-        ~on_done:(fun _ _ -> ())
-  | Some _ | None -> ()
+   op stream) and is silently dropped for a dead issuer — a marker is
+   the issuer's local state, replicated. *)
+let gcast_marker r (cs : Membership.cls) ~machine msg =
+  if Vsync.is_up (vs r) machine then
+    fan_out_batched r ~group:cs.Membership.group ~from:machine msg
+      ~on_done:(fun _ _ -> ())
 
-let place_markers r (w : Op.waiter) =
-  List.iter
-    (fun cls ->
-      Sim.Stats.incr_counter r.c_marker_placements;
-      gcast_marker r ~machine:w.w_machine
-        (Server.Place_marker { cls; mid = w.w_id; machine = w.w_machine; tmpl = w.w_tmpl }))
-    (marker_classes r w.w_tmpl)
+let place_marker r (w : Op.waiter) (cs : Membership.cls) =
+  Sim.Stats.incr_counter r.c_marker_placements;
+  gcast_marker r cs ~machine:w.w_machine
+    (Server.Place_marker
+       {
+         cls = cs.Membership.info.Obj_class.name;
+         cid = cs.Membership.id;
+         mid = w.w_id;
+         machine = w.w_machine;
+         tmpl = w.w_tmpl;
+       })
+
+let place_markers r (w : Op.waiter) = List.iter (place_marker r w) (candidates r w.w_tmpl)
 
 (* The member that serves a marker's wake-up once a matching store
    fires it. Markers are replicated to the full write group (a marker
@@ -252,21 +265,29 @@ let wake_agent r ~group ~machine =
 let cancel_markers r (w : Op.waiter) =
   if Vsync.is_up (vs r) w.w_machine then
     List.iter
-      (fun cls ->
-        gcast_marker r ~machine:w.w_machine (Server.Cancel_marker { cls; mid = w.w_id }))
-      (marker_classes r w.w_tmpl)
+      (fun (cs : Membership.cls) ->
+        gcast_marker r cs ~machine:w.w_machine
+          (Server.Cancel_marker
+             {
+               cls = cs.Membership.info.Obj_class.name;
+               cid = cs.Membership.id;
+               mid = w.w_id;
+             }))
+      (candidates r w.w_tmpl)
 
 (* Markers for templates that may match classes created later: when a
    class appears, arm every parked waiter whose criterion covers it. *)
 let arm_new_class r waiters ~cls =
   List.iter
     (fun (w : Op.waiter) ->
-      if Vsync.is_up (vs r) w.w_machine && List.mem cls (marker_classes r w.w_tmpl)
-      then begin
-        Sim.Stats.incr_counter r.c_marker_placements;
-        gcast_marker r ~machine:w.w_machine
-          (Server.Place_marker { cls; mid = w.w_id; machine = w.w_machine; tmpl = w.w_tmpl })
-      end)
+      if Vsync.is_up (vs r) w.w_machine then
+        match
+          List.find_opt
+            (fun (cs : Membership.cls) -> cs.Membership.info.Obj_class.name = cls)
+            (candidates r w.w_tmpl)
+        with
+        | Some cs -> place_marker r w cs
+        | None -> ())
     waiters
 
 (* --- remote mem-read ------------------------------------------------------ *)
@@ -275,22 +296,23 @@ let arm_new_class r waiters ~cls =
    go out itself: batching off, uncacheable template ([Pred] has no
    structural identity), or — via the embedded mutation serial — any
    replicated mutation of the class delivered since the would-be
-   primary was issued. The serial is read from [Membership]'s per-class
-   freshness token, the one generation source of truth. *)
-let dedup_key r ~machine ~cls tmpl =
+   primary was issued. The serial is the class record's, the one
+   generation source of truth of [Membership]'s freshness token. *)
+let dedup_key r ~machine (cs : Membership.cls) tmpl =
   if not r.batching then None
   else
     match template_key r tmpl with
     | None -> None
     | Some tk ->
-        let serial = Membership.mutation_serial r.mem ~cls in
-        Some (Printf.sprintf "%d|%s|%d|%s" machine cls serial tk)
+        Some
+          (Printf.sprintf "%d|%s|%d|%s" machine cs.Membership.info.Obj_class.name
+             cs.Membership.mut tk)
 
 (* Restricted gcast of one mem-read: through the batcher when batching
    is on (eager is refused with batching by [Config.validate], so no
    flag is dropped here), eager-capable plain gcast otherwise. *)
-let fan_out_read r ~restrict ~group ~from ~cls tmpl ~on_done =
-  let msg = Server.Mem_read { cls; tmpl } in
+let fan_out_read r ~restrict ~group ~from ~cls ~cid tmpl ~on_done =
+  let msg = Server.Mem_read { cls; cid; tmpl } in
   let on_done ~resp ~work:_ ~responders = on_done resp responders in
   if r.batching then
     Vsync.gcast_batch (vs r) ~restrict ~group ~from ~msg_size:(Server.msg_size msg)
@@ -300,15 +322,15 @@ let fan_out_read r ~restrict ~group ~from ~cls tmpl ~on_done =
       ~msg_size:(Server.msg_size msg) ~on_done msg
 
 let remote_read r ~fast (cs : Membership.cls) ~machine tmpl ~on_done =
-  let cls = cs.Membership.info.Obj_class.name in
+  let cls = cs.Membership.info.Obj_class.name and cid = cs.Membership.id in
   let group = cs.Membership.group in
   let restrict =
     if fast then fast_restrict r ~basic:cs.Membership.basic ~machine
     else if r.use_read_groups then read_restrict r ~basic:cs.Membership.basic ~machine
     else Fun.id
   in
-  match dedup_key r ~machine ~cls tmpl with
-  | None -> fan_out_read r ~restrict ~group ~from:machine ~cls tmpl ~on_done
+  match dedup_key r ~machine cs tmpl with
+  | None -> fan_out_read r ~restrict ~group ~from:machine ~cls ~cid tmpl ~on_done
   | Some key -> (
       match Hashtbl.find_opt r.read_coalesce key with
       | Some rc ->
@@ -320,7 +342,7 @@ let remote_read r ~fast (cs : Membership.cls) ~machine tmpl ~on_done =
       | None ->
           let rc = { rc_machine = machine; rc_waiters = [] } in
           Hashtbl.add r.read_coalesce key rc;
-          fan_out_read r ~restrict ~group ~from:machine ~cls tmpl
+          fan_out_read r ~restrict ~group ~from:machine ~cls ~cid tmpl
             ~on_done:(fun resp responders ->
               Hashtbl.remove r.read_coalesce key;
               let waiters = List.rev rc.rc_waiters in

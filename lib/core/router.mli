@@ -56,8 +56,14 @@ val sc_list : t -> Template.t -> string list
     per structural template signature (hits and misses counted under
     ["cache.sc_hits"] / ["cache.sc_misses"]). [Pred] specs and
     [Custom] strategies bypass the cache — their behaviour is a
-    closure with no serialisable identity. Raw sc-list only: callers
-    still filter by currently-known classes. *)
+    closure with no serialisable identity. Raw sc-list: it may name
+    classes that do not exist yet. *)
+
+val candidates : t -> Template.t -> Membership.cls list
+(** The same sc-list's currently-known classes, resolved to their
+    registry records (memoised with the sc-list and counted the same
+    way). An op that holds a record across a wait re-checks it with
+    {!Membership.live}: a class forgotten meanwhile reads as gone. *)
 
 val invalidate : t -> unit
 (** The class universe changed: drop the memoised universe and every
@@ -119,9 +125,6 @@ val fan_out_ordered :
     never restricted. *)
 
 (** {1 Marker fan-out (§4.3 read-markers)} *)
-
-val marker_classes : t -> Template.t -> string list
-(** The currently-known candidate classes a waiter's markers cover. *)
 
 val place_markers : t -> Op.waiter -> unit
 (** Gcast a marker placement to every known candidate class's write

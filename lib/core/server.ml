@@ -1,31 +1,49 @@
 type msg =
-  | Store of { cls : string; obj : Pobj.t }
-  | Mem_read of { cls : string; tmpl : Template.t }
-  | Remove of { cls : string; tmpl : Template.t }
-  | Place_marker of { cls : string; mid : int; machine : int; tmpl : Template.t }
-  | Cancel_marker of { cls : string; mid : int }
+  | Store of { cls : string; cid : int; obj : Pobj.t }
+  | Mem_read of { cls : string; cid : int; tmpl : Template.t }
+  | Remove of { cls : string; cid : int; tmpl : Template.t }
+  | Place_marker of {
+      cls : string;
+      cid : int;
+      mid : int;
+      machine : int;
+      tmpl : Template.t;
+    }
+  | Cancel_marker of { cls : string; cid : int; mid : int }
 
 type marker = { mk_id : int; mk_machine : int; mk_tmpl : Template.t }
 
 type snapshot = (string * (Pobj.t list * marker list * Uid.t list)) list
 
-type t = {
-  machine : int;
-  kind : Storage.kind;
-  cost : Storage.op_cost;
-  stores : (string, Store.t) Hashtbl.t;
-  marks : (string, marker list ref) Hashtbl.t; (* per class, oldest first *)
+(* Everything this server keeps for one class. The name table and the
+   id array point at the same record, and the cold writers (install,
+   evict, reconciliation, wipe) update it in place, so the two views
+   cannot disagree. A record is never dropped: an evicted class keeps
+   an empty, unheld one. *)
+type cstate = {
+  name : string;
+  mutable store : Store.t; (* empty while not [held] *)
+  mutable held : bool; (* a local store exists: [holds], [classes] *)
+  mutable marks : marker list; (* oldest first *)
   (* Tombstones: uids this server has removed (or learned were
      removed), so durable-recovery reconciliation can tell "removed
      while you were down" from "you hold the last copy". The durable
      layer drops one once no disk can still replay its object, when it
      writes the class's image (DESIGN.md §9). They are kept as sorted
-     sets: a snapshot lists them without sorting.
-     Recording is off until a durable layer attaches: without one,
-     recovery wipes all memory anyway, and a non-durable system must
-     stay byte-identical to one that never heard of tombstones. *)
+     sets: a snapshot lists them without sorting. *)
+  mutable tombs : Uid.Set.t;
+}
+
+type t = {
+  machine : int;
+  kind : Storage.kind;
+  cost : Storage.op_cost;
+  by_name : (string, cstate) Hashtbl.t;
+  mutable by_id : cstate array; (* class id -> record, [vacant] if unseen *)
+  (* Tombstone recording is off until a durable layer attaches: without
+     one, recovery wipes all memory anyway, and a non-durable system
+     must stay byte-identical to one that never heard of tombstones. *)
   mutable track_tombs : bool;
-  tombs : (string, Uid.Set.t) Hashtbl.t;
   (* Interned stat handles, resolved once here rather than hashing a
      key per replicated operation. *)
   c_stores : Sim.Stats.counter;
@@ -39,10 +57,9 @@ let create ?stats ~machine ~kind () =
     machine;
     kind;
     cost = Storage.cost_of_kind kind;
-    stores = Hashtbl.create 8;
-    marks = Hashtbl.create 8;
+    by_name = Hashtbl.create 8;
+    by_id = [||];
     track_tombs = false;
-    tombs = Hashtbl.create 8;
     c_stores = Sim.Stats.counter stats "server.stores";
     c_queries = Sim.Stats.counter stats "server.queries";
     c_removes = Sim.Stats.counter stats "server.removes";
@@ -50,89 +67,129 @@ let create ?stats ~machine ~kind () =
 let machine t = t.machine
 let enable_tombstones t = t.track_tombs <- true
 
-let store_for t cls =
-  match Hashtbl.find_opt t.stores cls with
-  | Some s -> s
-  | None ->
-      let s = Store.create t.kind in
-      Hashtbl.add t.stores cls s;
-      s
+let blank name store = { name; store; held = false; marks = []; tombs = Uid.Set.empty }
 
-let marks_for t cls =
-  match Hashtbl.find_opt t.marks cls with
-  | Some r -> r
+(* The empty slot of [by_id]. *)
+let vacant = blank "" (Store.create Storage.Linear)
+
+(* The class's record by name, made on first sight (cold paths). *)
+let state t cls =
+  match Hashtbl.find_opt t.by_name cls with
+  | Some c -> c
   | None ->
-      let r = ref [] in
-      Hashtbl.add t.marks cls r;
-      r
+      let c = blank cls (Store.create t.kind) in
+      Hashtbl.add t.by_name cls c;
+      c
+
+(* The record a message's (name, id) pair designates: the id slot when
+   it holds that class, else the name table, whose answer then fills
+   the slot. Messages of one System carry its dense class ids, so after
+   the first message of a class at this server every lookup is the
+   array read. *)
+let slot t ~cls ~cid =
+  let c = if cid >= 0 && cid < Array.length t.by_id then t.by_id.(cid) else vacant in
+  if c != vacant && String.equal c.name cls then c
+  else begin
+    let c = state t cls in
+    if cid >= 0 then begin
+      let n = Array.length t.by_id in
+      if cid >= n then begin
+        let grown = Array.make (max 8 (max (cid + 1) (2 * n))) vacant in
+        Array.blit t.by_id 0 grown 0 n;
+        t.by_id <- grown
+      end;
+      t.by_id.(cid) <- c
+    end;
+    c
+  end
+
+(* The class's local store, made if the class has none. *)
+let hold c =
+  c.held <- true;
+  c.store
+
+let held_slot t ~cls ~cid = hold (slot t ~cls ~cid)
+
+(* Replace the class's store by one rebuilt from [objs], in order. *)
+let reload t c objs =
+  c.store <- Store.load t.kind objs;
+  c.held <- true
+
+let find_held t cls =
+  match Hashtbl.find_opt t.by_name cls with Some c when c.held -> Some c.store | _ -> None
 
 let tombs_of t cls =
-  match Hashtbl.find_opt t.tombs cls with Some ts -> ts | None -> Uid.Set.empty
+  match Hashtbl.find_opt t.by_name cls with Some c -> c.tombs | None -> Uid.Set.empty
 
 let add_tombs t cls uids =
-  Hashtbl.replace t.tombs cls (Uid.Set.union (tombs_of t cls) (Uid.Set.of_list uids))
+  let c = state t cls in
+  c.tombs <- Uid.Set.union c.tombs (Uid.Set.of_list uids)
 
 let tombstones t ~cls = Uid.Set.elements (tombs_of t cls)
-let set_tombstones t ~cls uids = Hashtbl.replace t.tombs cls (Uid.Set.of_list uids)
+let set_tombstones t ~cls uids = (state t cls).tombs <- Uid.Set.of_list uids
 
 let handle t = function
-  | Store { cls; obj } ->
+  | Store { cls; cid; obj } -> (
       Sim.Stats.incr_counter t.c_stores;
-      let s = store_for t cls in
+      let c = slot t ~cls ~cid in
+      let s = hold c in
       let work = t.cost.insert_cost (Store.size s) in
       Store.insert s obj;
       (* Fire (and consume) the markers this object matches — the same
          deterministic decision at every replica. *)
-      let r = marks_for t cls in
-      let woken, kept = List.partition (fun m -> Template.matches m.mk_tmpl obj) !r in
-      r := kept;
-      (None, work, woken)
-  | Mem_read { cls; tmpl } ->
+      match c.marks with
+      | [] -> (None, work, [])
+      | marks ->
+          let woken, kept =
+            List.partition (fun m -> Template.matches m.mk_tmpl obj) marks
+          in
+          c.marks <- kept;
+          (None, work, woken))
+  | Mem_read { cls; cid; tmpl } ->
       Sim.Stats.incr_counter t.c_queries;
-      let s = store_for t cls in
+      let s = held_slot t ~cls ~cid in
       let work = t.cost.query_cost (Store.size s) in
       (Store.find s tmpl, work, [])
-  | Remove { cls; tmpl } ->
+  | Remove { cls; cid; tmpl } ->
       Sim.Stats.incr_counter t.c_removes;
-      let s = store_for t cls in
+      let c = slot t ~cls ~cid in
+      let s = hold c in
       let work = t.cost.delete_cost (Store.size s) in
       let removed = Store.remove_oldest s tmpl in
       (match removed with
-      | Some o when t.track_tombs ->
-          Hashtbl.replace t.tombs cls (Uid.Set.add (Pobj.uid o) (tombs_of t cls))
+      | Some o when t.track_tombs -> c.tombs <- Uid.Set.add (Pobj.uid o) c.tombs
       | Some _ | None -> ());
       (removed, work, [])
-  | Place_marker { cls; mid; machine; tmpl } ->
-      let r = marks_for t cls in
-      if not (List.exists (fun m -> m.mk_id = mid) !r) then
-        r := !r @ [ { mk_id = mid; mk_machine = machine; mk_tmpl = tmpl } ];
+  | Place_marker { cls; cid; mid; machine; tmpl } ->
+      let c = slot t ~cls ~cid in
+      if not (List.exists (fun m -> m.mk_id = mid) c.marks) then
+        c.marks <- c.marks @ [ { mk_id = mid; mk_machine = machine; mk_tmpl = tmpl } ];
       (None, 1.0, [])
-  | Cancel_marker { cls; mid } ->
-      let r = marks_for t cls in
-      r := List.filter (fun m -> m.mk_id <> mid) !r;
+  | Cancel_marker { cls; cid; mid } ->
+      let c = slot t ~cls ~cid in
+      c.marks <- List.filter (fun m -> m.mk_id <> mid) c.marks;
       (None, 1.0, [])
 
-let local_read t ~cls tmpl =
+let local_read t ~cls ~cid tmpl =
   Sim.Stats.incr_counter t.c_queries;
-  let s = store_for t cls in
+  let s = held_slot t ~cls ~cid in
   let work = t.cost.query_cost (Store.size s) in
   (Store.find s tmpl, work)
 
 let live_count t ~cls =
-  match Hashtbl.find_opt t.stores cls with
-  | Some s -> Store.size s
-  | None -> 0
+  match Hashtbl.find_opt t.by_name cls with Some c -> Store.size c.store | None -> 0
 
-let query_work t ~cls =
-  let s = store_for t cls in
-  t.cost.query_cost (Store.size s)
+let query_work t ~cls ~cid = t.cost.query_cost (Store.size (held_slot t ~cls ~cid))
 
-let holds t ~cls = Hashtbl.mem t.stores cls
+let holds t ~cls =
+  match Hashtbl.find_opt t.by_name cls with Some c -> c.held | None -> false
 
 let classes t =
-  Hashtbl.fold (fun cls _ acc -> cls :: acc) t.stores [] |> List.sort compare
+  Hashtbl.fold (fun cls c acc -> if c.held then cls :: acc else acc) t.by_name []
+  |> List.sort compare
 
-let markers t ~cls = match Hashtbl.find_opt t.marks cls with Some r -> !r | None -> []
+let markers t ~cls =
+  match Hashtbl.find_opt t.by_name cls with Some c -> c.marks | None -> []
 
 let marker_bytes ms =
   List.fold_left (fun acc m -> acc + 8 + Template.size m.mk_tmpl) 0 ms
@@ -140,11 +197,7 @@ let marker_bytes ms =
 let snapshot t ~classes =
   List.map
     (fun cls ->
-      let objs =
-        match Hashtbl.find_opt t.stores cls with
-        | Some s -> Store.to_list s
-        | None -> []
-      in
+      let objs = match find_held t cls with Some s -> Store.to_list s | None -> [] in
       (cls, (objs, markers t ~cls, tombstones t ~cls)))
     (List.sort compare classes)
 
@@ -188,7 +241,7 @@ let basis t ~classes =
     List.map
       (fun cls ->
         let uids =
-          match Hashtbl.find_opt t.stores cls with
+          match find_held t cls with
           | Some s -> List.map Pobj.uid (Store.to_list s)
           | None -> []
         in
@@ -230,26 +283,20 @@ let delta_against t ~classes ~basis ~joiner_objs =
       List.iter (fun u -> Uid.Tbl.replace have u ()) held;
       (* 1. Merge the joiner's tombstones; purge what they kill here. *)
       add_tombs t cls joiner_ts;
-      let dt = tombs_of t cls in
-      let s = store_for t cls in
+      let c = state t cls in
+      let dt = c.tombs in
+      let s = hold c in
       let purge =
         List.filter (fun o -> Uid.Set.mem (Pobj.uid o) dt) (Store.to_list s)
       in
       if purge <> [] then begin
-        Hashtbl.replace t.stores cls
-          (Store.load t.kind
-             (List.filter
-                (fun o -> not (Uid.Set.mem (Pobj.uid o) dt))
-                (Store.to_list s)));
+        reload t c
+          (List.filter (fun o -> not (Uid.Set.mem (Pobj.uid o) dt)) (Store.to_list s));
         purged := (cls, List.map Pobj.uid purge) :: !purged
       end;
       (* 2. The donor's (post-purge) order, then adoptions: joiner-held
          uids the donor neither holds nor has tombstoned. *)
-      let auth =
-        match Hashtbl.find_opt t.stores cls with
-        | Some s -> Store.to_list s
-        | None -> []
-      in
+      let auth = Store.to_list c.store in
       let auth_uids = Uid.Tbl.create 16 in
       List.iter (fun o -> Uid.Tbl.replace auth_uids (Pobj.uid o) ()) auth;
       let adopt_uids =
@@ -269,8 +316,7 @@ let delta_against t ~classes ~basis ~joiner_objs =
         adopted := (cls, adopt_objs) :: !adopted;
         (* The donor adopts too — its store must match the reconciled
            order it is about to hand out. *)
-        let s = store_for t cls in
-        List.iter (Store.insert s) adopt_objs
+        List.iter (Store.insert c.store) adopt_objs
       end;
       order := (cls, List.map Pobj.uid auth @ adopt_uids) :: !order;
       (* 3. Ship what the joiner is missing, a fresh marker image, and
@@ -298,7 +344,7 @@ let install_delta t d =
      own stores; only the rest travelled in [d_objs]. *)
   List.iter
     (fun (cls, _) ->
-      match Hashtbl.find_opt t.stores cls with
+      match find_held t cls with
       | Some s ->
           List.iter
             (fun o ->
@@ -309,16 +355,15 @@ let install_delta t d =
     d.d_order;
   List.iter
     (fun (cls, uids) ->
-      let objs = List.filter_map (Uid.Tbl.find_opt pool) uids in
-      Hashtbl.replace t.stores cls (Store.load t.kind objs))
+      reload t (state t cls) (List.filter_map (Uid.Tbl.find_opt pool) uids))
     d.d_order;
-  List.iter (fun (cls, ms) -> Hashtbl.replace t.marks cls (ref ms)) d.d_marks;
+  List.iter (fun (cls, ms) -> (state t cls).marks <- ms) d.d_marks;
   List.iter (fun (cls, ts) -> add_tombs t cls ts) d.d_tombs
 
 (* Reconciliation fix-ups applied to the *other* operational members
    so the whole group converges on the adopt/purge verdicts. *)
 let reconcile_adopt t ~cls obj =
-  let s = store_for t cls in
+  let s = hold (state t cls) in
   if
     (not (Uid.Set.mem (Pobj.uid obj) (tombs_of t cls)))
     && not
@@ -327,37 +372,36 @@ let reconcile_adopt t ~cls obj =
 
 let reconcile_purge t ~cls uid =
   add_tombs t cls [ uid ];
-  match Hashtbl.find_opt t.stores cls with
+  match find_held t cls with
   | None -> ()
   | Some s ->
       if List.exists (fun o -> Uid.equal (Pobj.uid o) uid) (Store.to_list s) then
-        Hashtbl.replace t.stores cls
-          (Store.load t.kind
-             (List.filter (fun o -> not (Uid.equal (Pobj.uid o) uid)) (Store.to_list s)))
+        reload t (state t cls)
+          (List.filter (fun o -> not (Uid.equal (Pobj.uid o) uid)) (Store.to_list s))
 
 let install t snapshot =
   List.iter
     (fun (cls, (objs, ms, ts)) ->
-      Hashtbl.replace t.stores cls (Store.load t.kind objs);
-      Hashtbl.replace t.marks cls (ref ms);
-      Hashtbl.replace t.tombs cls (Uid.Set.of_list ts))
+      let c = state t cls in
+      reload t c objs;
+      c.marks <- ms;
+      c.tombs <- Uid.Set.of_list ts)
     snapshot
 
-let evict t ~cls =
-  Hashtbl.remove t.stores cls;
-  Hashtbl.remove t.marks cls;
-  Hashtbl.remove t.tombs cls
+let clear t c =
+  c.store <- Store.create t.kind;
+  c.held <- false;
+  c.marks <- [];
+  c.tombs <- Uid.Set.empty
 
-let wipe t =
-  Hashtbl.reset t.stores;
-  Hashtbl.reset t.marks;
-  Hashtbl.reset t.tombs
+let evict t ~cls = Option.iter (clear t) (Hashtbl.find_opt t.by_name cls)
+let wipe t = Hashtbl.iter (fun _ c -> clear t c) t.by_name
 
 let frame = 8
 
 let msg_size = function
-  | Store { cls; obj } -> frame + String.length cls + Pobj.size obj
-  | Mem_read { cls; tmpl } | Remove { cls; tmpl } ->
+  | Store { cls; obj; _ } -> frame + String.length cls + Pobj.size obj
+  | Mem_read { cls; tmpl; _ } | Remove { cls; tmpl; _ } ->
       frame + String.length cls + Template.size tmpl
   | Place_marker { cls; tmpl; _ } -> frame + 8 + String.length cls + Template.size tmpl
   | Cancel_marker { cls; _ } -> frame + 8 + String.length cls

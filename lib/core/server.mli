@@ -8,13 +8,27 @@
     store's cost profile, §5). *)
 
 type msg =
-  | Store of { cls : string; obj : Pobj.t }
-  | Mem_read of { cls : string; tmpl : Template.t }
-  | Remove of { cls : string; tmpl : Template.t }
-  | Place_marker of { cls : string; mid : int; machine : int; tmpl : Template.t }
+  | Store of { cls : string; cid : int; obj : Pobj.t }
+  | Mem_read of { cls : string; cid : int; tmpl : Template.t }
+  | Remove of { cls : string; cid : int; tmpl : Template.t }
+  | Place_marker of {
+      cls : string;
+      cid : int;
+      mid : int;
+      machine : int;
+      tmpl : Template.t;
+    }
       (** leave a read-marker (§4.3): when an object matching [tmpl] is
           stored into [cls], wake waiter [mid] on [machine] *)
-  | Cancel_marker of { cls : string; mid : int }
+  | Cancel_marker of { cls : string; cid : int; mid : int }
+(** Every message names its class twice: [cls], what the wire, the WAL
+    and the cost model see, and [cid], the class's {!Membership} id,
+    which costs no bytes ({!msg_size} ignores it). A server reaches its
+    record of the class through an array indexed by [cid] while that
+    slot holds [cls]; a slot that does not (an id it has not seen yet,
+    or a message built by hand with any id) falls back to the name
+    table and refills the slot, so a wrong id costs a lookup, never a
+    wrong store. *)
 
 type marker = { mk_id : int; mk_machine : int; mk_tmpl : Template.t }
 
@@ -45,13 +59,14 @@ val handle : t -> msg -> Pobj.t option * float * marker list
     [Mem_read]/[Remove] respond with the oldest matching object or
     [None] for fail. *)
 
-val local_read : t -> cls:string -> Template.t -> Pobj.t option * float
-(** [mem-read] served from the local replica (no messages). *)
+val local_read : t -> cls:string -> cid:int -> Template.t -> Pobj.t option * float
+(** [mem-read] served from the local replica (no messages); the class
+    is reached as for a {!msg}. *)
 
 val live_count : t -> cls:string -> int
 (** ℓ: live objects held for the class (0 if not replicated here). *)
 
-val query_work : t -> cls:string -> float
+val query_work : t -> cls:string -> cid:int -> float
 (** Q(ℓ) for the class's local store, in abstract work units. *)
 
 val holds : t -> cls:string -> bool

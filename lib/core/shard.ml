@@ -158,7 +158,7 @@ let drain_posts t =
    if it stays hot). *)
 let apply_move t { Rebalance.mv_cls = cls; mv_from = src; mv_to = dst } =
   ignore
-    (Sim.Failpoint.hit t.fp ~site:"rebalance.migrate" ~node:dst ~aux:src ~group:cls ());
+    (Sim.Failpoint.hit t.fp ~site:"rebalance.migrate" ~node:dst ~aux:src ~group:cls);
   if System.class_migratable t.sys.(src) ~cls then begin
     let mg = System.extract_class t.sys.(src) ~cls in
     System.install_class t.sys.(dst) mg;

@@ -46,9 +46,14 @@ let snapshot t ~machine tmpl ~on_done =
   Sim.Stats.incr_counter t.hs.h_ops_snapshot;
   let sid = t.seq in
   t.seq <- sid + 1;
-  ignore (Sim.Failpoint.hit t.fps ~site:"paso.op.issued" ~node:machine ~aux:sid ());
+  ignore
+    (Sim.Failpoint.hit t.fps ~site:"paso.op.issued" ~node:machine ~aux:sid ~group:"");
   let op = Op.make t.opctl ~machine ~op_id:sid in
-  let candidates = Router.sc_list t.router tmpl |> List.filter (Membership.knows t.mem) in
+  let candidates =
+    List.map
+      (fun (cs : Membership.cls) -> cs.Membership.info.Obj_class.name)
+      (Router.candidates t.router tmpl)
+  in
   let acc : (string, snapshot_class) Hashtbl.t = Hashtbl.create 8 in
   let finish result = if Op.finish op ~ok:(result <> None) then on_done result in
   Op.arm_deadline op ~on_expire:(fun () -> on_done None);
@@ -108,13 +113,18 @@ let snapshot t ~machine tmpl ~on_done =
             | Some cs when Membership.probational t.mem cs.Membership.group ->
                 Membership.defer_probation t.mem ~machine ~group:cs.Membership.group one
             | Some cs ->
+                let cid = cs.Membership.id in
                 let serial0 = Membership.mutation_serial t.mem ~cls in
                 let issue_time = now t in
                 let straddled = Membership.straddle_guard t.mem cs.Membership.group in
                 if Vsync.is_member vs ~group:cs.Membership.group ~node:machine then begin
-                  let work = Server.query_work t.servers.(machine) ~cls *. t.unit_work in
+                  let work =
+                    Server.query_work t.servers.(machine) ~cls ~cid *. t.unit_work
+                  in
                   Vsync.exec_local vs ~node:machine ~work (fun () ->
-                      let resp, _ = Server.local_read t.servers.(machine) ~cls tmpl in
+                      let resp, _ =
+                        Server.local_read t.servers.(machine) ~cls ~cid tmpl
+                      in
                       Sim.Stats.incr_counter t.hs.h_local_reads;
                       record serial0 issue_time resp)
                 end

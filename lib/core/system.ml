@@ -88,22 +88,21 @@ let insert t ~machine fields ~on_done =
   t.serials.(machine) <- serial + 1;
   let uid = Uid.make ~machine ~serial in
   let o = Pobj.make ~uid fields in
-  let info = Router.classify t.router o in
-  let cs = ensure_class t info in
+  let cs = ensure_class t (Router.classify t.router o) in
+  let cls = cs.Membership.info.Obj_class.name in
   Membership.note_load_cs cs (Membership.op_weight cs);
   let id = History.begin_op t.hist ~machine ~kind:History.Insert ~obj:o ~now:(now t) () in
-  History.note_inserted t.hist o ~cls:info.Obj_class.name ~now:(now t);
+  History.note_inserted t.hist o ~cls ~now:(now t);
   Sim.Stats.incr_counter t.hs.h_ops_insert;
   (* Fault-injection site: a handler crashing [machine] here crashes it
      between issue and return (op orphaned; the §2 checker must pass). *)
   ignore
-    (Sim.Failpoint.hit t.fps ~site:"paso.op.issued" ~node:machine ~aux:id
-       ~group:info.Obj_class.name ());
+    (Sim.Failpoint.hit t.fps ~site:"paso.op.issued" ~node:machine ~aux:id ~group:cls);
   let op = Op.make t.opctl ~machine ~op_id:id in
   Op.arm_deadline op ~on_expire:(fun () ->
       History.end_op t.hist id ~now:(now t) ~result:None;
       on_done ());
-  let msg = Server.Store { cls = info.Obj_class.name; obj = o } in
+  let msg = Server.Store { cls; cid = cs.Membership.id; obj = o } in
   Op.fan_out op;
   Router.fan_out_batched t.router ~group:cs.Membership.group ~from:machine msg
     ~on_done:(fun _resp responders ->
@@ -122,9 +121,9 @@ let read_gen t ~machine ~kind tmpl ~on_done =
     (match kind with History.Read -> t.hs.h_ops_read | _ -> t.hs.h_ops_read_del);
   (* Same fault-injection site as in [insert]. *)
   ignore
-    (Sim.Failpoint.hit t.fps ~site:"paso.op.issued" ~node:machine ~aux:id ());
+    (Sim.Failpoint.hit t.fps ~site:"paso.op.issued" ~node:machine ~aux:id ~group:"");
   let op = Op.make t.opctl ~machine ~op_id:id in
-  let candidates = Router.sc_list t.router tmpl |> List.filter (Membership.knows t.mem) in
+  let candidates = Router.candidates t.router tmpl in
   let finish result =
     if Op.finish op ~ok:(result <> None) then begin
       History.end_op t.hist id ~now:(now t) ~result;
@@ -149,129 +148,131 @@ let read_gen t ~machine ~kind tmpl ~on_done =
     else
       match classes with
       | [] -> finish None
-      | cls :: rest -> begin
-          match Membership.find t.mem cls with
-          | None -> go rest
-          | Some cs when Membership.probational t.mem cs.Membership.group ->
-              (* Recovery quorum not reached: park rather than answer from
-                 a possibly-resurrected replica. *)
-              Membership.defer_probation t.mem ~machine ~group:cs.Membership.group
-                (fun () -> go (cls :: rest))
-          | Some cs -> begin
-              match kind with
-              | History.Read when Vsync.is_member t.vs ~group:cs.Membership.group ~node:machine
-                ->
-                  (* Local mem-read: no messages, just Q(ℓ) work. *)
-                  Membership.note_load_cs cs 1.0;
-                  let work =
-                    Server.query_work t.servers.(machine) ~cls *. t.cfg.unit_work
-                  in
-                  Op.fan_out op;
-                  Vsync.exec_local t.vs ~node:machine ~work (fun () ->
-                      if not (Vsync.is_member t.vs ~group:cs.Membership.group ~node:machine)
-                      then go (cls :: rest) (* left since issue: store evicted *)
-                      else
-                        let resp, _ = Server.local_read t.servers.(machine) ~cls tmpl in
-                        Sim.Stats.incr_counter t.hs.h_local_reads;
-                        Op.collecting op;
-                        if not t.static then
-                          apply_policy t ~machine ~cls
-                            (Policy.Local_read
-                               { ell = Server.live_count t.servers.(machine) ~cls });
-                        match resp with Some o -> finish (Some o) | None -> go rest)
-              | History.Read ->
-                  Membership.note_load_cs cs (Membership.op_weight cs);
-                  (* [fast]: restrict to a single replica, tagging the
-                     request with the class's freshness token; a stale or
-                     probational responder falls back — transparently, not
-                     an op retry — to the quorum read-group path,
-                     so the result is always quorum-equivalent. *)
-                  let rec attempt ~fast =
-                    let straddled = Membership.straddle_guard t.mem cs.Membership.group in
-                    let fresh =
-                      if fast then
-                        Membership.fresh_guard t.mem ~cls ~group:cs.Membership.group
-                      else fun () -> true
-                    in
-                    Sim.Stats.incr_counter t.hs.h_remote_reads;
-                    (* Captured at issue time, like the response the
-                       policy event describes; skipped entirely (the
-                       member walk is not free) under the static
-                       policy, which never reads it. *)
-                    let crossed_wan =
-                      (not t.static)
-                      && Router.crossed_wan t.router ~machine
-                           ~members:(Vsync.members t.vs ~group:cs.Membership.group)
-                    in
-                    let handle resp responders =
+      | cs :: rest when not (Membership.live t.mem cs) -> go rest (* migrated away *)
+      | cs :: rest -> begin
+          let cls = cs.Membership.info.Obj_class.name and cid = cs.Membership.id in
+          if Membership.probational t.mem cs.Membership.group then
+            (* Recovery quorum not reached: park rather than answer from
+               a possibly-resurrected replica. *)
+            Membership.defer_probation t.mem ~machine ~group:cs.Membership.group
+              (fun () -> go (cs :: rest))
+          else begin
+            match kind with
+            | History.Read
+              when Vsync.is_member t.vs ~group:cs.Membership.group ~node:machine ->
+                (* Local mem-read: no messages, just Q(ℓ) work. *)
+                Membership.note_load_cs cs 1.0;
+                let work =
+                  Server.query_work t.servers.(machine) ~cls ~cid *. t.cfg.unit_work
+                in
+                Op.fan_out op;
+                Vsync.exec_local t.vs ~node:machine ~work (fun () ->
+                    if not (Vsync.is_member t.vs ~group:cs.Membership.group ~node:machine)
+                    then go (cs :: rest) (* left since issue: store evicted *)
+                    else
+                      let resp, _ =
+                        Server.local_read t.servers.(machine) ~cls ~cid tmpl
+                      in
+                      Sim.Stats.incr_counter t.hs.h_local_reads;
                       Op.collecting op;
-                      (* ell piggybacked on the response (§5.1). *)
                       if not t.static then
                         apply_policy t ~machine ~cls
-                          (Policy.Remote_read
-                             { responders; ell = live_count t ~cls; wan = crossed_wan });
-                      if fast && not (fresh ()) then begin
-                        (* The token moved between issue and response (view
-                           change, group loss, mutation) or the group is
-                           probational: the single replica's answer is not
-                           quorum-equivalent evidence either way. *)
-                        Sim.Stats.incr_counter t.hs.h_fast_fallbacks;
-                        attempt ~fast:false
-                      end
-                      else
-                        match resp with
-                        | Some o ->
-                            if fast then Sim.Stats.incr_counter t.hs.h_fast_reads;
-                            finish (Some o)
-                        | None ->
-                            (* A loss straddled the op: the miss is not evidence
-                               of absence — re-query ([go] parks on the class
-                               until the quorum's merge is authoritative). *)
-                            if straddled () then retry (fun () -> go (cls :: rest))
-                              (* Zero responders: the whole (possibly restricted)
-                                 read group crashed mid-gcast — retry against the
-                                 survivors rather than report a spurious fail. *)
-                            else if
-                              responders = 0
-                              && Vsync.members t.vs ~group:cs.Membership.group <> []
-                            then begin
-                              Sim.Stats.incr_counter t.hs.h_read_retries;
-                              retry (fun () -> go (cls :: rest))
-                            end
-                            else begin
-                              (* A fresh single-replica miss is as good as the
-                                 quorum's: total order means every replica
-                                 holds the same class state. *)
-                              if fast then Sim.Stats.incr_counter t.hs.h_fast_reads;
-                              go rest
-                            end
-                    in
-                    Op.fan_out op;
-                    Router.remote_read t.router ~fast cs ~machine tmpl ~on_done:handle
-                  in
-                  attempt ~fast:t.cfg.fast_read
-              | History.Read_del | History.Insert ->
-                  Membership.note_load_cs cs (Membership.op_weight cs);
-                  let msg = Server.Remove { cls; tmpl } in
+                          (Policy.Local_read
+                             { ell = Server.live_count t.servers.(machine) ~cls });
+                      match resp with Some o -> finish (Some o) | None -> go rest)
+            | History.Read ->
+                Membership.note_load_cs cs (Membership.op_weight cs);
+                (* [fast]: restrict to a single replica, tagging the
+                   request with the class's freshness token; a stale or
+                   probational responder falls back — transparently, not
+                   an op retry — to the quorum read-group path,
+                   so the result is always quorum-equivalent. *)
+                let rec attempt ~fast =
                   let straddled = Membership.straddle_guard t.mem cs.Membership.group in
-                  Sim.Stats.incr_counter t.hs.h_removes;
-                  Op.fan_out op;
-                  Router.fan_out_ordered t.router ~group:cs.Membership.group ~from:machine
-                    msg ~on_done:(fun resp ->
-                      Op.collecting op;
+                  let fresh =
+                    if fast then
+                      Membership.fresh_guard t.mem ~cls ~group:cs.Membership.group
+                    else fun () -> true
+                  in
+                  Sim.Stats.incr_counter t.hs.h_remote_reads;
+                  (* Captured at issue time, like the response the
+                     policy event describes; skipped entirely (the
+                     member walk is not free) under the static
+                     policy, which never reads it. *)
+                  let crossed_wan =
+                    (not t.static)
+                    && Router.crossed_wan t.router ~machine
+                         ~members:(Vsync.members t.vs ~group:cs.Membership.group)
+                  in
+                  let handle resp responders =
+                    Op.collecting op;
+                    (* ell piggybacked on the response (§5.1). *)
+                    if not t.static then
+                      apply_policy t ~machine ~cls
+                        (Policy.Remote_read
+                           { responders; ell = live_count t ~cls; wan = crossed_wan });
+                    if fast && not (fresh ()) then begin
+                      (* The token moved between issue and response (view
+                         change, group loss, mutation) or the group is
+                         probational: the single replica's answer is not
+                         quorum-equivalent evidence either way. *)
+                      Sim.Stats.incr_counter t.hs.h_fast_fallbacks;
+                      attempt ~fast:false
+                    end
+                    else
                       match resp with
                       | Some o ->
-                          if not (Op.terminal op) then
-                            History.note_remove_ret t.hist (Pobj.uid o)
-                              ~op_id:id ~now:(now t);
+                          if fast then Sim.Stats.incr_counter t.hs.h_fast_reads;
                           finish (Some o)
                       | None ->
-                          (* Same straddle as the read path: the remove was
-                             refused by a re-formed group or raced its loss
-                             — re-query instead of skipping the class. *)
-                          if straddled () then retry (fun () -> go (cls :: rest))
-                          else go rest)
-            end
+                          (* A loss straddled the op: the miss is not evidence
+                             of absence — re-query ([go] parks on the class
+                             until the quorum's merge is authoritative). *)
+                          if straddled () then retry (fun () -> go (cs :: rest))
+                            (* Zero responders: the whole (possibly restricted)
+                               read group crashed mid-gcast — retry against the
+                               survivors rather than report a spurious fail. *)
+                          else if
+                            responders = 0
+                            && Vsync.members t.vs ~group:cs.Membership.group <> []
+                          then begin
+                            Sim.Stats.incr_counter t.hs.h_read_retries;
+                            retry (fun () -> go (cs :: rest))
+                          end
+                          else begin
+                            (* A fresh single-replica miss is as good as the
+                               quorum's: total order means every replica
+                               holds the same class state. *)
+                            if fast then Sim.Stats.incr_counter t.hs.h_fast_reads;
+                            go rest
+                          end
+                  in
+                  Op.fan_out op;
+                  Router.remote_read t.router ~fast cs ~machine tmpl ~on_done:handle
+                in
+                attempt ~fast:t.cfg.fast_read
+            | History.Read_del | History.Insert ->
+                Membership.note_load_cs cs (Membership.op_weight cs);
+                let msg = Server.Remove { cls; cid; tmpl } in
+                let straddled = Membership.straddle_guard t.mem cs.Membership.group in
+                Sim.Stats.incr_counter t.hs.h_removes;
+                Op.fan_out op;
+                Router.fan_out_ordered t.router ~group:cs.Membership.group ~from:machine
+                  msg ~on_done:(fun resp ->
+                    Op.collecting op;
+                    match resp with
+                    | Some o ->
+                        if not (Op.terminal op) then
+                          History.note_remove_ret t.hist (Pobj.uid o)
+                            ~op_id:id ~now:(now t);
+                        finish (Some o)
+                    | None ->
+                        (* Same straddle as the read path: the remove was
+                           refused by a re-formed group or raced its loss
+                           — re-query instead of skipping the class. *)
+                        if straddled () then retry (fun () -> go (cs :: rest))
+                        else go rest)
+          end
         end
   in
   go candidates
@@ -599,12 +600,11 @@ let create ?(tracing = false) ?failpoints cfg =
               woken
         | _ -> ());
         match msg with
-        | Server.Store _ | Server.Remove _ ->
-            let cls = Server.msg_class msg in
+        | Server.Store { cls; cid; _ } | Server.Remove { cls; cid; _ } ->
             (* A replicated mutation advances the class's freshness
                token: closes its read-coalescing window, invalidates
                in-flight fast reads, retries straddled snapshots. *)
-            Membership.note_mutation mem ~cls;
+            Membership.note_mutation mem ~cls ~cid;
             if not t.static then
               apply_policy t ~machine:node ~cls
                 (Policy.Update { ell = Server.live_count servers.(node) ~cls })

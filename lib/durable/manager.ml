@@ -28,12 +28,12 @@ type t = {
 
 let record_of msg ~resp =
   match (msg, resp) with
-  | Server.Store { cls; obj }, _ -> Some (Codec.R_store { cls; obj })
+  | Server.Store { cls; obj; _ }, _ -> Some (Codec.R_store { cls; obj })
   | Server.Remove { cls; _ }, Some o ->
       Some (Codec.R_remove { cls; uid = Pobj.uid o })
-  | Server.Place_marker { cls; mid; machine; tmpl }, _ ->
+  | Server.Place_marker { cls; mid; machine; tmpl; _ }, _ ->
       Some (Codec.R_mark { cls; mid; machine; tmpl })
-  | Server.Cancel_marker { cls; mid }, _ -> Some (Codec.R_cancel { cls; mid })
+  | Server.Cancel_marker { cls; mid; _ }, _ -> Some (Codec.R_cancel { cls; mid })
   | Server.Remove _, None | Server.Mem_read _, _ -> None
 
 (* Tombstone GC. A tombstone only matters while some disk can replay

@@ -40,7 +40,10 @@ let append t rcd =
   (* Fault-injection site: a torn write loses the frame's tail — the
      CRC turns it into a detectable torn log tail at recovery. *)
   let written =
-    match Sim.Failpoint.hit t.fps ~site:"durable.wal.append" ~node:t.machine () with
+    match
+      Sim.Failpoint.hit t.fps ~site:"durable.wal.append" ~node:t.machine ~aux:(-1)
+        ~group:""
+    with
     | Sim.Failpoint.Drop -> ""
     | Sim.Failpoint.Truncate k when k > 0 -> String.sub bytes 0 (max 0 (full - k))
     | _ -> bytes
@@ -58,7 +61,10 @@ let checkpoint t snap =
      the read-back verification below, so neither ever truncates the
      log out from under a bad image. *)
   let written =
-    match Sim.Failpoint.hit t.fps ~site:"durable.checkpoint.write" ~node:t.machine () with
+    match
+      Sim.Failpoint.hit t.fps ~site:"durable.checkpoint.write" ~node:t.machine ~aux:(-1)
+        ~group:""
+    with
     | Sim.Failpoint.Drop -> None
     | Sim.Failpoint.Truncate k when k > 0 -> Some (String.sub bytes 0 (max 0 (full - k)))
     | _ -> Some bytes
@@ -75,7 +81,9 @@ let checkpoint t snap =
 let on_crash t =
   (* Fault-injection site: the disk survives the crash, but an armed
      handler may lose the unsynced WAL tail. *)
-  match Sim.Failpoint.hit t.fps ~site:"durable.crash.tail" ~node:t.machine () with
+  match
+    Sim.Failpoint.hit t.fps ~site:"durable.crash.tail" ~node:t.machine ~aux:(-1) ~group:""
+  with
   | Sim.Failpoint.Truncate k when k > 0 -> Disk.wal_truncate t.disk k
   | Sim.Failpoint.Drop -> Disk.wal_clear t.disk
   | _ -> ()

@@ -42,10 +42,10 @@ let occupy t ~cost ~extra deliver =
   Sim.Stats.add_to t.a_cost cost;
   Sim.Engine.schedule_lane t.lane ~delay:(finish -. now) deliver
 
-let transmit t ?(extra = 0.0) ~size deliver =
+let transmit t ~extra ~size deliver =
   occupy t ~cost:(Cost_model.msg_cost t.model ~size) ~extra deliver
 
-let transmit_frame t ?(extra = 0.0) ~ops ~bytes deliver =
+let transmit_frame t ~extra ~ops ~bytes deliver =
   if ops < 1 then invalid_arg "Bus.transmit_frame: ops < 1";
   if bytes < 0 then invalid_arg "Bus.transmit_frame: negative bytes";
   Sim.Stats.incr_counter t.c_frames;

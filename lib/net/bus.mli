@@ -12,14 +12,16 @@ val create : Sim.Engine.t -> Cost_model.t -> Sim.Stats.t -> t
 (** Message counts and costs are recorded into the given stats under
     keys ["net.msgs"] (counter) and ["net.msg_cost"] (total). *)
 
-val transmit : t -> ?extra:float -> size:int -> (unit -> unit) -> unit
-(** [transmit bus ~size deliver] queues a transmission of [size] bytes;
-    [deliver] fires at the virtual time the transmission completes.
-    [?extra] (default 0) adds a perturbation delay on top of the
-    modelled cost — the bus stays occupied for it, but it is not
-    accounted as message cost (used by fault injection). *)
+val transmit : t -> extra:float -> size:int -> (unit -> unit) -> unit
+(** [transmit bus ~extra ~size deliver] queues a transmission of
+    [size] bytes; [deliver] fires at the virtual time the transmission
+    completes. [extra] (0 for none) adds a perturbation delay on top of
+    the modelled cost — the bus stays occupied for it, but it is not
+    accounted as message cost (used by fault injection). A plain
+    argument, not an optional one: boxing it would cost an allocation
+    per message. *)
 
-val transmit_frame : t -> ?extra:float -> ops:int -> bytes:int -> (unit -> unit) -> unit
+val transmit_frame : t -> extra:float -> ops:int -> bytes:int -> (unit -> unit) -> unit
 (** One coalesced frame carrying [ops] logical operations totalling
     [bytes] payload bytes: a single physical transmission costing
     [α + β·bytes] ({!Cost_model.frame_cost}) — it counts once in

@@ -53,7 +53,7 @@ let wan ?failpoints engine ~clusters ~local ~remote stats =
    occupancy of the medium (and hence everything serialised behind
    it), without touching the cost accounting. *)
 let transmit_extra t ~src ~dst =
-  match Sim.Failpoint.hit t.fps ~site:"net.transmit" ~node:src ~aux:dst () with
+  match Sim.Failpoint.hit t.fps ~site:"net.transmit" ~node:src ~aux:dst ~group:"" with
   | Sim.Failpoint.Delay d when d > 0.0 -> d
   | _ -> 0.0
 

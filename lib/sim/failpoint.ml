@@ -38,7 +38,7 @@ let counter t site =
       Hashtbl.add t.counts site c;
       c
 
-let hit t ~site ?(node = -1) ?(aux = -1) ?(group = "") () =
+let hit t ~site ~node ~aux ~group =
   if not t.enabled then Nothing
   else begin
     let c = counter t site in

@@ -82,11 +82,12 @@ val arm :
 
 val disarm : t -> site:string -> unit
 
-val hit :
-  t -> site:string -> ?node:int -> ?aux:int -> ?group:string -> unit -> effect_
+val hit : t -> site:string -> node:int -> aux:int -> group:string -> effect_
 (** Record a hit at [site] and fire its arming if due. Called by the
-    planted protocol code; returns the handler's effect ([Nothing] when
-    unarmed, skipped, or exhausted). *)
+    planted protocol code, which passes [-1] for no node or aux and [""]
+    for no group ({!info}'s conventions); returns the handler's effect
+    ([Nothing] when unarmed, skipped, or exhausted). The arguments are
+    plain, not optional, so an unarmed hit allocates nothing. *)
 
 val hit_count : t -> site:string -> int
 (** Hits recorded at [site] (0 while counting is disabled). *)

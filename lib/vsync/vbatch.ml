@@ -72,8 +72,8 @@ let exec ~finish t g items =
     List.filter
       (fun it ->
         ignore
-          (Sim.Failpoint.hit t.fps ~site:"vsync.gcast.begin" ~node:it.bi_from
-             ~group:g.gname ());
+          (Sim.Failpoint.hit t.fps ~site:"vsync.gcast.begin" ~node:it.bi_from ~aux:(-1)
+             ~group:g.gname);
         alive t it.bi_from it.bi_epoch)
       items
   in
@@ -139,8 +139,8 @@ let exec ~finish t g items =
         let deliver_frame m my () =
           let e = t.epoch.(m) in
           ignore
-            (Sim.Failpoint.hit t.fps ~site:"vsync.gcast.deliver" ~node:m
-               ~group:g.gname ());
+            (Sim.Failpoint.hit t.fps ~site:"vsync.gcast.deliver" ~node:m ~aux:(-1)
+               ~group:g.gname);
           if alive t m e then begin
             let total_w = ref 0.0 in
             List.iter
@@ -211,8 +211,8 @@ let flush ~pump t g =
       pump g
     in
     match
-      Sim.Failpoint.hit t.fps ~site:"vsync.batch.flush"
-        ~node:(List.hd items).bi_from ~group:g.gname ()
+      Sim.Failpoint.hit t.fps ~site:"vsync.batch.flush" ~node:(List.hd items).bi_from
+        ~aux:(-1) ~group:g.gname
     with
     | Sim.Failpoint.Delay d when d > 0.0 ->
         ignore (Sim.Engine.schedule t.eng ~delay:d enqueue)

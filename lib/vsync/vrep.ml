@@ -199,7 +199,9 @@ let notify_view t g ~extra =
       in
       (* An armed delay here postpones this member's view installation —
          the window in which it still acts on the stale view. *)
-      match Sim.Failpoint.hit t.fps ~site:"vsync.view.notify" ~node:m ~group:g.gname () with
+      match
+        Sim.Failpoint.hit t.fps ~site:"vsync.view.notify" ~node:m ~aux:(-1) ~group:g.gname
+      with
       | Sim.Failpoint.Delay d when d > 0.0 ->
           ignore (Sim.Engine.schedule t.eng ~delay:d send)
       | _ -> send ())

@@ -115,7 +115,9 @@ and exec_gcast t g ~from_ ~epoch ~msg ~size ~eager ~restrict ~on_done =
   Sim.Stats.incr_counter t.vstats.c_gcasts;
   (* The gcast has left the queue and is about to target the current
      membership — a handler crashing the issuer here orphans it. *)
-  ignore (Sim.Failpoint.hit t.fps ~site:"vsync.gcast.begin" ~node:from_ ~group:g.gname ());
+  ignore
+    (Sim.Failpoint.hit t.fps ~site:"vsync.gcast.begin" ~node:from_ ~aux:(-1)
+       ~group:g.gname);
   (* A crashed member whose view change is still queued must not be
      targeted: its copy would be dropped and never acknowledged. *)
   let all = List.filter (fun m -> t.up.(m)) (IntSet.elements g.members) in
@@ -183,7 +185,9 @@ and exec_gcast t g ~from_ ~epoch ~msg ~size ~eager ~restrict ~on_done =
            as a crash timed against the in-flight gcast would: the
            flush in the crash handler stops waiting for [m]. *)
         let e = t.epoch.(m) in
-        ignore (Sim.Failpoint.hit t.fps ~site:"vsync.gcast.deliver" ~node:m ~group:g.gname ());
+        ignore
+          (Sim.Failpoint.hit t.fps ~site:"vsync.gcast.deliver" ~node:m ~aux:(-1)
+             ~group:g.gname);
         if alive t m e then deliver_now m ()
       in
       List.iter (fun m -> send_to t ~src:from_ ~dst:m ~size (deliver_at m)) mems
@@ -231,7 +235,7 @@ and exec_join t g ~node ~on_done =
          crashing the joiner too makes the snapshot the last copy. *)
       ignore
         (Sim.Failpoint.hit t.fps ~site:"vsync.join.transfer" ~node:donor ~aux:node
-           ~group:g.gname ())
+           ~group:g.gname)
     in
     match t.cbs.state_delta ~node:donor ~group:g.gname ~joiner:node with
     | Some (state, basis_size, delta_size) ->
@@ -331,7 +335,7 @@ let gcast_batch t ?(restrict = fun members -> members) ~group ~from ~msg_size
              the hold window. *)
           Sim.Stats.incr_counter t.vstats.c_batch_cuts;
           ignore
-            (Sim.Failpoint.hit t.fps ~site:"vsync.batch.cut" ~node:from ~group ());
+            (Sim.Failpoint.hit t.fps ~site:"vsync.batch.cut" ~node:from ~aux:(-1) ~group);
           flush_batch t g
         end
         else if g.hold_timer = None then

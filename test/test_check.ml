@@ -51,13 +51,14 @@ let test_json_rejects () =
 let test_failpoint_arming () =
   let fps = Failpoint.create () in
   (* disabled registry: hits are free and uncounted *)
-  Alcotest.(check bool) "inert hit" true (Failpoint.hit fps ~site:"x" () = Failpoint.Nothing);
+  let hit () = Failpoint.hit fps ~site:"x" ~node:(-1) ~aux:(-1) ~group:"" in
+  Alcotest.(check bool) "inert hit" true (hit () = Failpoint.Nothing);
   Alcotest.(check int) "inert hits uncounted" 0 (Failpoint.hit_count fps ~site:"x");
   let fired = ref 0 in
   Failpoint.arm fps ~site:"x" ~skip:2 ~times:2 (fun _ ->
       incr fired;
       Failpoint.Delay 5.0);
-  let effects = List.init 6 (fun _ -> Failpoint.hit fps ~site:"x" ()) in
+  let effects = List.init 6 (fun _ -> hit ()) in
   Alcotest.(check int) "skip 2, fire 2, then spent" 2 !fired;
   Alcotest.(check bool) "effect pattern" true
     (effects

@@ -517,24 +517,30 @@ let test_wal_resync_replay () =
   let apply msg =
     let resp, _, _ = Server.handle srv msg in
     match (msg, resp) with
-    | Server.Store { cls; obj }, _ ->
+    | Server.Store { cls; obj; _ }, _ ->
         ignore (Durable.Wal.append wal (R_store { cls; obj }))
     | Server.Remove { cls; _ }, Some o ->
         ignore (Durable.Wal.append wal (R_remove { cls; uid = Pobj.uid o }))
     | _ -> ()
   in
   let o serial cls v = obj ~machine:0 ~serial [ Value.Sym cls; Value.Int v ] in
-  apply (Server.Store { cls = "a"; obj = o 0 "a" 1 });
-  apply (Server.Store { cls = "b"; obj = o 1 "b" 2 });
+  (* Both classes carry class id 0: a server trusts an id slot only
+     while it holds the message's class, so each store still lands in
+     its own class. *)
+  apply (Server.Store { cls = "a"; cid = 0; obj = o 0 "a" 1 });
+  apply (Server.Store { cls = "b"; cid = 0; obj = o 1 "b" 2 });
+  Alcotest.(check (list int)) "one object per class" [ 1; 1 ]
+    (List.map (fun cls -> Server.live_count srv ~cls) [ "a"; "b" ]);
   ignore
     (Durable.Wal.checkpoint wal (Server.snapshot srv ~classes:(Server.classes srv)));
-  apply (Server.Store { cls = "a"; obj = o 2 "a" 3 });
+  apply (Server.Store { cls = "a"; cid = 0; obj = o 2 "a" 3 });
   (* a state transfer replaces class a wholesale: one object dropped,
      two others and a tombstone arrive *)
   Server.install srv
     [ ("a", ([ o 2 "a" 3; o 3 "a" 4; o 4 "a" 5 ], [], [ uid ~machine:0 ~serial:0 ])) ];
   log_install "a";
-  apply (Server.Remove { cls = "a"; tmpl = Template.headed "a" [ Template.Any ] });
+  apply
+    (Server.Remove { cls = "a"; cid = 0; tmpl = Template.headed "a" [ Template.Any ] });
   Server.evict srv ~cls:"b";
   ignore (Durable.Wal.append wal (Durable.Codec.R_evict { cls = "b" }));
   let r = recover_exn wal in

@@ -177,17 +177,45 @@ let test_straddle_guard () =
    mode. *)
 let test_token_tracks_mutations () =
   let h = make ~lambda:1 () in
-  let _cs, _ = ensure h "t" in
+  let cs, _ = ensure h "t" in
   Alcotest.(check int) "serial starts at zero" 0
     (Membership.mutation_serial h.mem ~cls:"t");
   let t0 = Membership.class_token h.mem ~cls:"t" in
-  Membership.note_mutation h.mem ~cls:"t";
+  Membership.note_mutation h.mem ~cls:"t" ~cid:cs.Membership.id;
   Alcotest.(check int) "mutation advances the serial" 1
     (Membership.mutation_serial h.mem ~cls:"t");
   Alcotest.(check bool) "token moved" true
     (Membership.class_token h.mem ~cls:"t" <> t0);
   Alcotest.(check int) "other classes unaffected" 0
     (Membership.mutation_serial h.mem ~cls:"u")
+
+(* Class ids: dense in creation order, never reused; [forget] clears the
+   slot ([live] turns false) and [adopt] hands out a fresh id. A
+   mutation reaches its class through the id slot, and by name when the
+   id does not name it (a forgotten id, or no id at all). *)
+let test_class_ids () =
+  let h = make ~lambda:1 () in
+  let t, _ = ensure h "t" in
+  let u, _ = ensure h "u" in
+  Alcotest.(check (list int)) "dense ids" [ 0; 1 ] [ t.Membership.id; u.Membership.id ];
+  Alcotest.(check bool) "t live" true (Membership.live h.mem t);
+  Membership.note_mutation h.mem ~cls:"t" ~cid:u.Membership.id;
+  Membership.note_mutation h.mem ~cls:"t" ~cid:(-1);
+  Alcotest.(check (pair int int)) "a wrong id still reaches t by name" (2, 0)
+    ( Membership.mutation_serial h.mem ~cls:"t",
+      Membership.mutation_serial h.mem ~cls:"u" );
+  Membership.forget h.mem ~cls:"t";
+  Alcotest.(check bool) "forgotten record not live" false (Membership.live h.mem t);
+  Membership.note_mutation h.mem ~cls:"t" ~cid:t.Membership.id;
+  let t' =
+    Membership.adopt h.mem (info "t") ~basic:t.Membership.basic ~mut:2 ~loss_gen:0
+  in
+  Alcotest.(check int) "adopted under a fresh id" 2 t'.Membership.id;
+  Alcotest.(check bool) "old record stays dead" false (Membership.live h.mem t);
+  Alcotest.(check bool) "new record live" true (Membership.live h.mem t');
+  Membership.note_mutation h.mem ~cls:"t" ~cid:t.Membership.id;
+  Alcotest.(check int) "the old id reaches the adopted record by name" 3
+    (Membership.mutation_serial h.mem ~cls:"t")
 
 let test_fresh_guard_mutation_and_view () =
   let h = make ~lambda:1 () in
@@ -197,7 +225,7 @@ let test_fresh_guard_mutation_and_view () =
   Alcotest.(check bool) "untouched class is fresh" true (fresh ());
   (* A replicated mutation invalidates captures taken before it... *)
   let stale_mut = Membership.fresh_guard h.mem ~cls:"t" ~group in
-  Membership.note_mutation h.mem ~cls:"t";
+  Membership.note_mutation h.mem ~cls:"t" ~cid:cs.Membership.id;
   Alcotest.(check bool) "mutation staled the capture" false (stale_mut ());
   Alcotest.(check bool) "recapture is fresh again" true
     (Membership.fresh_guard h.mem ~cls:"t" ~group ());
@@ -282,7 +310,8 @@ let test_policy_leave_keeps_last_member () =
   in
   Vsync.gcast h.vs ~group ~from:x ~msg_size:1000
     ~on_done:(fun ~resp:_ ~work:_ ~responders:_ -> ())
-    (Server.Mem_read { cls = "t"; tmpl = Template.headed "t" [ Template.Any ] });
+    (Server.Mem_read
+       { cls = "t"; cid = cs.Membership.id; tmpl = Template.headed "t" [ Template.Any ] });
   policy_leave x;
   policy_leave y;
   Sim.Engine.run h.eng;
@@ -349,6 +378,7 @@ let () =
           Alcotest.test_case "straddle guard" `Quick test_straddle_guard;
           Alcotest.test_case "token tracks mutations (batching-independent)" `Quick
             test_token_tracks_mutations;
+          Alcotest.test_case "class ids: dense, never reused" `Quick test_class_ids;
           Alcotest.test_case "fresh guard: mutation and view" `Quick
             test_fresh_guard_mutation_and_view;
           Alcotest.test_case "fresh guard: probation" `Quick test_fresh_guard_probation;

@@ -47,8 +47,8 @@ let test_bus_serialises () =
      is delivered only after the first's slot — the paper's
      one-message-at-a-time bus. *)
   let t1 = ref 0.0 and t2 = ref 0.0 in
-  Net.Bus.transmit bus ~size:5 (fun () -> t1 := Sim.Engine.now eng);
-  Net.Bus.transmit bus ~size:5 (fun () -> t2 := Sim.Engine.now eng);
+  Net.Bus.transmit bus ~extra:0.0 ~size:5 (fun () -> t1 := Sim.Engine.now eng);
+  Net.Bus.transmit bus ~extra:0.0 ~size:5 (fun () -> t2 := Sim.Engine.now eng);
   Sim.Engine.run eng;
   check_float "first at its cost" 15.0 !t1;
   check_float "second serialised" 30.0 !t2
@@ -56,17 +56,17 @@ let test_bus_serialises () =
 let test_bus_idle_gap () =
   let eng, _, bus = make_bus () in
   let t2 = ref 0.0 in
-  Net.Bus.transmit bus ~size:0 (fun () -> ());
+  Net.Bus.transmit bus ~extra:0.0 ~size:0 (fun () -> ());
   ignore
     (Sim.Engine.schedule eng ~delay:100.0 (fun () ->
-         Net.Bus.transmit bus ~size:0 (fun () -> t2 := Sim.Engine.now eng)));
+         Net.Bus.transmit bus ~extra:0.0 ~size:0 (fun () -> t2 := Sim.Engine.now eng)));
   Sim.Engine.run eng;
   check_float "bus idle in between" 110.0 !t2
 
 let test_bus_accounting () =
   let eng, stats, bus = make_bus () in
-  Net.Bus.transmit bus ~size:5 (fun () -> ());
-  Net.Bus.transmit bus ~size:10 (fun () -> ());
+  Net.Bus.transmit bus ~extra:0.0 ~size:5 (fun () -> ());
+  Net.Bus.transmit bus ~extra:0.0 ~size:10 (fun () -> ());
   Sim.Engine.run eng;
   Alcotest.(check int) "message count" 2 (Net.Bus.message_count bus);
   check_float "total cost" 35.0 (Net.Bus.total_cost bus);
@@ -88,7 +88,7 @@ let test_bus_frame_accounting () =
   let eng, stats, bus = make_bus () in
   (* Three ops of 5 bytes each in one frame: one physical message
      costing alpha + beta*15, vs 3*(alpha + beta*5) unbatched. *)
-  Net.Bus.transmit_frame bus ~ops:3 ~bytes:15 (fun () -> ());
+  Net.Bus.transmit_frame bus ~extra:0.0 ~ops:3 ~bytes:15 (fun () -> ());
   Sim.Engine.run eng;
   Alcotest.(check int) "one physical message" 1 (Net.Bus.message_count bus);
   check_float "alpha charged once" 25.0 (Net.Bus.total_cost bus);

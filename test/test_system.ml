@@ -313,7 +313,7 @@ let test_insert_cost_matches_closed_form () =
   let measured = Sim.Stats.total stats "net.msg_cost" -. before in
   let expected =
     Net.Cost_model.gcast_cost cm ~group_size:3
-      ~msg_size:(Server.msg_size (Server.Store { cls; obj = o }))
+      ~msg_size:(Server.msg_size (Server.Store { cls; cid = -1; obj = o }))
       ~resp_size:0
   in
   Alcotest.(check (float 1e-9)) "insert msg-cost = alpha(2g+1) + beta(mg+r)" expected
@@ -338,7 +338,7 @@ let test_remote_read_cost_matches_closed_form () =
   let resp_size = Pobj.size (Option.get !got) in
   let expected =
     Net.Cost_model.gcast_cost cm ~group_size:3
-      ~msg_size:(Server.msg_size (Server.Mem_read { cls; tmpl }))
+      ~msg_size:(Server.msg_size (Server.Mem_read { cls; cid = -1; tmpl }))
       ~resp_size
   in
   Alcotest.(check (float 1e-9)) "remote read msg-cost = closed form" expected measured
@@ -883,9 +883,111 @@ let test_deterministic_replay () =
   let a = run () and b = run () in
   Alcotest.(check bool) "identical runs" true (a = b)
 
+(* --- class ids across migration and eviction --------------------------------- *)
+
+let exact h i = Template.make [ Template.Eq (v_sym h); Template.Eq (v_int i) ]
+
+(* Insert, read and read&del of a fresh object of head [h] from
+   [machine], each answered; the insert lands in the replica that every
+   write-group member's snapshot reports. *)
+let serve_all_three sys ~machine ~cls h i =
+  insert_sync sys ~machine [ v_sym h; v_int i ];
+  List.iter
+    (fun m ->
+      let held =
+        match System.server_snapshot sys ~machine:m ~classes:[ cls ] with
+        | [ (_, (objs, _, _)) ] -> List.exists (fun o -> Pobj.field o 1 = v_int i) objs
+        | _ -> false
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "machine %d's snapshot holds %d" m i)
+        true held)
+    (System.write_group sys ~cls);
+  let tmpl = exact h i in
+  Alcotest.(check bool) "read answered" true (read_sync sys ~machine tmpl <> None);
+  Alcotest.(check bool)
+    "read&del answered" true
+    (read_del_sync sys ~machine tmpl <> None);
+  Alcotest.(check bool) "taken" true (read_sync sys ~machine tmpl = None)
+
+let class_named sys h =
+  System.class_of_obj sys
+    (Pobj.make ~uid:(Uid.make ~machine:0 ~serial:0) [ v_sym h; v_int 0 ])
+
+(* A class migrated out and back in comes back under a new class id;
+   the servers still hold the record its old id filled, and reach it
+   again through the new id. *)
+let test_class_id_migration_round_trip () =
+  let a = make ~n:8 () and b = make ~n:8 () in
+  insert_sync a ~machine:0 [ v_sym "mig"; v_int 0 ];
+  let cls = class_named a "mig" in
+  let move src dst =
+    Alcotest.(check bool) "migratable" true (System.class_migratable src ~cls);
+    System.install_class dst (System.extract_class src ~cls);
+    System.run dst
+  in
+  move a b;
+  Alcotest.(check int) "gone from the source" 0 (List.length (System.known_classes a));
+  serve_all_three b ~machine:1 ~cls "mig" 1;
+  move b a;
+  List.iter
+    (fun machine -> serve_all_three a ~machine ~cls "mig" (10 + machine))
+    [ 0; 3; 7 ];
+  Alcotest.(check bool) "the first object came back" true
+    (read_sync a ~machine:5 (exact "mig" 0) <> None);
+  check_no_violations a;
+  check_no_violations b
+
+(* A replica evicted by a policy leave and rejoined keeps serving: the
+   leave clears the machine's record in place, the rejoin's state
+   transfer refills it, and later stores reach it through the id slot
+   the first store filled. *)
+let test_class_id_policy_leave_rejoin () =
+  let verdict = ref Policy.Stay in
+  let policy =
+    { Policy.static with on_event = (fun ~machine:_ ~cls:_ ~is_member:_ _ -> !verdict) }
+  in
+  let probe = exact "ev" (-1) in
+  let sys = make ~n:8 ~policy () in
+  insert_sync sys ~machine:0 [ v_sym "ev"; v_int 0 ];
+  let cls = class_named sys "ev" in
+  let x =
+    List.find
+      (fun m -> not (List.mem m (System.basic_support sys ~cls)))
+      (List.init 8 Fun.id)
+  in
+  (* The read's own access event carries the verdict to [x]. *)
+  let decide v =
+    verdict := v;
+    ignore (read_sync sys ~machine:x probe);
+    verdict := Policy.Stay
+  in
+  let member () = List.mem x (System.write_group sys ~cls) in
+  decide Policy.Join;
+  Alcotest.(check bool) "joined" true (member ());
+  serve_all_three sys ~machine:x ~cls "ev" 1;
+  decide Policy.Leave;
+  Alcotest.(check bool) "left" false (member ());
+  Alcotest.(check int) "replica evicted" 0
+    (List.length (System.server_snapshot sys ~machine:x ~classes:[ cls ]));
+  serve_all_three sys ~machine:x ~cls "ev" 2;
+  decide Policy.Join;
+  Alcotest.(check bool) "rejoined" true (member ());
+  serve_all_three sys ~machine:x ~cls "ev" 3;
+  Alcotest.(check bool) "the first object survived" true
+    (read_sync sys ~machine:x (exact "ev" 0) <> None);
+  check_no_violations sys
+
 let () =
   Alcotest.run "system"
     [
+      ( "class ids",
+        [
+          Alcotest.test_case "migrate out and back in" `Quick
+            test_class_id_migration_round_trip;
+          Alcotest.test_case "policy leave, then rejoin" `Quick
+            test_class_id_policy_leave_rejoin;
+        ] );
       ( "primitives",
         [
           Alcotest.test_case "insert then read" `Quick test_insert_read;
