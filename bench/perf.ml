@@ -250,6 +250,49 @@ let fabric_transmit iters =
   done;
   Sim.Engine.run fabric_engine
 
+(* One unrestricted gcast to a 3-member group through its handle, as
+   every replicated op makes one: three copies and their deliveries,
+   three acks and the response, on the shared bus through an unarmed
+   failpoint registry. The instance and its group are built once, the
+   deliver callback returns one constant answer, and the engine drains
+   empty after each gcast, so a trial's allocation is what the fan-out
+   itself costs per gcast. *)
+let gcast_engine = Sim.Engine.create ()
+
+let gcast_vs =
+  let stats = Sim.Stats.create () in
+  let fabric =
+    Net.Fabric.shared_bus ~failpoints:(Sim.Failpoint.create ()) gcast_engine
+      (Net.Cost_model.v ~alpha:500.0 ~beta:1.0)
+      stats
+  in
+  let answer = (Some 1, 1.0) in
+  let vs =
+    Vsync.make ~engine:gcast_engine ~fabric ~stats ~trace:(Sim.Trace.create ()) ~n:4
+      {
+        Vsync.deliver = (fun ~node:_ ~group:_ ~from:_ ~nth:_ ~prior:_ _ -> answer);
+        resp_size = (fun _ -> 8);
+        state_of = (fun ~node:_ ~group:_ -> ((), 0));
+        state_delta = (fun ~node:_ ~group:_ ~joiner:_ -> None);
+        install_state = (fun ~node:_ ~group:_ () -> ());
+        on_view = (fun ~node:_ _ -> ());
+        on_evict = (fun ~node:_ ~group:_ -> ());
+        on_group_lost = (fun ~group:_ ~node:_ -> ());
+      }
+  in
+  List.iter (fun node -> Vsync.join vs ~group:"g" ~node ~on_done:ignore) [ 0; 1; 2 ];
+  Sim.Engine.run gcast_engine;
+  vs
+
+let gcast_group = Vsync.handle "g"
+let gcast_done ~resp:_ ~work:_ ~responders:_ = ()
+
+let vsync_gcast iters =
+  for _ = 1 to iters do
+    Vsync.gcast_h gcast_vs gcast_group ~from:3 ~msg_size:64 ~on_done:gcast_done 0;
+    Sim.Engine.run gcast_engine
+  done
+
 let trace_emit iters =
   let tr = Sim.Trace.create ~capacity:4096 () in
   Sim.Trace.enable tr;
@@ -265,8 +308,9 @@ let history_round iters =
   done
 
 (* One inserted object's landmarks, as a mix-shaped run records them:
-   [note_inserted], a first store at each of three replicas, then
-   [note_all_stored]. Uids are dense per machine over 32 machines, and
+   [note_inserted], the first store (noted by the first of the three
+   replicas only), then [note_row_all_stored] by the row the insert
+   got. Uids are dense per machine over 32 machines, and
    a fresh history starts every [lifecycle_rows] objects, so the index
    is measured at about 128k rows whatever the iteration count. The
    objects are built once, outside the trials. *)
@@ -289,11 +333,9 @@ let history_lifecycle iters =
     if k = 0 && i > 0 then h := History.create ();
     let o = objs.(k) in
     let uid = Pobj.uid o and now = float_of_int i in
-    History.note_inserted !h o ~cls:lifecycle_classes.(i land 7) ~now;
+    let row = History.note_inserted !h o ~cls:lifecycle_classes.(i land 7) ~now in
     History.note_first_store !h uid ~now;
-    History.note_first_store !h uid ~now;
-    History.note_first_store !h uid ~now;
-    History.note_all_stored !h uid ~now
+    History.note_row_all_stored !h row ~now
   done
 
 (* A system with a populated class universe, for the sc-list kernels:
@@ -420,6 +462,7 @@ let kernel_specs =
     ("event_heap_cancel", event_heap_cancel, 500_000);
     ("engine_bus", engine_bus, 1_000_000);
     ("fabric_transmit", fabric_transmit, 1_000_000);
+    ("vsync_gcast", vsync_gcast, 200_000);
     ("trace_emit", trace_emit, 500_000);
     ("history_round", history_round, 300_000);
     ("history_lifecycle", history_lifecycle, 5 * lifecycle_rows);
@@ -1260,6 +1303,12 @@ let trajectory_row ?bench label p =
   J.Obj
     [
       ("pr", J.Str label);
+      ( "host",
+        J.Obj
+          [
+            ("cores", J.Num (float_of_int (Domain.recommended_domain_count ())));
+            ("ocaml", J.Str Sys.ocaml_version);
+          ] );
       ("ops_per_s", num [ "e8_mix"; "ops_per_s" ]);
       ("calibration_ns", opt_num calibration_ns);
       ( "e8_ops_per_s_norm",
@@ -1289,6 +1338,8 @@ let trajectory_row ?bench label p =
       ("engine_bus_ns", opt_num (kernel_ns "engine_bus"));
       ("engine_bus_alloc_b_per_op", opt_num (kernel_alloc "engine_bus"));
       ("fabric_transmit_alloc_b_per_op", opt_num (kernel_alloc "fabric_transmit"));
+      ("vsync_gcast_ns", opt_num (kernel_ns "vsync_gcast"));
+      ("vsync_gcast_alloc_b_per_op", opt_num (kernel_alloc "vsync_gcast"));
       ("history_lifecycle_ns", opt_num (kernel_ns "history_lifecycle"));
       ("history_lifecycle_alloc_b_per_op", opt_num (kernel_alloc "history_lifecycle"));
       ("e8_alloc_b_per_op", opt_num (e8_alloc_b_per_op p));

@@ -327,7 +327,9 @@ let set_row t (uid : Uid.t) row =
 
 let note_inserted t o ~cls ~now =
   let uid = Pobj.uid o in
-  if row_of t uid < 0 then begin
+  let known = row_of t uid in
+  if known >= 0 then known
+  else begin
     let row = t.next_life in
     let k = row lsr chunk_bits and i = row land chunk_mask in
     if i = 0 then
@@ -344,13 +346,13 @@ let note_inserted t o ~cls ~now =
     c.cls_c.(i) <- class_id t cls lsl 1;
     c.obj_c.(i) <- o;
     set_row t uid row;
-    t.next_life <- row + 1
+    t.next_life <- row + 1;
+    row
   end
 
-(* Set landmark [k] of [uid]'s lifecycle unless already set; [true]
-   when this call set it. *)
-let set_once t uid k ~now =
-  let row = row_of t uid in
+(* Set landmark [k] of lifecycle [row] unless already set; [true] when
+   this call set it. *)
+let set_row_once t row k ~now =
   row >= 0
   &&
   let c = life_chunk t row in
@@ -358,9 +360,17 @@ let set_once t uid k ~now =
   let x = Float.Array.get c.marks_c (slot row k) in
   Float.is_nan x && (set_mark c row k now; true)
 
+let set_once t uid k ~now = set_row_once t (row_of t uid) k ~now
+
 let note_first_store t uid ~now = ignore (set_once t uid first_store_k ~now)
 let note_all_stored t uid ~now = ignore (set_once t uid all_stored_k ~now)
+let note_row_all_stored t row ~now = ignore (set_row_once t row all_stored_k ~now)
 let note_removal t uid ~now = ignore (set_once t uid first_removal_k ~now)
+
+let note_removal_answer t ~prior o ~now =
+  match prior with
+  | Some p when p == o -> ()
+  | Some _ | None -> note_removal t (Pobj.uid o) ~now
 let note_recovered t uid ~now = ignore (set_once t uid recovered_at_k ~now)
 
 let note_remove_ret t uid ~op_id ~now =

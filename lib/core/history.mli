@@ -77,12 +77,27 @@ val begin_op :
 val end_op : t -> int -> now:float -> result:Pobj.t option -> unit
 (** Record op [id]'s return. @raise Invalid_argument on an unknown id. *)
 
-val note_inserted : t -> Pobj.t -> cls:string -> now:float -> unit
-(** The insert of this object was issued. *)
+val note_inserted : t -> Pobj.t -> cls:string -> now:float -> int
+(** The insert of this object was issued. Returns its lifecycle row
+    (the existing one if the uid is already known), for
+    {!note_row_all_stored}. *)
 
 val note_first_store : t -> Uid.t -> now:float -> unit
 val note_all_stored : t -> Uid.t -> now:float -> unit
+
+val note_row_all_stored : t -> int -> now:float -> unit
+(** {!note_all_stored} by the row {!note_inserted} returned, with no
+    uid lookup. *)
+
 val note_removal : t -> Uid.t -> now:float -> unit
+
+val note_removal_answer : t -> prior:Pobj.t option -> Pobj.t -> now:float -> unit
+(** One replica's answer to a remove: {!note_removal} of the object,
+    unless [prior] — the first answer an earlier replica of the same
+    gcast returned — is this very object (physically), which that
+    replica already noted. Replicas that answer with different objects
+    each note theirs. *)
+
 val note_remove_ret : t -> Uid.t -> op_id:int -> now:float -> unit
 val note_class_lost : t -> cls:string -> now:float -> unit
 (** The class lost its last replica: every object of the class already

@@ -1,6 +1,12 @@
 type cls = {
   info : Obj_class.info;
   group : string;
+  gh : (Server.msg, Pobj.t) Vsync.group;
+      (* [group]'s handle, one per group ([handles]): no lookup by name
+         per op *)
+  loss : int ref;
+      (* [group]'s loss generation: the one cell [probation_gen] holds
+         for the group, shared by its classes *)
   id : int;
       (* dense, never reused within a System: the slot in [by_id] that
          resolves this record while it is registered *)
@@ -11,11 +17,12 @@ type cls = {
          — view id and loss generation — live in vsync / probation_gen);
          also the read-coalescing window key in [Router]. Lives in the
          class record so the hot deliver path reaches it by id. *)
-  mutable load : float;
-      (* §4 cost-model weighted op count since the last [take_loads]:
-         the rebalancer's per-class demand signal, accumulated at issue
-         sites that already hold the record and drained at round
-         barriers. *)
+  load : float array;
+      (* one slot: the §4 cost-model weighted op count since the last
+         [take_loads], the rebalancer's per-class demand signal,
+         accumulated at issue sites that already hold the record and
+         drained at round barriers (a mutable float field would box at
+         every op) *)
 }
 type xfer = Full of Server.snapshot | Delta of Server.delta
 type vsync = (Server.msg, Pobj.t, xfer) Vsync.t
@@ -44,7 +51,10 @@ type t = {
       (* (issuing machine, resume) continuations parked on a
          probational group, flushed on the view change that reaches
          quorum *)
-  probation_gen : (string, int) Hashtbl.t;
+  probation_gen : (string, int ref) Hashtbl.t; (* never removed: see [cls.loss] *)
+  handles : (string, (Server.msg, Pobj.t) Vsync.group) Hashtbl.t;
+      (* one per group, never removed: a class that migrates away and
+         back gets its old handle again, which re-resolves by name *)
   mutable gates_probation : bool; (* durability attached *)
 }
 
@@ -67,6 +77,7 @@ let create ~n ~lambda ~seed ~use_read_groups ~group_map ~servers ~engine ~stats 
     probation = Hashtbl.create 8;
     prob_waiters = Hashtbl.create 8;
     probation_gen = Hashtbl.create 8;
+    handles = Hashtbl.create 16;
     gates_probation = false;
   }
 
@@ -99,10 +110,12 @@ let gone =
   {
     info = { Obj_class.name = ""; cls_arity = 0; head = None };
     group = "";
+    gh = Vsync.handle "";
+    loss = ref 0;
     id = -1;
     basic = [];
     mut = 0;
-    load = 0.0;
+    load = [| 0.0 |];
   }
 
 let live m cs = cs.id >= 0 && m.by_id.(cs.id) == cs
@@ -116,13 +129,33 @@ let resolve m ~cls ~cid =
   if cs != gone && String.equal cs.info.Obj_class.name cls then cs
   else match find m cls with Some cs -> cs | None -> gone
 
+(* The group's loss generation cell, created at 0 on first use. *)
+let loss_cell m group =
+  match Hashtbl.find_opt m.probation_gen group with
+  | Some c -> c
+  | None ->
+      let c = ref 0 in
+      Hashtbl.add m.probation_gen group c;
+      c
+
+let group_handle m group =
+  match Hashtbl.find_opt m.handles group with
+  | Some h -> h
+  | None ->
+      let h = Vsync.handle group in
+      Hashtbl.add m.handles group h;
+      h
+
 (* Enter a new class under the next id, in both the name table and its
    group's class list. *)
 let register m info ~group ~basic ~mut =
   let cls = info.Obj_class.name in
   let id = m.next_id in
   m.next_id <- id + 1;
-  let cs = { info; group; id; basic; mut; load = 0.0 } in
+  let cs =
+    { info; group; gh = group_handle m group; loss = loss_cell m group; id; basic; mut;
+      load = [| 0.0 |] }
+  in
   if id = Array.length m.by_id then begin
     let grown = Array.make (max 8 (2 * id)) gone in
     Array.blit m.by_id 0 grown 0 id;
@@ -166,30 +199,28 @@ let basic_support m ~cls =
   match find m cls with Some cs -> cs.basic | None -> compute_basic m cls
 
 let write_group m ~cls =
-  match find m cls with
-  | Some cs -> Vsync.members (vs m) ~group:cs.group
-  | None -> []
+  match find m cls with Some cs -> Vsync.members_h (vs m) cs.gh | None -> []
 
 let operational_basic m cs =
-  List.filter (fun mach -> Vsync.is_member (vs m) ~group:cs.group ~node:mach) cs.basic
+  List.filter (fun mach -> Vsync.is_member_h (vs m) cs.gh ~node:mach) cs.basic
 
 let read_group m ~cls =
   match find m cls with
   | None -> []
   | Some cs ->
-      if not m.use_read_groups then Vsync.members (vs m) ~group:cs.group
+      if not m.use_read_groups then Vsync.members_h (vs m) cs.gh
       else begin
         match operational_basic m cs with
         | [] -> begin
             (* Degenerate fallback: first λ+1 members. *)
-            let mems = Vsync.members (vs m) ~group:cs.group in
+            let mems = Vsync.members_h (vs m) cs.gh in
             List.filteri (fun i _ -> i <= m.lambda) mems
           end
         | basic_up -> basic_up
       end
 
 let operational_members m cs =
-  List.filter (fun mach -> Vsync.is_up (vs m) mach) (Vsync.members (vs m) ~group:cs.group)
+  List.filter (fun mach -> Vsync.is_up (vs m) mach) (Vsync.members_h (vs m) cs.gh)
 
 let sorted_classes m =
   Hashtbl.fold (fun cls _ acc -> cls :: acc) m.classes [] |> List.sort compare
@@ -217,7 +248,7 @@ let repair m rstate strategy ~cls ~failed =
   | Some cs when List.mem failed cs.basic ->
       cs.basic <- List.filter (fun mach -> mach <> failed) cs.basic;
       Repair.note_support_exit rstate ~cls ~machine:failed ~now:(Sim.Engine.now m.eng);
-      let members = Vsync.members (vs m) ~group:cs.group in
+      let members = Vsync.members_h (vs m) cs.gh in
       let candidates =
         List.filter
           (fun mach ->
@@ -327,16 +358,15 @@ let probational m group =
       else true
 
 let probation_generation m group =
-  Option.value ~default:0 (Hashtbl.find_opt m.probation_gen group)
+  match Hashtbl.find_opt m.probation_gen group with Some c -> !c | None -> 0
 
-(* Capture the group's loss generation at issue time; the returned
-   thunk answers "did a loss straddle this op?" at response time. A
-   miss refused by (or answered from) a group that lost its last
-   member mid-op is not evidence of absence — the issuer must re-query
-   once the quorum's merged image is authoritative. *)
-let straddle_guard m group =
-  let gen0 = probation_generation m group in
-  fun () -> probational m group || probation_generation m group <> gen0
+(* The class's loss generation at issue time; [straddled] answers "did
+   a loss straddle this op?" at response time. A miss refused by (or
+   answered from) a group that lost its last member mid-op is not
+   evidence of absence — the issuer must re-query once the quorum's
+   merged image is authoritative. *)
+let straddle_mark cs = !(cs.loss)
+let straddled m cs mark = probational m cs.group || !(cs.loss) <> mark
 
 (* A query cannot simply fail during probation — §2 fail-legality only
    permits a fail when no matching object was alive for the whole op —
@@ -372,7 +402,7 @@ let flush_probation m =
 
 let note_group_lost m ~group ~node =
   Hashtbl.replace m.probation group (if m.gates_probation then Some node else None);
-  Hashtbl.replace m.probation_gen group (1 + probation_generation m group);
+  incr (loss_cell m group);
   classes_of_group m group
 
 (* A probational group whose last member [machine] has not rejoined:
@@ -421,7 +451,7 @@ let schedule_rejoin m ~machine ~delay =
                 loses its last member and may re-form from recovered
                 disks (the probation straddle).
 
-   [straddle_guard] above is the loss-only projection of this token
+   [straddle_mark] / [straddled] above are the loss-only projection of this token
    (quorum reads only distrust a miss across a loss); [fresh_guard] is
    the full token, which is what a single-replica fast read must check
    before trusting its one responder. *)
@@ -441,8 +471,8 @@ let class_token m ~cls =
   | Some cs ->
       {
         tk_mut = cs.mut;
-        tk_view = Vsync.view_id (vs m) ~group:cs.group;
-        tk_loss = probation_generation m cs.group;
+        tk_view = Vsync.view_id_h (vs m) cs.gh;
+        tk_loss = !(cs.loss);
       }
 
 let fresh_guard m ~cls ~group =
@@ -451,7 +481,7 @@ let fresh_guard m ~cls ~group =
 
 (* --- per-class load accounting (rebalancer demand signal) ---------------- *)
 
-let note_load_cs cs w = cs.load <- cs.load +. w
+let note_load_cs cs w = cs.load.(0) <- cs.load.(0) +. w
 
 (* §4 cost-model weight of one replicated op against the class: the
    message term of α(2g+1), with g its basic-support size. The absolute
@@ -462,9 +492,9 @@ let take_loads m =
   let acc = ref [] in
   Hashtbl.iter
     (fun cls cs ->
-      if cs.load > 0.0 then begin
-        acc := (cls, cs.load) :: !acc;
-        cs.load <- 0.0
+      if cs.load.(0) > 0.0 then begin
+        acc := (cls, cs.load.(0)) :: !acc;
+        cs.load.(0) <- 0.0
       end)
     m.classes;
   List.sort compare !acc
@@ -489,8 +519,7 @@ let adopt m info ~basic ~mut ~loss_gen =
     invalid_arg (Printf.sprintf "Membership.adopt: class %s already known" cls);
   let group = group_of_class m cls in
   let cs = register m info ~group ~basic ~mut in
-  if loss_gen > probation_generation m group then
-    Hashtbl.replace m.probation_gen group loss_gen;
+  if loss_gen > !(cs.loss) then cs.loss := loss_gen;
   (* "paso.classes" is deliberately not advanced: the class was counted
      when it was created at the source, and a migration is a move, so
      the sum over shards stays one per class. *)
@@ -508,7 +537,7 @@ let apply_policy m ~policy ~machine ~cls event =
   match find m cls with
   | None -> ()
   | Some cs ->
-      let is_member = Vsync.is_member (vs m) ~group:cs.group ~node:machine in
+      let is_member = Vsync.is_member_h (vs m) cs.gh ~node:machine in
       let decision = policy.Policy.on_event ~machine ~cls ~is_member event in
       let basic_member = List.mem machine cs.basic in
       (match (decision, is_member, basic_member) with

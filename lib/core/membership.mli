@@ -20,6 +20,15 @@
 type cls = {
   info : Obj_class.info;
   group : string;  (** vsync group name, ["wg/" ^ group_map(class)] *)
+  gh : (Server.msg, Pobj.t) Vsync.group;
+      (** the write group's handle: every op reaches the group through
+          it, not by name. One per group for the registry's lifetime,
+          so a class that migrates away and back gets the same handle,
+          which finds the re-formed group by name on its next use *)
+  loss : int ref;
+      (** the write group's loss generation ({!probation_generation}):
+          one cell per group, shared by its classes — capture it
+          through {!straddle_mark} *)
   id : int;
       (** the class id: dense, given when {!ensure} or {!adopt} creates
           the record and never reused within this registry. Replicated
@@ -31,10 +40,11 @@ type cls = {
   mutable mut : int;
       (** the class's mutation serial — read it through
           {!mutation_serial}, advance it through {!note_mutation} *)
-  mutable load : float;
-      (** §4 cost-model weighted op count since the last {!take_loads}
-          — the rebalancer's per-class demand signal, advanced through
-          {!note_load_cs} at issue sites that already hold the record *)
+  load : float array;
+      (** one slot: the §4 cost-model weighted op count since the last
+          {!take_loads} — the rebalancer's per-class demand signal,
+          advanced through {!note_load_cs} at issue sites that already
+          hold the record *)
 }
 
 (** State-transfer payload: the full snapshot of the ordinary join
@@ -163,12 +173,15 @@ val probation_generation : t -> string -> int
     by a probational re-formed group, and must re-query rather than
     trust a [None]. *)
 
-val straddle_guard : t -> string -> unit -> bool
-(** [straddle_guard m group] captures the group's loss generation now;
-    the returned thunk answers "did a loss straddle this op?" when the
-    response arrives — true if the group is (still) probational or its
-    generation moved. The declarative form of the re-query condition
-    in [System.read] / [System.read_del]. *)
+val straddle_mark : cls -> int
+(** The class's write-group loss generation now: captured at issue,
+    checked by {!straddled} when the response arrives. *)
+
+val straddled : t -> cls -> int -> bool
+(** [straddled m cs mark]: did a loss straddle the op issued at [mark]?
+    True if the group is (still) probational or its generation moved.
+    The re-query condition of [System.read] / [System.read_del]; a
+    plain check, with no closure and no lookup by name. *)
 
 val defer_probation : t -> machine:int -> group:string -> (unit -> unit) -> unit
 (** Park a continuation on a probational group (§2 fail-legality
@@ -197,7 +210,7 @@ val note_group_lost : t -> group:string -> node:int -> string list
     write group's view id (bumped on join/leave/crash/recovery,
     piggybacked on view installation by the vsync layer), and the
     group's loss generation ({!probation_generation}).
-    {!straddle_guard} is the loss-only projection of the same token. *)
+    {!straddled} is the loss-only projection of the same token. *)
 
 type token = { tk_mut : int; tk_view : int; tk_loss : int }
 

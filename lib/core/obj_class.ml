@@ -11,18 +11,33 @@ type strategy =
       candidates : universe:info list -> Template.t -> string list;
     }
 
+(* Class-name prefixes for the arities below [named_arities], built
+   once: [head_name] and [arity_name] run on every insert's classify,
+   and [string_of_int] goes through the printf machinery. The tables
+   are never written, so shards on other domains may read them. *)
+let named_arities = 32
+let head_prefix k = "h/" ^ string_of_int k ^ "/"
+let arity_label k = "a/" ^ string_of_int k
+let head_prefixes = Array.init named_arities head_prefix
+let arity_labels = Array.init named_arities arity_label
+
+let arity_name k =
+  if k >= 0 && k < named_arities then arity_labels.(k) else arity_label k
+
 let head_name ~arity v =
-  (* Concatenation, not [Printf]: this runs on every insert's classify.
-     [Value.key], so equal heads name one class. *)
-  String.concat ""
-    [ "h/"; string_of_int arity; "/"; Value.type_name v; ":"; Value.key v ]
+  (* [Value.key], so equal heads name one class. *)
+  let prefix =
+    if arity >= 0 && arity < named_arities then head_prefixes.(arity)
+    else head_prefix arity
+  in
+  String.concat "" [ prefix; Value.type_name v; ":"; Value.key v ]
 
 let classify strategy o =
   match strategy with
   | Single_class -> { name = "all"; cls_arity = Pobj.arity o; head = None }
   | By_arity ->
       let k = Pobj.arity o in
-      { name = Printf.sprintf "a/%d" k; cls_arity = k; head = None }
+      { name = arity_name k; cls_arity = k; head = None }
   | By_head ->
       let k = Pobj.arity o in
       let v = Pobj.field o 0 in
@@ -68,7 +83,7 @@ let sc_list strategy ~universe sc =
   let names =
     match strategy with
     | Single_class -> [ "all" ]
-    | By_arity -> [ Printf.sprintf "a/%d" k ]
+    | By_arity -> [ arity_name k ]
     | By_head -> begin
         match Template.spec sc 0 with
         | Template.Eq v -> [ head_name ~arity:k v ]

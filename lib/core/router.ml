@@ -29,8 +29,8 @@ type t = {
   mem : Membership.t;
   mutable r_vs : Membership.vsync option;
   (* sc-list memoisation: the classing strategy is fixed per system, so
-     the cache is keyed by the template's structural signature alone. *)
-  sc_cache : (string, sc_entry) Hashtbl.t;
+     the cache is keyed by the template's field specs alone. *)
+  sc_cache : sc_entry Template.By_specs.t;
   (* scratch for [template_key]: the router is single-threaded and the
      key is fully built before any lookup, so one reusable buffer
      replaces a fresh 64-byte allocation on every op issue. *)
@@ -53,7 +53,7 @@ let create ~classing ~lambda ~topology ~batching ~use_read_groups ~eager ~mem ~s
     eager;
     mem;
     r_vs = None;
-    sc_cache = Hashtbl.create 64;
+    sc_cache = Template.By_specs.create 64;
     key_buf = Buffer.create 64;
     cached_universe = None;
     read_coalesce = Hashtbl.create 16;
@@ -88,10 +88,11 @@ let universe r =
 
 let invalidate r =
   r.cached_universe <- None;
-  Hashtbl.reset r.sc_cache
+  Template.By_specs.reset r.sc_cache
 
-(* Structural signature of a template, injective over everything
-   [Obj_class.sc_list] can observe. Field specs get length-prefixed,
+(* Structural signature of a template, the read-coalescing key's
+   template part: injective over everything [Obj_class.sc_list] can
+   observe. Field specs get length-prefixed,
    sigil-tagged encodings so no two distinct templates collide (a plain
    [Template.to_string] key would conflate e.g. [Sym "a,_"] with two
    fields). [None] marks a template as uncacheable: a [Pred] spec's
@@ -133,13 +134,14 @@ let template_key r tmpl =
   if List.for_all spec_ok (Template.specs tmpl) then Some (Buffer.contents buf)
   else None
 
-(* Memoised candidate-class derivation. [Custom] strategies may close
-   over external state, so they bypass the cache. *)
+let derive r tmpl =
+  let names = Obj_class.sc_list r.classing ~universe:(universe r) tmpl in
+  { names; known = List.filter_map (Membership.find r.mem) names }
+
+(* Memoised candidate-class derivation, keyed on the template's field
+   specs. [Custom] strategies may close over external state, and a
+   [Pred] spec has no structural identity, so both bypass the cache. *)
 let sc_entry r tmpl =
-  let derive () =
-    let names = Obj_class.sc_list r.classing ~universe:(universe r) tmpl in
-    { names; known = List.filter_map (Membership.find r.mem) names }
-  in
   let cacheable =
     match r.classing with
     | Obj_class.Single_class | Obj_class.By_arity | Obj_class.By_head
@@ -147,20 +149,17 @@ let sc_entry r tmpl =
         true
     | Obj_class.Custom _ -> false
   in
-  if not cacheable then derive ()
+  if (not cacheable) || Template.has_pred tmpl then derive r tmpl
   else
-    match template_key r tmpl with
-    | None -> derive ()
-    | Some key -> (
-        match Hashtbl.find_opt r.sc_cache key with
-        | Some cached ->
-            Sim.Stats.incr_counter r.c_sc_hits;
-            cached
-        | None ->
-            Sim.Stats.incr_counter r.c_sc_misses;
-            let result = derive () in
-            Hashtbl.add r.sc_cache key result;
-            result)
+    match Template.By_specs.find_opt r.sc_cache tmpl with
+    | Some cached ->
+        Sim.Stats.incr_counter r.c_sc_hits;
+        cached
+    | None ->
+        Sim.Stats.incr_counter r.c_sc_misses;
+        let result = derive r tmpl in
+        Template.By_specs.add r.sc_cache tmpl result;
+        result
 
 let sc_list r tmpl = (sc_entry r tmpl).names
 let candidates r tmpl = (sc_entry r tmpl).known
@@ -210,13 +209,13 @@ let fast_restrict r ~basic ~machine =
 
 (* --- fan-out (batching hand-off) ----------------------------------------- *)
 
-let fan_out_batched r ~group ~from msg ~on_done =
-  Vsync.gcast_batch (vs r) ~group ~from ~msg_size:(Server.msg_size msg)
+let fan_out_batched r (cs : Membership.cls) ~from msg ~on_done =
+  Vsync.gcast_batch_h (vs r) cs.Membership.gh ~from ~msg_size:(Server.msg_size msg)
     ~on_done:(fun ~resp ~work:_ ~responders -> on_done resp responders)
     msg
 
-let fan_out_ordered r ~group ~from msg ~on_done =
-  Vsync.gcast (vs r) ~group ~from ~msg_size:(Server.msg_size msg)
+let fan_out_ordered r (cs : Membership.cls) ~from msg ~on_done =
+  Vsync.gcast_h (vs r) cs.Membership.gh ~from ~msg_size:(Server.msg_size msg)
     ~on_done:(fun ~resp ~work:_ ~responders:_ -> on_done resp)
     msg
 
@@ -227,7 +226,7 @@ let fan_out_ordered r ~group ~from msg ~on_done =
    the issuer's local state, replicated. *)
 let gcast_marker r (cs : Membership.cls) ~machine msg =
   if Vsync.is_up (vs r) machine then
-    fan_out_batched r ~group:cs.Membership.group ~from:machine msg
+    fan_out_batched r cs ~from:machine msg
       ~on_done:(fun _ _ -> ())
 
 let place_marker r (w : Op.waiter) (cs : Membership.cls) =
@@ -311,26 +310,28 @@ let dedup_key r ~machine (cs : Membership.cls) tmpl =
 (* Restricted gcast of one mem-read: through the batcher when batching
    is on (eager is refused with batching by [Config.validate], so no
    flag is dropped here), eager-capable plain gcast otherwise. *)
-let fan_out_read r ~restrict ~group ~from ~cls ~cid tmpl ~on_done =
+let fan_out_read r ?restrict ~group ~from ~cls ~cid tmpl ~on_done =
   let msg = Server.Mem_read { cls; cid; tmpl } in
   let on_done ~resp ~work:_ ~responders = on_done resp responders in
   if r.batching then
-    Vsync.gcast_batch (vs r) ~restrict ~group ~from ~msg_size:(Server.msg_size msg)
+    Vsync.gcast_batch_h (vs r) ?restrict group ~from ~msg_size:(Server.msg_size msg)
       ~on_done msg
   else
-    Vsync.gcast (vs r) ~restrict ~eager:r.eager ~group ~from
+    Vsync.gcast_h (vs r) ?restrict ~eager:r.eager group ~from
       ~msg_size:(Server.msg_size msg) ~on_done msg
 
 let remote_read r ~fast (cs : Membership.cls) ~machine tmpl ~on_done =
   let cls = cs.Membership.info.Obj_class.name and cid = cs.Membership.id in
-  let group = cs.Membership.group in
+  let group = cs.Membership.gh in
+  (* No [restrict] without read groups: the whole write group. *)
   let restrict =
-    if fast then fast_restrict r ~basic:cs.Membership.basic ~machine
-    else if r.use_read_groups then read_restrict r ~basic:cs.Membership.basic ~machine
-    else Fun.id
+    if fast then Some (fast_restrict r ~basic:cs.Membership.basic ~machine)
+    else if r.use_read_groups then
+      Some (read_restrict r ~basic:cs.Membership.basic ~machine)
+    else None
   in
   match dedup_key r ~machine cs tmpl with
-  | None -> fan_out_read r ~restrict ~group ~from:machine ~cls ~cid tmpl ~on_done
+  | None -> fan_out_read r ?restrict ~group ~from:machine ~cls ~cid tmpl ~on_done
   | Some key -> (
       match Hashtbl.find_opt r.read_coalesce key with
       | Some rc ->
@@ -342,7 +343,7 @@ let remote_read r ~fast (cs : Membership.cls) ~machine tmpl ~on_done =
       | None ->
           let rc = { rc_machine = machine; rc_waiters = [] } in
           Hashtbl.add r.read_coalesce key rc;
-          fan_out_read r ~restrict ~group ~from:machine ~cls ~cid tmpl
+          fan_out_read r ?restrict ~group ~from:machine ~cls ~cid tmpl
             ~on_done:(fun resp responders ->
               Hashtbl.remove r.read_coalesce key;
               let waiters = List.rev rc.rc_waiters in

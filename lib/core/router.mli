@@ -109,18 +109,19 @@ val crossed_wan : t -> machine:int -> members:int list -> bool
 
 val fan_out_batched :
   t ->
-  group:string ->
+  Membership.cls ->
   from:int ->
   Server.msg ->
   on_done:(Pobj.t option -> int -> unit) ->
   unit
 (** Batched entry point (inserts, marker traffic): joins the group's
     accumulation window when batching is configured, and is exactly
-    [gcast] otherwise. [on_done] receives the response and the
-    responder count. *)
+    [gcast] otherwise, to the class's write group (through its
+    handle). [on_done] receives the response and the responder
+    count. *)
 
 val fan_out_ordered :
-  t -> group:string -> from:int -> Server.msg -> on_done:(Pobj.t option -> unit) -> unit
+  t -> Membership.cls -> from:int -> Server.msg -> on_done:(Pobj.t option -> unit) -> unit
 (** Full write-group gcast in total order (removes): never batched,
     never restricted. *)
 

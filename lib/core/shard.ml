@@ -43,11 +43,14 @@ type t = {
 let shard_of_class ~shards cls =
   if shards <= 1 then 0
   else begin
+    (* FNV-1a over the name's bytes. A [for] loop, so the state stays
+       an unboxed local: a [ref] captured by a [String.iter] closure
+       boxes an Int64 per character. *)
     let h = ref 0xCBF29CE484222325L in
-    String.iter
-      (fun c ->
-        h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) 0x100000001B3L)
-      cls;
+    for i = 0 to String.length cls - 1 do
+      let c = Int64.of_int (Char.code (String.unsafe_get cls i)) in
+      h := Int64.mul (Int64.logxor !h c) 0x100000001B3L
+    done;
     Int64.to_int (Int64.rem (Int64.logand !h Int64.max_int) (Int64.of_int shards))
   end
 

@@ -116,8 +116,8 @@ let snapshot t ~machine tmpl ~on_done =
                 let cid = cs.Membership.id in
                 let serial0 = Membership.mutation_serial t.mem ~cls in
                 let issue_time = now t in
-                let straddled = Membership.straddle_guard t.mem cs.Membership.group in
-                if Vsync.is_member vs ~group:cs.Membership.group ~node:machine then begin
+                let mark = Membership.straddle_mark cs in
+                if Vsync.is_member_h vs cs.Membership.gh ~node:machine then begin
                   let work =
                     Server.query_work t.servers.(machine) ~cls ~cid *. t.unit_work
                   in
@@ -139,9 +139,8 @@ let snapshot t ~machine tmpl ~on_done =
                              across a loss, or a zero-responder gcast
                              against a non-empty group, is re-collected. *)
                           if
-                            straddled ()
-                            || responders = 0
-                               && Vsync.members vs ~group:cs.Membership.group <> []
+                            Membership.straddled t.mem cs mark
+                            || responders = 0 && Vsync.members_h vs cs.Membership.gh <> []
                           then retry one
                           else record serial0 issue_time None)
                 end

@@ -92,7 +92,7 @@ let insert t ~machine fields ~on_done =
   let cls = cs.Membership.info.Obj_class.name in
   Membership.note_load_cs cs (Membership.op_weight cs);
   let id = History.begin_op t.hist ~machine ~kind:History.Insert ~obj:o ~now:(now t) () in
-  History.note_inserted t.hist o ~cls ~now:(now t);
+  let row = History.note_inserted t.hist o ~cls ~now:(now t) in
   Sim.Stats.incr_counter t.hs.h_ops_insert;
   (* Fault-injection site: a handler crashing [machine] here crashes it
      between issue and return (op orphaned; the §2 checker must pass). *)
@@ -104,10 +104,9 @@ let insert t ~machine fields ~on_done =
       on_done ());
   let msg = Server.Store { cls; cid = cs.Membership.id; obj = o } in
   Op.fan_out op;
-  Router.fan_out_batched t.router ~group:cs.Membership.group ~from:machine msg
-    ~on_done:(fun _resp responders ->
+  Router.fan_out_batched t.router cs ~from:machine msg ~on_done:(fun _resp responders ->
       let tnow = now t in
-      if responders > 0 then History.note_all_stored t.hist uid ~now:tnow;
+      if responders > 0 then History.note_row_all_stored t.hist row ~now:tnow;
       if Op.finish op ~ok:true then begin
         History.end_op t.hist id ~now:tnow ~result:None;
         on_done ()
@@ -158,8 +157,7 @@ let read_gen t ~machine ~kind tmpl ~on_done =
               (fun () -> go (cs :: rest))
           else begin
             match kind with
-            | History.Read
-              when Vsync.is_member t.vs ~group:cs.Membership.group ~node:machine ->
+            | History.Read when Vsync.is_member_h t.vs cs.Membership.gh ~node:machine ->
                 (* Local mem-read: no messages, just Q(ℓ) work. *)
                 Membership.note_load_cs cs 1.0;
                 let work =
@@ -167,7 +165,7 @@ let read_gen t ~machine ~kind tmpl ~on_done =
                 in
                 Op.fan_out op;
                 Vsync.exec_local t.vs ~node:machine ~work (fun () ->
-                    if not (Vsync.is_member t.vs ~group:cs.Membership.group ~node:machine)
+                    if not (Vsync.is_member_h t.vs cs.Membership.gh ~node:machine)
                     then go (cs :: rest) (* left since issue: store evicted *)
                     else
                       let resp, _ =
@@ -188,7 +186,7 @@ let read_gen t ~machine ~kind tmpl ~on_done =
                    an op retry — to the quorum read-group path,
                    so the result is always quorum-equivalent. *)
                 let rec attempt ~fast =
-                  let straddled = Membership.straddle_guard t.mem cs.Membership.group in
+                  let mark = Membership.straddle_mark cs in
                   let fresh =
                     if fast then
                       Membership.fresh_guard t.mem ~cls ~group:cs.Membership.group
@@ -202,7 +200,7 @@ let read_gen t ~machine ~kind tmpl ~on_done =
                   let crossed_wan =
                     (not t.static)
                     && Router.crossed_wan t.router ~machine
-                         ~members:(Vsync.members t.vs ~group:cs.Membership.group)
+                         ~members:(Vsync.members_h t.vs cs.Membership.gh)
                   in
                   let handle resp responders =
                     Op.collecting op;
@@ -228,13 +226,14 @@ let read_gen t ~machine ~kind tmpl ~on_done =
                           (* A loss straddled the op: the miss is not evidence
                              of absence — re-query ([go] parks on the class
                              until the quorum's merge is authoritative). *)
-                          if straddled () then retry (fun () -> go (cs :: rest))
+                          if Membership.straddled t.mem cs mark then
+                            retry (fun () -> go (cs :: rest))
                             (* Zero responders: the whole (possibly restricted)
                                read group crashed mid-gcast — retry against the
                                survivors rather than report a spurious fail. *)
                           else if
                             responders = 0
-                            && Vsync.members t.vs ~group:cs.Membership.group <> []
+                            && Vsync.members_h t.vs cs.Membership.gh <> []
                           then begin
                             Sim.Stats.incr_counter t.hs.h_read_retries;
                             retry (fun () -> go (cs :: rest))
@@ -254,11 +253,10 @@ let read_gen t ~machine ~kind tmpl ~on_done =
             | History.Read_del | History.Insert ->
                 Membership.note_load_cs cs (Membership.op_weight cs);
                 let msg = Server.Remove { cls; cid; tmpl } in
-                let straddled = Membership.straddle_guard t.mem cs.Membership.group in
+                let mark = Membership.straddle_mark cs in
                 Sim.Stats.incr_counter t.hs.h_removes;
                 Op.fan_out op;
-                Router.fan_out_ordered t.router ~group:cs.Membership.group ~from:machine
-                  msg ~on_done:(fun resp ->
+                Router.fan_out_ordered t.router cs ~from:machine msg ~on_done:(fun resp ->
                     Op.collecting op;
                     match resp with
                     | Some o ->
@@ -270,7 +268,8 @@ let read_gen t ~machine ~kind tmpl ~on_done =
                         (* Same straddle as the read path: the remove was
                            refused by a re-formed group or raced its loss
                            — re-query instead of skipping the class. *)
-                        if straddled () then retry (fun () -> go (cs :: rest))
+                        if Membership.straddled t.mem cs mark then
+                          retry (fun () -> go (cs :: rest))
                         else go rest)
           end
         end
@@ -497,12 +496,12 @@ let install_class t mg =
         t.serials.(machine) <- serial + 1;
         let o' = Pobj.make ~uid:(Uid.make ~machine ~serial) (Pobj.fields o) in
         let uid' = Pobj.uid o' in
-        History.note_inserted t.hist o' ~cls ~now:(Float.min issue tnow);
+        let row = History.note_inserted t.hist o' ~cls ~now:(Float.min issue tnow) in
         (match first_store with
         | Some s -> History.note_first_store t.hist uid' ~now:(Float.min s tnow)
         | None -> ());
         (match all_stored with
-        | Some s -> History.note_all_stored t.hist uid' ~now:(Float.min s tnow)
+        | Some s -> History.note_row_all_stored t.hist row ~now:(Float.min s tnow)
         | None -> ());
         o')
       mg.mg_objs mg.mg_lands
@@ -559,7 +558,7 @@ let create ?(tracing = false) ?failpoints cfg =
       ~unit_work:cfg.unit_work
   in
   let tref = ref None in
-  let deliver ~node ~group ~from:_ msg =
+  let deliver ~node ~group ~from:_ ~nth ~prior msg =
     (* Recovery-quorum gate, exec-time twin of the issue-time check in
        [read_gen]: a query/remove queued before the group lost its last
        member must not be answered by the re-formed, pre-quorum state.
@@ -577,13 +576,14 @@ let create ?(tracing = false) ?failpoints cfg =
     (match !tref with
     | Some t -> begin
         let tnow = now t in
+        (* Once per gcast, not per replica: the first member notes the
+           store, and a removal is noted unless an earlier member
+           answered with this very object. *)
         (match (msg, resp) with
-        | Server.Store { obj; _ }, _ -> History.note_first_store hist (Pobj.uid obj) ~now:tnow
-        | Server.Remove _, Some o -> History.note_removal hist (Pobj.uid o) ~now:tnow
-        | ( ( Server.Remove _ | Server.Mem_read _ | Server.Place_marker _
-            | Server.Cancel_marker _ ),
-            _ ) ->
-            ());
+        | Server.Store { obj; _ }, _ when nth = 0 ->
+            History.note_first_store hist (Pobj.uid obj) ~now:tnow
+        | Server.Remove _, Some o -> History.note_removal_answer hist ~prior o ~now:tnow
+        | _ -> ());
         (* Every replica consumed the fired markers deterministically;
            the marker's wake agent ([Router.wake_agent]) alone sends
            the wake-up (one α-cost msg each). *)

@@ -30,6 +30,18 @@ let spec t i =
   if i < 0 || i >= Array.length t.specs then invalid_arg "Template.spec: out of range";
   t.specs.(i)
 
+let has_pred t =
+  Array.exists
+    (function Pred _ -> true | Any | Eq _ | Type_is _ | Range _ -> false)
+    t.specs
+
+module By_specs = Hashtbl.Make (struct
+  type nonrec t = t
+
+  let equal a b = compare a.specs b.specs = 0
+  let hash a = Hashtbl.hash a.specs
+end)
+
 let matches_value spec v =
   match spec with
   | Any -> true

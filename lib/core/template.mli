@@ -33,6 +33,17 @@ val where_name : t -> string option
 (** Name of the [where] predicate, if any — the serialisable part of a
     whole-object refinement (the closure itself has no wire form). *)
 
+val has_pred : t -> bool
+(** Some field spec is a [Pred]: its behaviour is a closure, with no
+    structural identity. *)
+
+(** Tables keyed by a template's field specs alone (the [where] clause
+    is ignored), hashed and compared structurally — so [-0.0]/[0.0]
+    and all NaNs, which {!Value.compare} equates, are one key. Only
+    for templates without [Pred] ({!has_pred}): [compare] cannot
+    order closures. *)
+module By_specs : Hashtbl.S with type key = t
+
 val matches : t -> Pobj.t -> bool
 (** Arity equality, then all field specs, then the [where] predicate. *)
 

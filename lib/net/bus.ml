@@ -10,10 +10,15 @@ type t = {
   a_cost : Sim.Stats.accumulator;
   c_frames : Sim.Stats.counter;
   c_frame_ops : Sim.Stats.counter;
-  mutable free_at : float;
+  (* [free_at] and the total cost, as float-array slots (like
+     [Engine]'s clock): a mutable float field of this mixed record
+     would box at every message. *)
+  fl : float array;
   mutable msgs : int;
-  mutable cost : float;
 }
+
+let free_at = 0
+let cost_slot = 1
 
 let create engine model stats =
   {
@@ -24,20 +29,20 @@ let create engine model stats =
     a_cost = Sim.Stats.accumulator stats "net.msg_cost";
     c_frames = Sim.Stats.counter stats "net.frames";
     c_frame_ops = Sim.Stats.counter stats "net.frame_ops";
-    free_at = 0.0;
+    fl = [| 0.0; 0.0 |];
     msgs = 0;
-    cost = 0.0;
   }
 
 (* One physical transmission of [cost]: occupy the medium, account,
-   schedule delivery at slot end. *)
-let occupy t ~cost ~extra deliver =
+   schedule delivery at slot end. Inlined, so [cost] and [extra] are
+   not boxed per message. *)
+let[@inline] occupy t ~cost ~extra deliver =
   let now = Sim.Engine.now t.engine in
-  let start = Float.max now t.free_at in
-  let finish = start +. cost +. extra in
-  t.free_at <- finish;
+  let free = t.fl.(free_at) in
+  let finish = (if free > now then free else now) +. cost +. extra in
+  t.fl.(free_at) <- finish;
   t.msgs <- t.msgs + 1;
-  t.cost <- t.cost +. cost;
+  t.fl.(cost_slot) <- t.fl.(cost_slot) +. cost;
   Sim.Stats.incr_counter t.c_msgs;
   Sim.Stats.add_to t.a_cost cost;
   Sim.Engine.schedule_lane t.lane ~delay:(finish -. now) deliver
@@ -55,4 +60,4 @@ let transmit_frame t ~extra ~ops ~bytes deliver =
   occupy t ~cost:(Cost_model.msg_cost t.model ~size:bytes) ~extra deliver
 
 let message_count t = t.msgs
-let total_cost t = t.cost
+let total_cost t = t.fl.(cost_slot)

@@ -6,7 +6,8 @@ let v ~alpha ~beta =
 
 let default = { alpha = 500.0; beta = 1.0 }
 
-let msg_cost t ~size =
+(* Inlined, so the cost reaches the bus unboxed. *)
+let[@inline] msg_cost t ~size =
   if size < 0 then invalid_arg "Cost_model.msg_cost: negative size";
   t.alpha +. (t.beta *. float_of_int size)
 

@@ -11,7 +11,7 @@ type wan_state = {
   c_frame_ops : Sim.Stats.counter;
   uplink_free : float array; (* per-source serialisation *)
   mutable msgs : int;
-  mutable cost : float;
+  cost : float array; (* one slot: a mutable float field would box per message *)
 }
 
 type kind = Shared of Bus.t | Wan of wan_state
@@ -44,15 +44,16 @@ let wan ?failpoints engine ~clusters ~local ~remote stats =
           c_frame_ops = Sim.Stats.counter stats "net.frame_ops";
           uplink_free = Array.make (Array.length clusters) 0.0;
           msgs = 0;
-          cost = 0.0;
+          cost = [| 0.0 |];
         };
     fps;
   }
 
 (* Fault-injection site: an armed [Delay] perturbs this transmission's
    occupancy of the medium (and hence everything serialised behind
-   it), without touching the cost accounting. *)
-let transmit_extra t ~src ~dst =
+   it), without touching the cost accounting. Inlined, so the delay
+   it returns is not boxed per message. *)
+let[@inline] transmit_extra t ~src ~dst =
   match Sim.Failpoint.hit t.fps ~site:"net.transmit" ~node:src ~aux:dst ~group:"" with
   | Sim.Failpoint.Delay d when d > 0.0 -> d
   | _ -> 0.0
@@ -61,11 +62,11 @@ let transmit_extra t ~src ~dst =
    its uplink, account, schedule delivery. *)
 let wan_occupy w ~src ~crossing ~cost ~extra deliver =
   let now = Sim.Engine.now w.engine in
-  let start = Float.max now w.uplink_free.(src) in
-  let finish = start +. cost +. extra in
+  let free = w.uplink_free.(src) in
+  let finish = (if free > now then free else now) +. cost +. extra in
   w.uplink_free.(src) <- finish;
   w.msgs <- w.msgs + 1;
-  w.cost <- w.cost +. cost;
+  w.cost.(0) <- w.cost.(0) +. cost;
   Sim.Stats.incr_counter w.c_msgs;
   Sim.Stats.add_to w.a_cost cost;
   if crossing then begin
@@ -109,7 +110,7 @@ let message_count t =
   match t.kind with Shared bus -> Bus.message_count bus | Wan w -> w.msgs
 
 let total_cost t =
-  match t.kind with Shared bus -> Bus.total_cost bus | Wan w -> w.cost
+  match t.kind with Shared bus -> Bus.total_cost bus | Wan w -> w.cost.(0)
 
 let is_wan t = match t.kind with Shared _ -> false | Wan _ -> true
 

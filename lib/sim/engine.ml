@@ -31,7 +31,9 @@ let create () =
 
 let now t = t.clock.(0)
 
-let schedule t ~delay f =
+(* [schedule] and [schedule_lane] are inlined into their callers, so a
+   delay the caller computes reaches the event unboxed. *)
+let[@inline] schedule t ~delay f =
   if delay < 0.0 then invalid_arg "Engine.schedule: negative delay";
   Event_heap.add_after t.heap t.clock ~delay f
 
@@ -72,7 +74,7 @@ let grow_lane l =
   l.fns <- unroll l.fns noop;
   l.head <- 0
 
-let schedule_lane l ~delay f =
+let[@inline] schedule_lane l ~delay f =
   if not (delay >= 0.0) then invalid_arg "Engine.schedule_lane: negative or NaN delay";
   let t = l.eng in
   let time = t.clock.(0) +. delay in

@@ -171,7 +171,8 @@ let add t ~time payload =
   sift_up t i;
   stamp
 
-let add_after t base ~delay payload =
+(* Inlined into [Engine.schedule], so [delay] stays unboxed. *)
+let[@inline] add_after t base ~delay payload =
   let time = base.(0) +. delay in
   if Float.is_nan time then invalid_arg "Event_heap.add: NaN time";
   let i = reserve t payload in

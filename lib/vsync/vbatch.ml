@@ -11,7 +11,7 @@ open Vrep
    distinct issuer, in order of first appearance in the batch, each
    carrying that issuer's per-item responses. *)
 let check_complete ~finish t g bi =
-  if (not bi.b_completed) && IntSet.is_empty bi.b_waiting then begin
+  if (not bi.b_completed) && bi.b_left = 0 then begin
     bi.b_completed <- true;
     (* The group is stable again; responses travel independently. *)
     (match g.binflight with
@@ -86,17 +86,10 @@ let exec ~finish t g items =
           Sim.Stats.incr_counter t.vstats.c_batched_ops)
         items;
       Sim.Stats.incr_counter t.vstats.c_batches;
-      let all = List.filter (fun m -> t.up.(m)) (IntSet.elements g.members) in
       (* Each item's restrict is applied at exec time against the
          current up-members, with the same default-to-all rule as the
          unbatched path. *)
-      let targets =
-        List.map
-          (fun it ->
-            let chosen = List.filter (fun m -> List.mem m all) (it.bi_restrict all) in
-            if chosen = [] then all else chosen)
-          items
-      in
+      let targets = List.map (fun it -> targets t g it.bi_restrict) items in
       let union =
         List.fold_left
           (fun acc ms -> List.fold_left (fun a m -> IntSet.add m a) acc ms)
@@ -121,10 +114,13 @@ let exec ~finish t g items =
                items)
         in
         let tarr = Array.of_list targets in
+        let members = Array.of_list (IntSet.elements union) in
         let bi =
           {
-            b_waiting = union;
-            b_leader = IntSet.min_elt union;
+            b_targets = members;
+            b_acked = Bytes.make (Array.length members) '\000';
+            b_left = Array.length members;
+            b_leader = members.(0);
             b_items = arr;
             b_completed = false;
           }
@@ -136,7 +132,7 @@ let exec ~finish t g items =
            batch — on the shared bus the cost is source-independent;
            under WAN it prices by that issuer's cluster. *)
         let src = first.bi_from in
-        let deliver_frame m my () =
+        let deliver_frame i m my () =
           let e = t.epoch.(m) in
           ignore
             (Sim.Failpoint.hit t.fps ~site:"vsync.gcast.deliver" ~node:m ~aux:(-1)
@@ -147,33 +143,33 @@ let exec ~finish t g items =
               (fun i ->
                 let it, bs = arr.(i) in
                 let resp, w =
-                  t.cbs.deliver ~node:m ~group:g.gname ~from:it.bi_from it.bi_msg
+                  t.cbs.deliver ~node:m ~group:g.gname ~from:it.bi_from
+                    ~nth:bs.bs_processed ~prior:bs.bs_resp it.bi_msg
                 in
                 bs.bs_processed <- bs.bs_processed + 1;
                 (match (bs.bs_resp, resp) with
-                | None, Some r -> bs.bs_resp <- Some r
+                | None, Some _ -> bs.bs_resp <- resp
                 | _ -> ());
                 bs.bs_work <- bs.bs_work +. w;
                 Sim.Stats.add_to t.vstats.a_work_total w;
                 total_w := !total_w +. w)
               my;
             let now = Sim.Engine.now t.eng in
-            let start = Float.max now t.busy_until.(m) in
-            let fin = start +. !total_w in
+            let fin = later now t.busy_until.(m) +. !total_w in
             t.busy_until.(m) <- fin;
             (* One empty "done" ack for the whole frame. *)
             ignore
               (Sim.Engine.schedule t.eng ~delay:(fin -. now) (fun () ->
                    send_raw t ~src:m ~dst:bi.b_leader ~size:0 (fun () ->
-                       bi.b_waiting <- IntSet.remove m bi.b_waiting;
+                       if raise_flag bi.b_acked i then bi.b_left <- bi.b_left - 1;
                        check_complete ~finish t g bi)))
           end
         in
-        IntSet.iter
-          (fun m ->
+        Array.iteri
+          (fun i m ->
             let my = ref [] in
             Array.iteri
-              (fun i ms -> if List.mem m ms then my := i :: !my)
+              (fun k ms -> if mem_int m ms then my := k :: !my)
               tarr;
             let my = List.rev !my in
             let bytes =
@@ -185,8 +181,8 @@ let exec ~finish t g items =
                    my)
             in
             send_frame_to t ~src ~dst:m ~ops:(List.length my) ~bytes
-              (deliver_frame m my))
-          union
+              (deliver_frame i m my))
+          members
       end
 
 (* Move every pending item into one [Op_gcast_batch] on the normal

@@ -7,7 +7,14 @@
 module IntSet = Set.Make (Int)
 
 type ('msg, 'resp, 'state) callbacks = {
-  deliver : node:int -> group:string -> from:int -> 'msg -> 'resp option * float;
+  deliver :
+    node:int ->
+    group:string ->
+    from:int ->
+    nth:int ->
+    prior:'resp option ->
+    'msg ->
+    'resp option * float;
   resp_size : 'resp option -> int;
   state_of : node:int -> group:string -> 'state * int;
   state_delta : node:int -> group:string -> joiner:int -> ('state * int * int) option;
@@ -17,14 +24,23 @@ type ('msg, 'resp, 'state) callbacks = {
   on_group_lost : group:string -> node:int -> unit;
 }
 
-type 'resp inflight = {
-  mutable waiting : IntSet.t;
+(* One in-flight gcast. Its targets are an array with one ack flag
+   each (['\001'] once the target's ack arrived or the crash flush gave
+   up on it) and a count of the flags still clear; a late ack from a
+   member that crashed and rejoined since reaches only this record, so
+   it never counts for a later gcast. *)
+type ('msg, 'resp) inflight = {
+  if_targets : int array; (* send order *)
+  if_acked : Bytes.t;
+  mutable if_left : int; (* targets whose flag is still clear *)
   mutable resp : 'resp option; (* first non-fail response seen *)
-  mutable work : float;
-  if_responders : int;
+  if_work : float array;
+      (* one slot, the work the members reported: a mutable float
+         field would box at every delivery *)
   if_leader : int;
   if_issuer : int;
   if_issuer_epoch : int;
+  if_msg : 'msg;
   if_eager : bool;
   mutable processed : int; (* members that actually ran deliver *)
   mutable resp_sent : bool; (* eager mode: response already forwarded *)
@@ -52,8 +68,12 @@ type 'resp bstate = {
   mutable bs_processed : int; (* members that ran deliver for this item *)
 }
 
+(* A batch in flight: one frame per target, acked like a gcast's
+   ([inflight]). *)
 type ('msg, 'resp) binflight = {
-  mutable b_waiting : IntSet.t;
+  b_targets : int array; (* ascending *)
+  b_acked : Bytes.t;
+  mutable b_left : int;
   b_leader : int;
   b_items : (('msg, 'resp) bitem * 'resp bstate) array; (* batch order *)
   mutable b_completed : bool;
@@ -76,10 +96,15 @@ type ('msg, 'resp) op =
 
 type ('msg, 'resp) gstate = {
   gname : string;
+  (* The membership as a set, and as the sorted list and array a gcast
+     targets as they are; written only through [set_members]. *)
   mutable members : IntSet.t;
+  mutable member_list : int list;
+  mutable member_arr : int array;
   mutable view_id : int;
+  mutable dissolved : bool; (* removed by [admin_dissolve] / [admin_form] *)
   mutable busy : bool;
-  mutable inflight : 'resp inflight option;
+  mutable inflight : ('msg, 'resp) inflight option;
   mutable binflight : ('msg, 'resp) binflight option;
   mutable joining : int option; (* node whose state transfer is in flight *)
   urgent : ('msg, 'resp) op Queue.t;
@@ -143,7 +168,10 @@ let group_state t name =
         {
           gname = name;
           members = IntSet.empty;
+          member_list = [];
+          member_arr = [||];
           view_id = 0;
+          dissolved = false;
           busy = false;
           inflight = None;
           binflight = None;
@@ -157,6 +185,60 @@ let group_state t name =
       in
       Hashtbl.add t.groups name g;
       g
+
+let set_members g members =
+  g.members <- members;
+  g.member_list <- IntSet.elements members;
+  g.member_arr <- Array.of_list g.member_list
+
+(* A group handle: the group's state, resolved by name on first use and
+   again once [admin_dissolve] (or [admin_form]) retired the state it
+   held, so a handle kept across a migration follows the group. *)
+type ('msg, 'resp) group = { h_name : string; mutable h_g : ('msg, 'resp) gstate option }
+
+let resolve t h =
+  match h.h_g with
+  | Some g when not g.dissolved -> g
+  | Some _ | None ->
+      let g = group_state t h.h_name in
+      h.h_g <- Some g;
+      g
+
+(* The default [restrict], recognised by [==]: a gcast given it targets
+   the member list as it is. *)
+let no_restrict (members : int list) = members
+
+(* [Float.max] of two virtual times (never NaN), without the call that
+   boxes both. *)
+let later a b = if b > a then b else a
+
+let rec all_up up = function [] -> true | m :: l -> up.(m) && all_up up l
+let rec mem_int x = function [] -> false | y :: l -> Int.equal x y || mem_int x l
+
+(* The members a gcast targets at exec time: the live members (a
+   crashed member whose view change is still queued must not be
+   targeted: its copy would be dropped and never acknowledged), cut to
+   the ones [restrict] picks, or all of them when it picks none. *)
+let targets t g restrict =
+  let all =
+    if all_up t.up g.member_list then g.member_list
+    else List.filter (fun m -> t.up.(m)) g.member_list
+  in
+  if restrict == no_restrict then all
+  else
+    match List.filter (fun m -> mem_int m all) (restrict all) with
+    | [] -> all
+    | chosen -> chosen
+
+(* Raise target [i]'s ack flag; [true] when this call raised it. *)
+let raise_flag acked i = Bytes.get acked i = '\000' && (Bytes.set acked i '\001'; true)
+
+(* The index of [node] among [targets], -1 when it is not one. *)
+let target_index targets node =
+  let rec go i =
+    if i >= Array.length targets then -1 else if targets.(i) = node then i else go (i + 1)
+  in
+  go 0
 
 let tracef t fmt = Sim.Trace.emitf t.trace ~time:(Sim.Engine.now t.eng) ~tag:"vsync" fmt
 
@@ -184,7 +266,7 @@ let alive t node e = t.up.(node) && t.epoch.(node) = e
 let notify_view t g ~extra =
   g.view_id <- g.view_id + 1;
   Sim.Stats.incr_counter t.vstats.c_view_changes;
-  let v = View.make ~group:g.gname ~view_id:g.view_id ~members:(IntSet.elements g.members) in
+  let v = View.make ~group:g.gname ~view_id:g.view_id ~members:g.member_list in
   tracef t "view %a" View.pp v;
   let targets =
     match extra with

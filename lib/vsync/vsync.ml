@@ -44,20 +44,24 @@ let is_up t i =
   check_node t i;
   t.up.(i)
 
+(* Group handles. [gcast] and [gcast_batch] by name are their handle
+   forms applied to a fresh handle. The queries by name read the same
+   fields, but look the group up without creating it; a handle form
+   resolving an unknown group creates its empty state, which answers
+   exactly as the unknown group does. *)
+let handle name = { h_name = name; h_g = None }
+
+let members_h t h = (resolve t h).member_list
+let view_id_h t h = (resolve t h).view_id
+let is_member_h t h ~node = IntSet.mem node (resolve t h).members
+
 let members t ~group =
-  match Hashtbl.find_opt t.groups group with
-  | Some g -> IntSet.elements g.members
-  | None -> []
+  match Hashtbl.find_opt t.groups group with Some g -> g.member_list | None -> []
 
 let view t ~group =
   match Hashtbl.find_opt t.groups group with
-  | Some g -> View.make ~group ~view_id:g.view_id ~members:(IntSet.elements g.members)
+  | Some g -> View.make ~group ~view_id:g.view_id ~members:g.member_list
   | None -> View.make ~group ~view_id:0 ~members:[]
-
-(* The id alone, allocation-free: consulted on every fast-read token
-   capture/check, where materialising the member list would be waste. *)
-let view_id t ~group =
-  match Hashtbl.find_opt t.groups group with Some g -> g.view_id | None -> 0
 
 let is_member t ~group ~node =
   match Hashtbl.find_opt t.groups group with
@@ -118,14 +122,7 @@ and exec_gcast t g ~from_ ~epoch ~msg ~size ~eager ~restrict ~on_done =
   ignore
     (Sim.Failpoint.hit t.fps ~site:"vsync.gcast.begin" ~node:from_ ~aux:(-1)
        ~group:g.gname);
-  (* A crashed member whose view change is still queued must not be
-     targeted: its copy would be dropped and never acknowledged. *)
-  let all = List.filter (fun m -> t.up.(m)) (IntSet.elements g.members) in
-  let mems =
-    let chosen = List.filter (fun m -> List.mem m all) (restrict all) in
-    if chosen = [] then all else chosen
-  in
-  match mems with
+  match targets t g restrict with
   | [] ->
       (* Empty group: nothing to deliver to; the issuer learns failure.
          (The fault-tolerance condition rules this out in valid runs.) *)
@@ -133,16 +130,20 @@ and exec_gcast t g ~from_ ~epoch ~msg ~size ~eager ~restrict ~on_done =
         (Sim.Engine.schedule t.eng ~delay:0.0 (fun () ->
              if alive t from_ epoch then on_done ~resp:None ~work:0.0 ~responders:0));
       finish t g
-  | _ ->
+  | first :: _ as mems ->
+      let arr = if mems == g.member_list then g.member_arr else Array.of_list mems in
+      let n = Array.length arr in
       let infl =
         {
-          waiting = IntSet.of_list mems;
+          if_targets = arr;
+          if_acked = Bytes.make n '\000';
+          if_left = n;
           resp = None;
-          work = 0.0;
-          if_responders = List.length mems;
-          if_leader = List.hd mems;
+          if_work = [| 0.0 |];
+          if_leader = first;
           if_issuer = from_;
           if_issuer_epoch = epoch;
+          if_msg = msg;
           if_eager = eager;
           processed = 0;
           resp_sent = false;
@@ -151,49 +152,61 @@ and exec_gcast t g ~from_ ~epoch ~msg ~size ~eager ~restrict ~on_done =
         }
       in
       g.inflight <- Some infl;
-      let deliver_now m () =
-        let resp, w = t.cbs.deliver ~node:m ~group:g.gname ~from:from_ msg in
-        infl.processed <- infl.processed + 1;
-        (match (infl.resp, resp) with None, Some r -> infl.resp <- Some r | _ -> ());
-        if infl.if_eager && (not infl.resp_sent) && infl.resp <> None then begin
-          (* Response-time optimisation: forward the first success now;
-             ack-gathering and the group flush continue behind it. *)
-          infl.resp_sent <- true;
-          let resp = infl.resp in
-          (* The eager response comes from the member that produced it;
-             charge its uplink. *)
-          send_to t ~src:m ~dst:infl.if_issuer ~size:(t.cbs.resp_size resp) (fun () ->
-              if t.epoch.(infl.if_issuer) = infl.if_issuer_epoch then
-                infl.if_on_done ~resp ~work:infl.work
-                  ~responders:infl.if_responders)
-        end;
-        infl.work <- infl.work +. w;
-        Sim.Stats.add_to t.vstats.a_work_total w;
-        let now = Sim.Engine.now t.eng in
-        let start = Float.max now t.busy_until.(m) in
-        let fin = start +. w in
-        t.busy_until.(m) <- fin;
-        (* After processing, send the empty "done" ack to the leader. *)
-        ignore
-          (Sim.Engine.schedule t.eng ~delay:(fin -. now) (fun () ->
-               send_raw t ~src:m ~dst:infl.if_leader ~size:0 (fun () ->
-                   infl.waiting <- IntSet.remove m infl.waiting;
-                   check_complete t g infl)))
-      in
-      let deliver_at m () =
-        (* A handler crashing [m] at this site drops this copy exactly
-           as a crash timed against the in-flight gcast would: the
-           flush in the crash handler stops waiting for [m]. *)
+      for i = 0 to n - 1 do
+        let m = arr.(i) in
         let e = t.epoch.(m) in
-        ignore
-          (Sim.Failpoint.hit t.fps ~site:"vsync.gcast.deliver" ~node:m ~aux:(-1)
-             ~group:g.gname);
-        if alive t m e then deliver_now m ()
-      in
-      List.iter (fun m -> send_to t ~src:from_ ~dst:m ~size (deliver_at m)) mems
+        Net.Fabric.transmit t.fabric ~src:from_ ~dst:m ~size (fun () ->
+            deliver_copy t g infl i e)
+      done
+
+(* Target [i]'s copy arrives; it is processed only if the target is
+   still up in the incarnation the copy was sent to. *)
+and deliver_copy t g infl i e =
+  let m = infl.if_targets.(i) in
+  if alive t m e then begin
+    (* A handler crashing [m] at this site drops this copy exactly as a
+       crash timed against the in-flight gcast would: the flush in the
+       crash handler stops waiting for [m]. *)
+    ignore
+      (Sim.Failpoint.hit t.fps ~site:"vsync.gcast.deliver" ~node:m ~aux:(-1)
+         ~group:g.gname);
+    if alive t m e then process_copy t g infl i m
+  end
+
+and process_copy t g infl i m =
+  let resp, w =
+    t.cbs.deliver ~node:m ~group:g.gname ~from:infl.if_issuer ~nth:infl.processed
+      ~prior:infl.resp infl.if_msg
+  in
+  infl.processed <- infl.processed + 1;
+  (match (infl.resp, resp) with None, Some _ -> infl.resp <- resp | _ -> ());
+  if infl.if_eager && (not infl.resp_sent) && infl.resp <> None then begin
+    (* Response-time optimisation: forward the first success now;
+       ack-gathering and the group flush continue behind it. *)
+    infl.resp_sent <- true;
+    let resp = infl.resp in
+    (* The eager response comes from the member that produced it;
+       charge its uplink. *)
+    send_to t ~src:m ~dst:infl.if_issuer ~size:(t.cbs.resp_size resp) (fun () ->
+        if t.epoch.(infl.if_issuer) = infl.if_issuer_epoch then
+          infl.if_on_done ~resp ~work:infl.if_work.(0)
+            ~responders:(Array.length infl.if_targets))
+  end;
+  infl.if_work.(0) <- infl.if_work.(0) +. w;
+  Sim.Stats.add_to t.vstats.a_work_total w;
+  let now = Sim.Engine.now t.eng in
+  let fin = later now t.busy_until.(m) +. w in
+  t.busy_until.(m) <- fin;
+  (* After processing, send the empty "done" ack to the leader. *)
+  ignore (Sim.Engine.schedule t.eng ~delay:(fin -. now) (fun () -> send_ack t g infl i m))
+
+and send_ack t g infl i m =
+  Net.Fabric.transmit t.fabric ~src:m ~dst:infl.if_leader ~size:0 (fun () ->
+      if raise_flag infl.if_acked i then infl.if_left <- infl.if_left - 1;
+      check_complete t g infl)
 
 and check_complete t g infl =
-  if (not infl.completed) && IntSet.is_empty infl.waiting then begin
+  if (not infl.completed) && infl.if_left = 0 then begin
     infl.completed <- true;
     let resp = infl.resp in
     let rsize = t.cbs.resp_size resp in
@@ -204,7 +217,7 @@ and check_complete t g infl =
           if t.epoch.(infl.if_issuer) = infl.if_issuer_epoch then
             (* Report the members that actually processed the message:
                crashed targets did no work and hold no copy. *)
-            infl.if_on_done ~resp ~work:infl.work ~responders:infl.processed)
+            infl.if_on_done ~resp ~work:infl.if_work.(0) ~responders:infl.processed)
   end
 
 and exec_join t g ~node ~on_done =
@@ -214,7 +227,7 @@ and exec_join t g ~node ~on_done =
     finish t g
   end
   else if IntSet.is_empty g.members then begin
-    g.members <- IntSet.singleton node;
+    set_members g (IntSet.singleton node);
     tracef t "join node %d -> %s (first member)" node g.gname;
     notify_view t g ~extra:None;
     ignore (Sim.Engine.schedule t.eng ~delay:0.0 on_done);
@@ -226,7 +239,7 @@ and exec_join t g ~node ~on_done =
       g.joining <- Some node;
       send_to t ~src:donor ~dst:node ~size (fun () ->
           t.cbs.install_state ~node ~group:g.gname state;
-          g.members <- IntSet.add node g.members;
+          set_members g (IntSet.add node g.members);
           notify_view t g ~extra:None;
           on_done ();
           finish t g);
@@ -267,7 +280,7 @@ and exec_leave t g ~node ~on_done =
      loses a group. *)
   let left = IntSet.mem node g.members && IntSet.cardinal g.members > 1 in
   if left then begin
-    g.members <- IntSet.remove node g.members;
+    set_members g (IntSet.remove node g.members);
     t.cbs.on_evict ~node ~group:g.gname;
     tracef t "leave node %d <- %s" node g.gname;
     notify_view t g ~extra:(Some node)
@@ -283,12 +296,11 @@ let flush_batch t g = Vbatch.flush ~pump:(pump t) t g
 
 (* --- public operations -------------------------------------------------- *)
 
-let gcast t ?(restrict = fun members -> members) ?(eager = false) ~group ~from ~msg_size
-    ~on_done msg =
+let gcast_h t ?(restrict = no_restrict) ?(eager = false) h ~from ~msg_size ~on_done msg =
   check_node t from;
   if msg_size < 0 then invalid_arg "Vsync.gcast: negative msg_size";
   if t.up.(from) then begin
-    let g = group_state t group in
+    let g = resolve t h in
     Queue.push
       (Op_gcast
          {
@@ -304,18 +316,20 @@ let gcast t ?(restrict = fun members -> members) ?(eager = false) ~group ~from ~
     pump t g
   end
 
-let gcast_batch t ?(restrict = fun members -> members) ~group ~from ~msg_size
-    ~on_done msg =
+let gcast t ?restrict ?eager ~group ~from ~msg_size ~on_done msg =
+  gcast_h t ?restrict ?eager (handle group) ~from ~msg_size ~on_done msg
+
+let gcast_batch_h t ?(restrict = no_restrict) h ~from ~msg_size ~on_done msg =
   check_node t from;
   if msg_size < 0 then invalid_arg "Vsync.gcast_batch: negative msg_size";
   match t.batch with
   | None ->
       (* No batch configuration: degenerate to an ordinary gcast, so
          callers can route unconditionally through this entry point. *)
-      gcast t ~restrict ~group ~from ~msg_size ~on_done msg
+      gcast_h t ~restrict h ~from ~msg_size ~on_done msg
   | Some cfg ->
       if t.up.(from) then begin
-        let g = group_state t group in
+        let g = resolve t h in
         ignore
           (Sim.Pending.push g.pending
              {
@@ -335,7 +349,8 @@ let gcast_batch t ?(restrict = fun members -> members) ~group ~from ~msg_size
              the hold window. *)
           Sim.Stats.incr_counter t.vstats.c_batch_cuts;
           ignore
-            (Sim.Failpoint.hit t.fps ~site:"vsync.batch.cut" ~node:from ~aux:(-1) ~group);
+            (Sim.Failpoint.hit t.fps ~site:"vsync.batch.cut" ~node:from ~aux:(-1)
+               ~group:g.gname);
           flush_batch t g
         end
         else if g.hold_timer = None then
@@ -345,6 +360,9 @@ let gcast_batch t ?(restrict = fun members -> members) ~group ~from ~msg_size
                    g.hold_timer <- None;
                    flush_batch t g))
       end
+
+let gcast_batch t ?restrict ~group ~from ~msg_size ~on_done msg =
+  gcast_batch_h t ?restrict (handle group) ~from ~msg_size ~on_done msg
 
 let join t ~group ~node ~on_done =
   check_node t node;
@@ -392,6 +410,7 @@ let admin_dissolve t ~group =
         invalid_arg
           (Printf.sprintf "Vsync.admin_dissolve: group %s has in-flight traffic" group);
       let vid = g.view_id in
+      g.dissolved <- true;
       Hashtbl.remove t.groups group;
       vid
 
@@ -401,10 +420,11 @@ let admin_form t ~group ~members ~view_id =
   | Some g ->
       if (not (IntSet.is_empty g.members)) || not (admin_idle g) then
         invalid_arg (Printf.sprintf "Vsync.admin_form: group %s already populated" group);
+      g.dissolved <- true;
       Hashtbl.remove t.groups group
   | None -> ());
   let g = group_state t group in
-  g.members <- IntSet.of_list (List.filter (fun m -> t.up.(m)) members);
+  set_members g (IntSet.of_list (List.filter (fun m -> t.up.(m)) members));
   g.view_id <- view_id
 
 let pending_groups t =
@@ -425,8 +445,7 @@ let exec_local t ~node ~work k =
   Sim.Stats.add_to t.vstats.a_work_total work;
   let e = t.epoch.(node) in
   let now = Sim.Engine.now t.eng in
-  let start = Float.max now t.busy_until.(node) in
-  let fin = start +. work in
+  let fin = later now t.busy_until.(node) +. work in
   t.busy_until.(node) <- fin;
   (* The continuation dies with the machine: if the node crashes before
      the processing completes, the local operation is orphaned, exactly
@@ -452,7 +471,7 @@ let crash t ~node =
          is deferred (ordered against in-flight traffic). *)
       let was_member = IntSet.mem node g.members in
       if was_member then begin
-        g.members <- IntSet.remove node g.members;
+        set_members g (IntSet.remove node g.members);
         tracef t "crash-remove node %d from %s" node g.gname;
         Queue.push (Op_crash_remove { ox_node = node }) g.urgent
       end;
@@ -491,15 +510,21 @@ let crash t ~node =
       if joiner_died then finish t g;
       (* A member that will never ack is not awaited (ISIS flush). *)
       (match g.inflight with
-      | Some infl when IntSet.mem node infl.waiting ->
-          infl.waiting <- IntSet.remove node infl.waiting;
-          check_complete t g infl
-      | Some _ | None -> ());
+      | Some infl ->
+          let i = target_index infl.if_targets node in
+          if i >= 0 && raise_flag infl.if_acked i then begin
+            infl.if_left <- infl.if_left - 1;
+            check_complete t g infl
+          end
+      | None -> ());
       (match g.binflight with
-      | Some bi when IntSet.mem node bi.b_waiting ->
-          bi.b_waiting <- IntSet.remove node bi.b_waiting;
-          Vbatch.check_complete ~finish:(finish t) t g bi
-      | Some _ | None -> ());
+      | Some bi ->
+          let i = target_index bi.b_targets node in
+          if i >= 0 && raise_flag bi.b_acked i then begin
+            bi.b_left <- bi.b_left - 1;
+            Vbatch.check_complete ~finish:(finish t) t g bi
+          end
+      | None -> ());
       pump t g
     in
     List.iter handle names

@@ -32,10 +32,21 @@ module View = View
 type ('msg, 'resp, 'state) t
 
 type ('msg, 'resp, 'state) callbacks = {
-  deliver : node:int -> group:string -> from:int -> 'msg -> 'resp option * float;
+  deliver :
+    node:int ->
+    group:string ->
+    from:int ->
+    nth:int ->
+    prior:'resp option ->
+    'msg ->
+    'resp option * float;
       (** Process one gcast copy at [node]; returns the node's response
           and the processing time (work) it took. Called in total
-          order; may mutate server state. *)
+          order; may mutate server state. [nth] is how many members of
+          this gcast (of this item, in a batch) processed it before
+          this one, and [prior] the first non-fail response one of
+          them returned ([None] if none did), so a note the first
+          member makes need not be repeated at every replica. *)
   resp_size : 'resp option -> int;
       (** Wire size of a response ([fail] is size 0). *)
   state_of : node:int -> group:string -> 'state * int;
@@ -102,18 +113,66 @@ val make :
 val n : ('msg, 'resp, 'state) t -> int
 val engine : ('msg, 'resp, 'state) t -> Sim.Engine.t
 
+(** {1 Groups by handle}
+
+    A handle names a group and caches its state: the layer above
+    keeps one per group and reaches the group through it on every op,
+    with no lookup by name. {!gcast} and {!gcast_batch} are their
+    handle forms applied to a fresh handle; {!members} and
+    {!is_member} read what {!members_h} and {!is_member_h} read. A
+    handle form may create the group's (empty) state, which answers
+    as an unknown group does. A handle outlives {!admin_dissolve}:
+    its next use finds the group again by name (the re-formed group,
+    or a fresh empty one). *)
+
+type ('msg, 'resp) group
+
+val handle : string -> ('msg, 'resp) group
+(** A handle on the named group, resolved on first use. *)
+
+val members_h : ('msg, 'resp, 'state) t -> ('msg, 'resp) group -> int list
+val view_id_h : ('msg, 'resp, 'state) t -> ('msg, 'resp) group -> int
+(** The group's current view id without materialising the view (0 for
+    a group with no view yet). View ids increase monotonically per
+    group and every installation is announced to all members
+    ({!callbacks.on_view} notes on the bus), so the id doubles as a
+    membership {e generation} the layer above piggybacks into its
+    per-class freshness token: any join, leave, crash or recovery of
+    the group moves it. *)
+
+val is_member_h : ('msg, 'resp, 'state) t -> ('msg, 'resp) group -> node:int -> bool
+
+val gcast_h :
+  ('msg, 'resp, 'state) t ->
+  ?restrict:(int list -> int list) ->
+  ?eager:bool ->
+  ('msg, 'resp) group ->
+  from:int ->
+  msg_size:int ->
+  on_done:(resp:'resp option -> work:float -> responders:int -> unit) ->
+  'msg ->
+  unit
+(** {!gcast} through a handle. *)
+
+val gcast_batch_h :
+  ('msg, 'resp, 'state) t ->
+  ?restrict:(int list -> int list) ->
+  ('msg, 'resp) group ->
+  from:int ->
+  msg_size:int ->
+  on_done:(resp:'resp option -> work:float -> responders:int -> unit) ->
+  'msg ->
+  unit
+(** {!gcast_batch} through a handle. *)
+
+(** {1 Groups by name} *)
+
 val members : ('msg, 'resp, 'state) t -> group:string -> int list
-(** Current view membership (sorted; [[]] for an unknown group). *)
+(** Current view membership (sorted; [[]] for an unknown group). The
+    list is the group's own, kept beside its member set: reading it
+    allocates nothing. *)
 
 val view : ('msg, 'resp, 'state) t -> group:string -> View.t
-
-val view_id : ('msg, 'resp, 'state) t -> group:string -> int
-(** The group's current view id without materialising the view (0 for
-    an unknown group). View ids increase monotonically per group and
-    every installation is announced to all members ({!callbacks.on_view}
-    notes on the bus), so the id doubles as a membership {e generation}
-    the layer above piggybacks into its per-class freshness token: any
-    join, leave, crash or recovery of the group moves it. *)
 
 val is_member : ('msg, 'resp, 'state) t -> group:string -> node:int -> bool
 

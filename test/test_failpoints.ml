@@ -138,7 +138,7 @@ let test_tie_timestamp_not_visible () =
   let h = History.create () in
   let o = Pobj.make ~uid:(Uid.make ~machine:0 ~serial:0) [ Value.Sym "a"; Value.Int 1 ] in
   let ins = History.begin_op h ~machine:0 ~kind:History.Insert ~obj:o ~now:0.0 () in
-  History.note_inserted h o ~cls:"a" ~now:0.0;
+  ignore (History.note_inserted h o ~cls:"a" ~now:0.0);
   History.note_first_store h (Pobj.uid o) ~now:50.0;
   History.note_all_stored h (Pobj.uid o) ~now:100.0;
   History.end_op h ins ~now:100.0 ~result:None;

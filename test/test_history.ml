@@ -245,12 +245,12 @@ let run cmds =
       | Insert (machine, now, c) ->
           let o = fresh_obj machine in
           begin_both ~machine ~kind:History.Insert ~obj:o ~now ();
-          History.note_inserted h o ~cls:classes.(c) ~now;
+          ignore (History.note_inserted h o ~cls:classes.(c) ~now);
           Ref.note_inserted r o ~cls:classes.(c) ~now
       | Bare_insert (machine, now) -> begin_both ~machine ~kind:History.Insert ~now ()
       | Reinsert (p, now, c) ->
           let o = obj p in
-          History.note_inserted h o ~cls:classes.(c) ~now;
+          ignore (History.note_inserted h o ~cls:classes.(c) ~now);
           Ref.note_inserted r o ~cls:classes.(c) ~now
       | Begin_read (machine, del, k, now) ->
           let kind = if del then History.Read_del else History.Read in
@@ -377,12 +377,12 @@ let test_forget_reinsert () =
   let h = History.create () in
   let o = Pobj.make ~uid:(Uid.make ~machine:3 ~serial:5) [ Value.Int 1 ] in
   let uid = Pobj.uid o in
-  History.note_inserted h o ~cls:"a" ~now:1.0;
+  ignore (History.note_inserted h o ~cls:"a" ~now:1.0);
   History.note_first_store h uid ~now:2.0;
   History.forget h uid;
   Alcotest.(check bool) "forgotten" true (History.lifecycle h uid = None);
   History.note_all_stored h uid ~now:3.0;
-  History.note_inserted h o ~cls:"b" ~now:4.0;
+  ignore (History.note_inserted h o ~cls:"b" ~now:4.0);
   (match History.lifecycle h uid with
   | Some l ->
       Alcotest.(check (pair string (float 0.0)))
@@ -408,7 +408,7 @@ let test_uid_gaps () =
   in
   List.iteri
     (fun i uid ->
-      History.note_inserted h (Pobj.make ~uid [ Value.Int i ]) ~cls:"a" ~now:0.0)
+      ignore (History.note_inserted h (Pobj.make ~uid [ Value.Int i ]) ~cls:"a" ~now:0.0))
     shuffled;
   List.iter
     (fun uid ->
@@ -466,6 +466,86 @@ let test_bytes_per_op () =
   let per_op = bytes /. float_of_int ops in
   if per_op > bound then Alcotest.failf "history holds %.1f B/op (bound %g)" per_op bound
 
+(* --- landmarks noted once per gcast ------------------------------------ *)
+
+(* Two replicas answer one remove with different objects: each notes
+   its own removal, the second with the first's answer as [prior]. A
+   replica answering with the very object an earlier one returned adds
+   nothing. *)
+let test_removal_answers () =
+  let h = History.create () in
+  let mk serial = Pobj.make ~uid:(Uid.make ~machine:0 ~serial) [ Value.Int serial ] in
+  let o1 = mk 1 and o2 = mk 2 in
+  ignore (History.note_inserted h o1 ~cls:"a" ~now:0.0);
+  ignore (History.note_inserted h o2 ~cls:"a" ~now:0.0);
+  History.note_removal_answer h ~prior:None o1 ~now:5.0;
+  History.note_removal_answer h ~prior:(Some o1) o2 ~now:6.0;
+  History.note_removal_answer h ~prior:(Some o1) o1 ~now:7.0;
+  let removal o = (Option.get (History.lifecycle h (Pobj.uid o))).History.first_removal in
+  Alcotest.(check (option (float 0.0))) "first answer noted" (Some 5.0) (removal o1);
+  Alcotest.(check (option (float 0.0))) "a different answer noted" (Some 6.0) (removal o2)
+
+(* Every lifecycle landmark of faulted runs, rendered exactly, against
+   digests recorded before landmarks were noted once per gcast (when
+   every replica noted them): first stores, removals and all-stored
+   marks must land at the same instants. Set PASO_PIN_PRINT=1 to print
+   the digests. *)
+let render_landmarks h =
+  let b = Buffer.create 4096 in
+  let f = function None -> "-" | Some x -> Printf.sprintf "%h" x in
+  List.iter
+    (fun (l : History.lifecycle) ->
+      Printf.bprintf b "%d.%d %s %h %s %s %s %s %s %s %s %b\n" l.uid.Uid.machine
+        l.uid.Uid.serial l.cls l.insert_issue (f l.first_store) (f l.all_stored)
+        (f l.first_removal) (f l.remove_ret)
+        (match l.removed_by with Some i -> string_of_int i | None -> "-")
+        (f l.lost_at) (f l.recovered_at) l.migrated_out)
+    (History.lifecycles h);
+  Buffer.contents b
+
+let landmark_steps seed =
+  let s = ref seed in
+  let r bound =
+    s := ((!s * 1103515245) + 12345) land 0x3FFFFFFF;
+    !s mod bound
+  in
+  List.init 160 (fun _ ->
+      match r 12 with
+      | 0 | 1 | 2 | 3 -> Check.Schedule.Insert (r 6, r 3)
+      | 4 | 5 -> Check.Schedule.Read (r 6, r 3)
+      | 6 | 7 | 8 -> Check.Schedule.Take (r 6, r 3)
+      | 9 -> Check.Schedule.Crash (r 6)
+      | 10 -> Check.Schedule.Recover
+      | _ -> Check.Schedule.Advance)
+
+let landmark_configs =
+  let base =
+    { Check.Schedule.default with Check.Schedule.n = 6; lambda = 2; seed = 3;
+      arms =
+        [ { Check.Schedule.arm_site = "vsync.gcast.deliver"; arm_skip = 7; arm_times = 2;
+            arm_action = Crash_hit_node } ] }
+  in
+  [
+    ("faulted", base, "6689434b911cecaac143df1ae9ddf5f7");
+    ("faulted, batched", { base with Check.Schedule.batch_ops = 4 },
+     "090ccf7ef0f1ed0cc226cab7404c87a5");
+    ("faulted, durable", { base with Check.Schedule.durable = true; seed = 9 },
+     "780c4fb9b8987c5204eaae66332fa3be");
+  ]
+
+let test_landmarks_pinned () =
+  let printing = Sys.getenv_opt "PASO_PIN_PRINT" = Some "1" in
+  List.iteri
+    (fun i (name, config, pin) ->
+      let _, sh = Check.Runner.run_shard config (landmark_steps (17 + i)) in
+      let h = System.history (Shard.sub sh 0) in
+      let digest = Digest.to_hex (Digest.string (render_landmarks h)) in
+      if printing then
+        Printf.printf "landmarks %s: %d lifecycles, %s\n%!" name
+          (List.length (History.lifecycles h)) digest
+      else Alcotest.(check string) name pin digest)
+    landmark_configs
+
 let () =
   Alcotest.run "history"
     [
@@ -477,4 +557,11 @@ let () =
           Alcotest.test_case "uids with large gaps" `Quick test_uid_gaps;
         ] );
       ("memory", [ Alcotest.test_case "bytes per op bound" `Quick test_bytes_per_op ]);
+      ( "once per gcast",
+        [
+          Alcotest.test_case "every distinct removal answer is noted" `Quick
+            test_removal_answers;
+          Alcotest.test_case "faulted runs' landmarks are pinned" `Quick
+            test_landmarks_pinned;
+        ] );
     ]

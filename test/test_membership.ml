@@ -31,7 +31,7 @@ let make ?(n = 6) ?(lambda = 1) () =
   let callbacks =
     {
       Vsync.deliver =
-        (fun ~node ~group:_ ~from:_ msg ->
+        (fun ~node ~group:_ ~from:_ ~nth:_ ~prior:_ msg ->
           let resp, work, _woken = Server.handle servers.(node) msg in
           (resp, work));
       resp_size = (function None -> 0 | Some o -> Pobj.size o);
@@ -153,18 +153,22 @@ let test_straddle_guard () =
   Membership.enable_probation h.mem;
   let cs, _ = ensure h "t" in
   let group = cs.Membership.group in
-  let clean = Membership.straddle_guard h.mem group in
-  Alcotest.(check bool) "no loss, no straddle" false (clean ());
-  let straddled = Membership.straddle_guard h.mem group in
+  let clean = Membership.straddle_mark cs in
+  Alcotest.(check bool)
+    "no loss, no straddle" false
+    (Membership.straddled h.mem cs clean);
+  let mark = Membership.straddle_mark cs in
   crash_members h group;
   rejoin h group cs.Membership.basic;
   (* Probation has lifted, but the generation moved while the op was in
-     flight: the guard captured before the loss must still fire... *)
+     flight: the mark captured before the loss must still fire... *)
   Alcotest.(check bool) "probation lifted" false (Membership.probational h.mem group);
-  Alcotest.(check bool) "guard sees the straddle" true (straddled ());
-  (* ...and a guard captured after the loss must not. *)
-  let fresh = Membership.straddle_guard h.mem group in
-  Alcotest.(check bool) "fresh guard is clean" false (fresh ())
+  Alcotest.(check bool)
+    "guard sees the straddle" true
+    (Membership.straddled h.mem cs mark);
+  (* ...and a mark captured after the loss must not. *)
+  let fresh = Membership.straddle_mark cs in
+  Alcotest.(check bool) "fresh guard is clean" false (Membership.straddled h.mem cs fresh)
 
 (* --- per-class freshness token ------------------------------------------- *)
 

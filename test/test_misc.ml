@@ -117,7 +117,7 @@ let test_send_direct () =
   let fabric = Net.Fabric.shared_bus eng (Net.Cost_model.v ~alpha:100.0 ~beta:1.0) stats in
   let noop_cbs =
     {
-      Vsync.deliver = (fun ~node:_ ~group:_ ~from:_ () -> (None, 0.0));
+      Vsync.deliver = (fun ~node:_ ~group:_ ~from:_ ~nth:_ ~prior:_ () -> (None, 0.0));
       resp_size = (fun _ -> 0);
       state_of = (fun ~node:_ ~group:_ -> ((), 0));
       state_delta = (fun ~node:_ ~group:_ ~joiner:_ -> None);

@@ -18,7 +18,7 @@ let test_clean_history () =
   let o = obj 1 [ vs "k"; vi 1 ] in
   (* insert on machine 0, t = 0..10 *)
   let r_ins = History.begin_op h ~machine:0 ~kind:History.Insert ~obj:o ~now:0.0 () in
-  History.note_inserted h o ~cls:"c" ~now:0.0;
+  ignore (History.note_inserted h o ~cls:"c" ~now:0.0);
   History.note_first_store h (Pobj.uid o) ~now:5.0;
   History.note_all_stored h (Pobj.uid o) ~now:9.0;
   History.end_op h r_ins ~now:10.0 ~result:None;
@@ -41,7 +41,7 @@ let test_illegal_fail_detected () =
   let h = History.create () in
   let o = obj 1 [ vs "k"; vi 1 ] in
   let r_ins = History.begin_op h ~machine:0 ~kind:History.Insert ~obj:o ~now:0.0 () in
-  History.note_inserted h o ~cls:"c" ~now:0.0;
+  ignore (History.note_inserted h o ~cls:"c" ~now:0.0);
   History.note_first_store h (Pobj.uid o) ~now:2.0;
   History.note_all_stored h (Pobj.uid o) ~now:4.0;
   History.end_op h r_ins ~now:5.0 ~result:None;
@@ -56,7 +56,7 @@ let test_fail_legal_when_concurrent_with_insert () =
   let h = History.create () in
   let o = obj 1 [ vs "k"; vi 1 ] in
   let r_ins = History.begin_op h ~machine:0 ~kind:History.Insert ~obj:o ~now:0.0 () in
-  History.note_inserted h o ~cls:"c" ~now:0.0;
+  ignore (History.note_inserted h o ~cls:"c" ~now:0.0);
   History.note_first_store h (Pobj.uid o) ~now:8.0;
   History.note_all_stored h (Pobj.uid o) ~now:11.0;
   History.end_op h r_ins ~now:12.0 ~result:None;
@@ -69,7 +69,7 @@ let test_fail_legal_when_removed_concurrently () =
   let h = History.create () in
   let o = obj 1 [ vs "k"; vi 1 ] in
   let r_ins = History.begin_op h ~machine:0 ~kind:History.Insert ~obj:o ~now:0.0 () in
-  History.note_inserted h o ~cls:"c" ~now:0.0;
+  ignore (History.note_inserted h o ~cls:"c" ~now:0.0);
   History.note_first_store h (Pobj.uid o) ~now:1.0;
   History.note_all_stored h (Pobj.uid o) ~now:2.0;
   History.end_op h r_ins ~now:2.0 ~result:None;
@@ -94,7 +94,7 @@ let test_return_not_matching () =
   let h = History.create () in
   let o = obj 1 [ vs "other"; vi 1 ] in
   let r_ins = History.begin_op h ~machine:0 ~kind:History.Insert ~obj:o ~now:0.0 () in
-  History.note_inserted h o ~cls:"c" ~now:0.0;
+  ignore (History.note_inserted h o ~cls:"c" ~now:0.0);
   History.end_op h r_ins ~now:1.0 ~result:None;
   let r = History.begin_op h ~machine:1 ~kind:History.Read ~template:tmpl_any ~now:2.0 () in
   History.end_op h r ~now:3.0 ~result:(Some o);
@@ -105,7 +105,7 @@ let test_double_removal_detected () =
   let h = History.create () in
   let o = obj 1 [ vs "k"; vi 1 ] in
   let r_ins = History.begin_op h ~machine:0 ~kind:History.Insert ~obj:o ~now:0.0 () in
-  History.note_inserted h o ~cls:"c" ~now:0.0;
+  ignore (History.note_inserted h o ~cls:"c" ~now:0.0);
   History.end_op h r_ins ~now:1.0 ~result:None;
   let take now =
     let r = History.begin_op h ~machine:1 ~kind:History.Read_del ~template:tmpl_any ~now () in
@@ -122,7 +122,7 @@ let test_read_of_dead_object () =
   let h = History.create () in
   let o = obj 1 [ vs "k"; vi 1 ] in
   let r_ins = History.begin_op h ~machine:0 ~kind:History.Insert ~obj:o ~now:0.0 () in
-  History.note_inserted h o ~cls:"c" ~now:0.0;
+  ignore (History.note_inserted h o ~cls:"c" ~now:0.0);
   History.note_first_store h (Pobj.uid o) ~now:1.0;
   History.note_all_stored h (Pobj.uid o) ~now:2.0;
   History.end_op h r_ins ~now:2.0 ~result:None;
@@ -139,7 +139,7 @@ let test_removal_before_issue_detected () =
   let h = History.create () in
   let o = obj 1 [ vs "k"; vi 1 ] in
   let r_ins = History.begin_op h ~machine:0 ~kind:History.Insert ~obj:o ~now:0.0 () in
-  History.note_inserted h o ~cls:"c" ~now:0.0;
+  ignore (History.note_inserted h o ~cls:"c" ~now:0.0);
   History.note_first_store h (Pobj.uid o) ~now:1.0;
   History.end_op h r_ins ~now:1.0 ~result:None;
   (* Removal event precedes the read&del's issue — the object cannot
@@ -155,7 +155,7 @@ let test_class_loss_excuses_fail () =
   let h = History.create () in
   let o = obj 1 [ vs "k"; vi 1 ] in
   let r_ins = History.begin_op h ~machine:0 ~kind:History.Insert ~obj:o ~now:0.0 () in
-  History.note_inserted h o ~cls:"c" ~now:0.0;
+  ignore (History.note_inserted h o ~cls:"c" ~now:0.0);
   History.note_first_store h (Pobj.uid o) ~now:1.0;
   History.note_all_stored h (Pobj.uid o) ~now:2.0;
   History.end_op h r_ins ~now:2.0 ~result:None;
@@ -169,7 +169,7 @@ let test_outstanding_ops_skipped () =
   let h = History.create () in
   let o = obj 1 [ vs "k"; vi 1 ] in
   ignore (History.begin_op h ~machine:0 ~kind:History.Insert ~obj:o ~now:0.0 ());
-  History.note_inserted h o ~cls:"c" ~now:0.0;
+  ignore (History.note_inserted h o ~cls:"c" ~now:0.0);
   (* A read that never returns (machine crashed): no verdict. *)
   ignore (History.begin_op h ~machine:1 ~kind:History.Read ~template:tmpl_any ~now:5.0 ());
   Alcotest.(check (list string)) "no violations for outstanding ops" []
@@ -183,7 +183,7 @@ let test_history_accessors () =
   Alcotest.(check int) "completed 0" 0 (History.completed_ops h);
   History.end_op h r ~now:1.0 ~result:None;
   Alcotest.(check int) "completed 1" 1 (History.completed_ops h);
-  History.note_inserted h o ~cls:"c" ~now:0.0;
+  ignore (History.note_inserted h o ~cls:"c" ~now:0.0);
   Alcotest.(check bool) "lifecycle exists" true (History.lifecycle h (uid 1) <> None);
   Alcotest.(check int) "lifecycles" 1 (List.length (History.lifecycles h))
 

@@ -40,6 +40,37 @@ let test_partition () =
       (String.concat "; " (List.map string_of_int actual));
   Alcotest.(check (list int)) "pinned class->shard sample" [ 0; 1; 2; 3; 0; 0 ] actual
 
+(* Class names of every classing's shape, pinned at 2, 8 and 16 shards
+   to the values the FNV-1a partition gave before its loop was
+   rewritten: replay artifacts depend on every one of them. *)
+let partition_pins =
+  [
+    ("", [ 1; 5; 5 ]);
+    ("all", [ 0; 4; 4 ]);
+    ("a/1", [ 0; 0; 8 ]);
+    ("a/2", [ 1; 1; 1 ]);
+    ("a/3", [ 0; 6; 14 ]);
+    ("h/2/sym:task", [ 1; 5; 13 ]);
+    ("h/2/sym:result", [ 1; 1; 1 ]);
+    ("h/3/int:7", [ 0; 4; 4 ]);
+    ("h/1/str:\"x\"", [ 1; 1; 9 ]);
+    ("s/int,str", [ 1; 3; 11 ]);
+    ("h/2/sym:c0", [ 1; 3; 3 ]);
+    ("h/2/sym:c1", [ 0; 0; 0 ]);
+    ("h/2/sym:c15", [ 1; 7; 15 ]);
+    ("h/2/float:nan", [ 0; 0; 0 ]);
+    ("a very long class name with spaces and \xff bytes", [ 1; 1; 1 ]);
+  ]
+
+let test_partition_pins () =
+  List.iter
+    (fun (name, pins) ->
+      Alcotest.(check (list int))
+        (Printf.sprintf "%S at 2, 8, 16 shards" name)
+        pins
+        (List.map (fun shards -> Shard.shard_of_class ~shards name) [ 2; 8; 16 ]))
+    partition_pins
+
 (* ------------------------------------------------------------------ *)
 (* The SPSC mailbox and the shared task partitioner                    *)
 (* ------------------------------------------------------------------ *)
@@ -501,6 +532,8 @@ let () =
       ( "partition",
         [
           Alcotest.test_case "total, stable, pinned" `Quick test_partition;
+          Alcotest.test_case "fixed names at 2, 8 and 16 shards" `Quick
+            test_partition_pins;
         ] );
       ( "plumbing",
         [

@@ -978,6 +978,38 @@ let test_class_id_policy_leave_rejoin () =
     (read_sync sys ~machine:x (exact "ev" 0) <> None);
   check_no_violations sys
 
+(* A class migrated out and back in gets its write group's handle
+   again, resolved before the group was dissolved. The handle must
+   follow the re-formed group: a policy join after the return (made by
+   name) shows in the handle's view, and the joiner serves insert, read
+   and read&del. *)
+let test_class_id_old_handle_after_return () =
+  let verdict = ref Policy.Stay in
+  let policy =
+    { Policy.static with on_event = (fun ~machine:_ ~cls:_ ~is_member:_ _ -> !verdict) }
+  in
+  let a = make ~n:8 ~policy () and b = make ~n:8 () in
+  insert_sync a ~machine:0 [ v_sym "back"; v_int 0 ];
+  let cls = class_named a "back" in
+  let move src dst =
+    System.install_class dst (System.extract_class src ~cls);
+    System.run dst
+  in
+  move a b;
+  move b a;
+  let x =
+    List.find (fun m -> not (List.mem m (System.write_group a ~cls))) (List.init 8 Fun.id)
+  in
+  verdict := Policy.Join;
+  ignore (read_sync a ~machine:x (exact "back" (-1)));
+  verdict := Policy.Stay;
+  Alcotest.(check bool) "the joiner is in the handle's view" true
+    (List.mem x (System.write_group a ~cls));
+  serve_all_three a ~machine:x ~cls "back" 1;
+  Alcotest.(check bool) "the first object came back" true
+    (read_sync a ~machine:x (exact "back" 0) <> None);
+  check_no_violations a
+
 let () =
   Alcotest.run "system"
     [
@@ -987,6 +1019,8 @@ let () =
             test_class_id_migration_round_trip;
           Alcotest.test_case "policy leave, then rejoin" `Quick
             test_class_id_policy_leave_rejoin;
+          Alcotest.test_case "the old handle serves after a return" `Quick
+            test_class_id_old_handle_after_return;
         ] );
       ( "primitives",
         [

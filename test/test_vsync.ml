@@ -12,14 +12,16 @@ type harness = {
   views_seen : (int * Vsync.View.t) list ref;
   evicted : (int * string) list ref;
   lost : string list ref;
+  seen : (int * int * string option) list ref; (* node, nth, prior; newest first *)
 }
 
 let alpha = 100.0
 let beta = 1.0
 
 (* Each delivery appends the message to the node's log and answers with
-   "<node>:<msg>"; processing takes [work_per_msg]. *)
-let make ?batch ?(n = 5) ?(work_per_msg = 0.0) () =
+   "<node>:<msg>"; processing takes [work_of node] ([work_per_msg] at
+   every node by default). *)
+let make ?batch ?(n = 5) ?(work_per_msg = 0.0) ?(work_of = fun _ -> work_per_msg) () =
   let eng = Sim.Engine.create () in
   let stats = Sim.Stats.create () in
   let trace = Sim.Trace.create () in
@@ -28,12 +30,14 @@ let make ?batch ?(n = 5) ?(work_per_msg = 0.0) () =
   let views_seen = ref [] in
   let evicted = ref [] in
   let lost = ref [] in
+  let seen = ref [] in
   let callbacks =
     {
       Vsync.deliver =
-        (fun ~node ~group:_ ~from:_ msg ->
+        (fun ~node ~group:_ ~from:_ ~nth ~prior msg ->
           logs.(node) <- msg :: logs.(node);
-          (Some (Printf.sprintf "%d:%s" node msg), work_per_msg));
+          seen := (node, nth, prior) :: !seen;
+          (Some (Printf.sprintf "%d:%s" node msg), work_of node));
       resp_size = (function None -> 0 | Some s -> String.length s);
       state_of = (fun ~node ~group:_ -> (List.rev logs.(node), 8 * List.length logs.(node)));
       state_delta = (fun ~node:_ ~group:_ ~joiner:_ -> None);
@@ -48,7 +52,7 @@ let make ?batch ?(n = 5) ?(work_per_msg = 0.0) () =
     }
   in
   let vs = Vsync.make ?batch ~engine:eng ~fabric:bus ~stats ~trace ~n callbacks in
-  { eng; stats; bus; logs; vs; views_seen; evicted; lost }
+  { eng; stats; bus; logs; vs; views_seen; evicted; lost; seen }
 
 let join_all h group nodes =
   List.iter (fun node -> Vsync.join h.vs ~group ~node ~on_done:(fun () -> ())) nodes;
@@ -696,6 +700,108 @@ let test_batch_flush_failpoint_crash_mid_batch () =
   Alcotest.(check (list string)) "no wedged groups" []
     (List.map fst (Vsync.pending_groups h.vs))
 
+(* --- per-gcast acknowledgement ------------------------------------------- *)
+
+(* Each copy of a gcast is told how many members processed it before
+   and the first answer one of them gave. *)
+let test_nth_and_prior () =
+  let h = make () in
+  join_all h "g" [ 0; 1; 2 ];
+  Vsync.gcast h.vs ~group:"g" ~from:3 ~msg_size:1
+    ~on_done:(fun ~resp:_ ~work:_ ~responders:_ -> ())
+    "m";
+  Sim.Engine.run h.eng;
+  Alcotest.(check (list (triple int int (option string))))
+    "in delivery order"
+    [ (0, 0, None); (1, 1, Some "0:m"); (2, 2, Some "0:m") ]
+    (List.rev !(h.seen))
+
+(* Node 1 works slowly. It processes gcast [a], crashes before its ack
+   arrives, recovers and rejoins, and [b] is gcast. The crash flush
+   completed [a]; the late ack of [a] (sent when node 1's old work
+   finishes) reaches [a]'s record only, so [b] waits for node 1's own
+   ack of [b]. Fails if an ack is counted against whichever gcast is
+   in flight when it arrives. *)
+let test_late_ack_not_counted () =
+  let slow = 10_000.0 in
+  let h = make ~work_of:(fun node -> if node = 1 then slow else 1.0) () in
+  join_all h "g" [ 0; 1; 2 ];
+  let t0 = Sim.Engine.now h.eng in
+  let done_a = ref [] and done_b = ref [] in
+  let note cell ~resp:_ ~work:_ ~responders =
+    cell := (Sim.Engine.now h.eng -. t0, responders) :: !cell
+  in
+  Vsync.gcast h.vs ~group:"g" ~from:3 ~msg_size:1 ~on_done:(note done_a) "a";
+  (* Node 1 holds [a] from about t0 + 200 and works until t0 + 10_200. *)
+  ignore
+    (Sim.Engine.schedule h.eng ~delay:1000.0 (fun () ->
+         Alcotest.(check (list string)) "node 1 processed a" [ "a" ] (log h 1);
+         Vsync.crash h.vs ~node:1;
+         Vsync.recover h.vs ~node:1;
+         Vsync.join h.vs ~group:"g" ~node:1 ~on_done:(fun () ->
+             Vsync.gcast h.vs ~group:"g" ~from:3 ~msg_size:1 ~on_done:(note done_b)
+               "b")));
+  Sim.Engine.run h.eng;
+  (match !done_a with
+  | [ (at, responders) ] ->
+      Alcotest.(check bool) "a completes at the crash flush" true (at < 2000.0);
+      Alcotest.(check int) "a: three members processed it" 3 responders
+  | l -> Alcotest.failf "a completed %d times" (List.length l));
+  match !done_b with
+  | [ (at, responders) ] ->
+      (* [b] reached node 1 after t0 + 1000, and node 1 then works for
+         [slow]: only its own ack can complete [b]. *)
+      Alcotest.(check bool) "b waits for node 1's ack of b" true (at > 1000.0 +. slow);
+      Alcotest.(check int) "b: three members processed it" 3 responders
+  | l -> Alcotest.failf "b completed %d times" (List.length l)
+
+(* A target processes its copy, then crashes before its (slow) ack
+   arrives: the crash flush completes the gcast without it, once, and
+   the dead node's ack arriving later does not complete it again. *)
+let crash_target_mid_gcast ~restricted () =
+  let h = make ~work_of:(fun node -> if node = 2 then 5000.0 else 1.0) () in
+  join_all h "g" [ 0; 1; 2 ];
+  let t0 = Sim.Engine.now h.eng in
+  let calls = ref [] in
+  let restrict = if restricted then Some (fun _ -> [ 1; 2 ]) else None in
+  Vsync.gcast h.vs ?restrict ~group:"g" ~from:3 ~msg_size:1
+    ~on_done:(fun ~resp:_ ~work:_ ~responders ->
+      calls := (Sim.Engine.now h.eng -. t0, responders) :: !calls)
+    "m";
+  ignore (Sim.Engine.schedule h.eng ~delay:1000.0 (fun () -> Vsync.crash h.vs ~node:2));
+  Sim.Engine.run h.eng;
+  Alcotest.(check (list string)) "node 2 processed it" [ "m" ] (log h 2);
+  match !calls with
+  | [ (at, responders) ] ->
+      Alcotest.(check bool) "completed at the crash, not at the dead ack" true
+        (at < 2000.0);
+      Alcotest.(check int) "responders" (if restricted then 2 else 3) responders
+  | l -> Alcotest.failf "completed %d times" (List.length l)
+
+(* --- group handles ----------------------------------------------------------- *)
+
+(* A handle resolved before [admin_dissolve] follows the group
+   [admin_form] re-forms under the same name: its members, its view id
+   and its gcasts are the new group's. *)
+let test_handle_follows_reformed_group () =
+  let h = make () in
+  join_all h "g" [ 0; 1; 2 ];
+  let gh = Vsync.handle "g" in
+  Alcotest.(check (list int)) "resolved" [ 0; 1; 2 ] (Vsync.members_h h.vs gh);
+  ignore (Vsync.admin_dissolve h.vs ~group:"g");
+  Vsync.admin_form h.vs ~group:"g" ~members:[ 0; 3 ] ~view_id:7;
+  Alcotest.(check (list int)) "re-formed members" [ 0; 3 ] (Vsync.members_h h.vs gh);
+  Alcotest.(check int) "re-formed view id" 7 (Vsync.view_id_h h.vs gh);
+  Alcotest.(check bool) "member" true (Vsync.is_member_h h.vs gh ~node:3);
+  let responders = ref (-1) in
+  Vsync.gcast_h h.vs gh ~from:4 ~msg_size:1
+    ~on_done:(fun ~resp:_ ~work:_ ~responders:r -> responders := r)
+    "x";
+  Sim.Engine.run h.eng;
+  Alcotest.(check int) "delivered to the re-formed group" 2 !responders;
+  Alcotest.(check (list string)) "node 3 got it" [ "x" ] (log h 3);
+  Alcotest.(check (list string)) "node 1 did not" [] (log h 1)
+
 let () =
   Alcotest.run "vsync"
     [
@@ -777,5 +883,20 @@ let () =
             test_batch_degenerates_without_cfg;
           Alcotest.test_case "crash at flush orphans the batch" `Quick
             test_batch_flush_failpoint_crash_mid_batch;
+        ] );
+      ( "acks",
+        [
+          Alcotest.test_case "copies see nth and prior" `Quick test_nth_and_prior;
+          Alcotest.test_case "a late ack counts only for its own gcast" `Quick
+            test_late_ack_not_counted;
+          Alcotest.test_case "target crash mid-gcast completes once" `Quick
+            (crash_target_mid_gcast ~restricted:false);
+          Alcotest.test_case "restricted target crash completes once" `Quick
+            (crash_target_mid_gcast ~restricted:true);
+        ] );
+      ( "handles",
+        [
+          Alcotest.test_case "a handle follows the re-formed group" `Quick
+            test_handle_follows_reformed_group;
         ] );
     ]
