@@ -13,7 +13,7 @@ type machine_state = {
 
 type t = {
   name : string;
-  on_event : machine:int -> cls:string -> is_member:bool -> event -> decision;
+  on_event : machine:int -> cls:string -> cid:int -> is_member:bool -> event -> decision;
   reset_machine : machine:int -> unit;
   clone : unit -> t;
   export_class : cls:string -> machine_state list;
@@ -26,7 +26,7 @@ type t = {
 let rec static =
   {
     name = "static";
-    on_event = (fun ~machine:_ ~cls:_ ~is_member:_ _ -> Stay);
+    on_event = (fun ~machine:_ ~cls:_ ~cid:_ ~is_member:_ _ -> Stay);
     reset_machine = (fun ~machine:_ -> ());
     clone = (fun () -> static);
     export_class = (fun ~cls:_ -> []);

@@ -37,11 +37,16 @@ type machine_state = {
 
 type t = {
   name : string;
-  on_event : machine:int -> cls:string -> is_member:bool -> event -> decision;
-      (** Consulted after every event. The system ignores [Join] when
-          already a member and [Leave] when not a member, when the
-          machine is in the class's basic support B(C), or when it is
-          the write group's last operational member. *)
+  on_event : machine:int -> cls:string -> cid:int -> is_member:bool -> event -> decision;
+      (** Consulted after every event. [cid] is the class's dense id in
+          the reporting System ({!Membership}), stable while the class
+          stays registered there, so a policy can keep its state in
+          arrays indexed by it; [cls] names the class across Systems
+          (a migrated class gets a new id at its destination). The
+          system ignores [Join] when already a member and [Leave] when
+          not a member, when the machine is in the class's basic
+          support B(C), or when it is the write group's last
+          operational member. *)
   reset_machine : machine:int -> unit;
       (** The machine crashed: forget its counters. *)
   clone : unit -> t;

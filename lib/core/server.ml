@@ -32,6 +32,10 @@ type cstate = {
      writes the class's image (DESIGN.md §9). They are kept as sorted
      sets: a snapshot lists them without sorting. *)
   mutable tombs : Uid.Set.t;
+  (* Bumped by every change to the store or the markers (not the
+     tombstones), so a durable image can tell an unchanged class from
+     its version alone. *)
+  mutable ver : int;
 }
 
 type t = {
@@ -67,7 +71,10 @@ let create ?stats ~machine ~kind () =
 let machine t = t.machine
 let enable_tombstones t = t.track_tombs <- true
 
-let blank name store = { name; store; held = false; marks = []; tombs = Uid.Set.empty }
+let blank name store =
+  { name; store; held = false; marks = []; tombs = Uid.Set.empty; ver = 0 }
+
+let touch c = c.ver <- c.ver + 1
 
 (* The empty slot of [by_id]. *)
 let vacant = blank "" (Store.create Storage.Linear)
@@ -112,6 +119,7 @@ let held_slot t ~cls ~cid = hold (slot t ~cls ~cid)
 
 (* Replace the class's store by one rebuilt from [objs], in order. *)
 let reload t c objs =
+  touch c;
   c.store <- Store.load t.kind objs;
   c.held <- true
 
@@ -134,6 +142,7 @@ let handle t = function
       let c = slot t ~cls ~cid in
       let s = hold c in
       let work = t.cost.insert_cost (Store.size s) in
+      touch c;
       Store.insert s obj;
       (* Fire (and consume) the markers this object matches — the same
          deterministic decision at every replica. *)
@@ -157,16 +166,21 @@ let handle t = function
       let work = t.cost.delete_cost (Store.size s) in
       let removed = Store.remove_oldest s tmpl in
       (match removed with
-      | Some o when t.track_tombs -> c.tombs <- Uid.Set.add (Pobj.uid o) c.tombs
-      | Some _ | None -> ());
+      | Some o ->
+          touch c;
+          if t.track_tombs then c.tombs <- Uid.Set.add (Pobj.uid o) c.tombs
+      | None -> ());
       (removed, work, [])
   | Place_marker { cls; cid; mid; machine; tmpl } ->
       let c = slot t ~cls ~cid in
-      if not (List.exists (fun m -> m.mk_id = mid) c.marks) then
-        c.marks <- c.marks @ [ { mk_id = mid; mk_machine = machine; mk_tmpl = tmpl } ];
+      if not (List.exists (fun m -> m.mk_id = mid) c.marks) then begin
+        touch c;
+        c.marks <- c.marks @ [ { mk_id = mid; mk_machine = machine; mk_tmpl = tmpl } ]
+      end;
       (None, 1.0, [])
   | Cancel_marker { cls; cid; mid } ->
       let c = slot t ~cls ~cid in
+      touch c;
       c.marks <- List.filter (fun m -> m.mk_id <> mid) c.marks;
       (None, 1.0, [])
 
@@ -179,6 +193,12 @@ let local_read t ~cls ~cid tmpl =
 let live_count t ~cls =
   match Hashtbl.find_opt t.by_name cls with Some c -> Store.size c.store | None -> 0
 
+(* [live_count] through the id slot; a slot that does not hold the
+   class falls back to the name table, making no record. *)
+let live_size t ~cls ~cid =
+  let c = if cid >= 0 && cid < Array.length t.by_id then t.by_id.(cid) else vacant in
+  if c != vacant && String.equal c.name cls then Store.size c.store else live_count t ~cls
+
 let query_work t ~cls ~cid = t.cost.query_cost (Store.size (held_slot t ~cls ~cid))
 
 let holds t ~cls =
@@ -190,6 +210,14 @@ let classes t =
 
 let markers t ~cls =
   match Hashtbl.find_opt t.by_name cls with Some c -> c.marks | None -> []
+
+let version t ~cls = match Hashtbl.find_opt t.by_name cls with Some c -> c.ver | None -> 0
+
+let contents t ~cls =
+  match Hashtbl.find_opt t.by_name cls with
+  | Some c when c.held -> (Store.to_list c.store, c.marks)
+  | Some c -> ([], c.marks)
+  | None -> ([], [])
 
 let marker_bytes ms =
   List.fold_left (fun acc m -> acc + 8 + Template.size m.mk_tmpl) 0 ms
@@ -316,6 +344,7 @@ let delta_against t ~classes ~basis ~joiner_objs =
         adopted := (cls, adopt_objs) :: !adopted;
         (* The donor adopts too — its store must match the reconciled
            order it is about to hand out. *)
+        touch c;
         List.iter (Store.insert c.store) adopt_objs
       end;
       order := (cls, List.map Pobj.uid auth @ adopt_uids) :: !order;
@@ -357,18 +386,27 @@ let install_delta t d =
     (fun (cls, uids) ->
       reload t (state t cls) (List.filter_map (Uid.Tbl.find_opt pool) uids))
     d.d_order;
-  List.iter (fun (cls, ms) -> (state t cls).marks <- ms) d.d_marks;
+  List.iter
+    (fun (cls, ms) ->
+      let c = state t cls in
+      touch c;
+      c.marks <- ms)
+    d.d_marks;
   List.iter (fun (cls, ts) -> add_tombs t cls ts) d.d_tombs
 
 (* Reconciliation fix-ups applied to the *other* operational members
    so the whole group converges on the adopt/purge verdicts. *)
 let reconcile_adopt t ~cls obj =
-  let s = hold (state t cls) in
+  let c = state t cls in
+  let s = hold c in
   if
-    (not (Uid.Set.mem (Pobj.uid obj) (tombs_of t cls)))
+    (not (Uid.Set.mem (Pobj.uid obj) c.tombs))
     && not
          (List.exists (fun o -> Uid.equal (Pobj.uid o) (Pobj.uid obj)) (Store.to_list s))
-  then Store.insert s obj
+  then begin
+    touch c;
+    Store.insert s obj
+  end
 
 let reconcile_purge t ~cls uid =
   add_tombs t cls [ uid ];
@@ -389,6 +427,7 @@ let install t snapshot =
     snapshot
 
 let clear t c =
+  touch c;
   c.store <- Store.create t.kind;
   c.held <- false;
   c.marks <- [];

@@ -66,6 +66,9 @@ val local_read : t -> cls:string -> cid:int -> Template.t -> Pobj.t option * flo
 val live_count : t -> cls:string -> int
 (** ℓ: live objects held for the class (0 if not replicated here). *)
 
+val live_size : t -> cls:string -> cid:int -> int
+(** {!live_count}, the class reached as for a {!msg}. *)
+
 val query_work : t -> cls:string -> cid:int -> float
 (** Q(ℓ) for the class's local store, in abstract work units. *)
 
@@ -167,6 +170,18 @@ val set_tombstones : t -> cls:string -> Uid.t list -> unit
 
 val markers : t -> cls:string -> marker list
 (** Outstanding markers for the class, oldest first. *)
+
+val version : t -> cls:string -> int
+(** The class's mutation version: it changes with every change to the
+    class's objects or markers ([handle], [install], [install_delta],
+    reconciliation, [evict], [wipe]), never with its tombstones alone.
+    Two equal readings bracket an unchanged object list and marker
+    list, which lets the durable layer reuse a class's section of the
+    last checkpoint image. *)
+
+val contents : t -> cls:string -> Pobj.t list * marker list
+(** The class's objects (insertion order) and markers: its
+    {!snapshot} entry without the tombstones. *)
 
 val evict : t -> cls:string -> unit
 (** Erase the class's local store (on [g-leave], §4.2). *)

@@ -62,8 +62,7 @@ let waiter_count t = Op.Waiters.count t.waiters
 let wan_cost t = Sim.Stats.total t.sstats "net.wan_cost"
 let check_quiescent t = Vsync.pending_groups t.vs
 
-let apply_policy t ~machine ~cls event =
-  Membership.apply_policy t.mem ~policy:t.cfg.policy ~machine ~cls event
+let apply_policy t = Membership.apply_policy t.mem ~policy:t.cfg.policy
 
 let take_class_loads t = Membership.take_loads t.mem
 
@@ -174,9 +173,9 @@ let read_gen t ~machine ~kind tmpl ~on_done =
                       Sim.Stats.incr_counter t.hs.h_local_reads;
                       Op.collecting op;
                       if not t.static then
-                        apply_policy t ~machine ~cls
+                        apply_policy t ~machine ~cls ~cid
                           (Policy.Local_read
-                             { ell = Server.live_count t.servers.(machine) ~cls });
+                             { ell = Server.live_size t.servers.(machine) ~cls ~cid });
                       match resp with Some o -> finish (Some o) | None -> go rest)
             | History.Read ->
                 Membership.note_load_cs cs (Membership.op_weight cs);
@@ -206,9 +205,10 @@ let read_gen t ~machine ~kind tmpl ~on_done =
                     Op.collecting op;
                     (* ell piggybacked on the response (§5.1). *)
                     if not t.static then
-                      apply_policy t ~machine ~cls
+                      apply_policy t ~machine ~cls ~cid:cs.Membership.id
                         (Policy.Remote_read
-                           { responders; ell = live_count t ~cls; wan = crossed_wan });
+                           { responders; ell = Membership.class_size t.mem cs;
+                             wan = crossed_wan });
                     if fast && not (fresh ()) then begin
                       (* The token moved between issue and response (view
                          change, group loss, mutation) or the group is
@@ -381,7 +381,7 @@ let server_snapshot ?classes t ~machine =
   in
   Server.snapshot s ~classes
 
-let set_tombstones t ~machine ~cls = Server.set_tombstones t.servers.(machine) ~cls
+let server t ~machine = t.servers.(machine)
 
 (* --- class migration between shards (coordinator-only) ------------------- *)
 
@@ -606,8 +606,8 @@ let create ?(tracing = false) ?failpoints cfg =
                in-flight fast reads, retries straddled snapshots. *)
             Membership.note_mutation mem ~cls ~cid;
             if not t.static then
-              apply_policy t ~machine:node ~cls
-                (Policy.Update { ell = Server.live_count servers.(node) ~cls })
+              apply_policy t ~machine:node ~cls ~cid
+                (Policy.Update { ell = Server.live_size servers.(node) ~cls ~cid })
         | Server.Mem_read _ | Server.Place_marker _ | Server.Cancel_marker _ -> ()
       end
     | None -> ());
@@ -680,8 +680,7 @@ let create ?(tracing = false) ?failpoints cfg =
   let t =
     { cfg; eng; fabric; fps; sstats; strace; vs; servers; durable = None;
       has_recovered = Array.make cfg.n false; mem; static = cfg.policy == Policy.static;
-      router; opctl; waiters; snap;
-      serials = Array.make cfg.n 0;
+      router; opctl; waiters; snap; serials = Array.make cfg.n 0;
       repair_state = Repair.create ~n:cfg.n ~seed:(cfg.seed + 1); hist; hs }
   in
   tref := Some t;

@@ -292,10 +292,11 @@ val server_snapshot : ?classes:string list -> t -> machine:int -> Server.snapsho
     for the durable layer. Its state-transfer wire size is
     {!Server.snapshot_bytes}. *)
 
-val set_tombstones : t -> machine:int -> cls:string -> Uid.t list -> unit
-(** Replace the class's remove-tombstones at the machine's server —
-    the durable layer's tombstone GC, applied once the write of the
-    class's pruned image has verified. *)
+val server : t -> machine:int -> Server.t
+(** The machine's memory server — for the durable layer, which reads
+    each class's version and tombstones there and applies its
+    tombstone GC once the write of the class's pruned image has
+    verified. *)
 
 (** {1 Class migration between shards}
 

@@ -53,8 +53,7 @@ let append t rcd =
   if String.length written < full then t.damaged <- true;
   String.length written
 
-let checkpoint t snap =
-  let bytes = Codec.encode_snapshot snap in
+let write_checkpoint t bytes =
   let full = String.length bytes in
   (* Fault-injection site: [Drop] models a silently failed write (the
      stale checkpoint case), [Truncate] a torn one. Both are caught by
@@ -77,6 +76,8 @@ let checkpoint t snap =
       t.damaged <- false;
       String.length w
   | Some _ | None -> 0
+
+let checkpoint t snap = write_checkpoint t (Codec.encode_snapshot snap)
 
 let on_crash t =
   (* Fault-injection site: the disk survives the crash, but an armed

@@ -46,6 +46,10 @@ val checkpoint : t -> Server.snapshot -> int
     Returns the bytes written, or [0] if the write failed verification
     (armed failpoint) — the old image and the log are left intact. *)
 
+val write_checkpoint : t -> string -> int
+(** {!checkpoint} of an image already encoded (one frame, as
+    {!Codec.encode_snapshot} or {!Codec.image_finish} makes it). *)
+
 val on_crash : t -> unit
 (** The machine crashed: consult ["durable.crash.tail"] for unsynced
     tail loss. The disk otherwise survives untouched. *)

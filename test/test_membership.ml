@@ -307,10 +307,11 @@ let test_policy_leave_keeps_last_member () =
   rejoin h group [ x; y ];
   List.iter (fun node -> Vsync.crash h.vs ~node) cs.Membership.basic;
   Sim.Engine.run h.eng;
-  let always_leave ~machine:_ ~cls:_ ~is_member:_ _ = Policy.Leave in
+  let always_leave ~machine:_ ~cls:_ ~cid:_ ~is_member:_ _ = Policy.Leave in
   let policy = { Policy.static with on_event = always_leave } in
   let policy_leave machine =
-    Membership.apply_policy h.mem ~policy ~machine ~cls:"t" (Policy.Update { ell = 0 })
+    Membership.apply_policy h.mem ~policy ~machine ~cls:"t" ~cid:cs.Membership.id
+      (Policy.Update { ell = 0 })
   in
   Vsync.gcast h.vs ~group ~from:x ~msg_size:1000
     ~on_done:(fun ~resp:_ ~work:_ ~responders:_ -> ())
@@ -332,10 +333,11 @@ let test_policy_leave_sheds_extra_copy () =
   let basic = cs.Membership.basic in
   let x = List.find (fun m -> not (List.mem m basic)) [ 0; 1; 2; 3; 4; 5 ] in
   rejoin h group [ x ];
-  let always_leave ~machine:_ ~cls:_ ~is_member:_ _ = Policy.Leave in
+  let always_leave ~machine:_ ~cls:_ ~cid:_ ~is_member:_ _ = Policy.Leave in
   let policy = { Policy.static with on_event = always_leave } in
   let policy_leave machine =
-    Membership.apply_policy h.mem ~policy ~machine ~cls:"t" (Policy.Update { ell = 0 });
+    Membership.apply_policy h.mem ~policy ~machine ~cls:"t" ~cid:cs.Membership.id
+      (Policy.Update { ell = 0 });
     Sim.Engine.run h.eng
   in
   (* The basic support is up, so the extra copy is not the last one. *)

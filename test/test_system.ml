@@ -945,7 +945,10 @@ let test_class_id_migration_round_trip () =
 let test_class_id_policy_leave_rejoin () =
   let verdict = ref Policy.Stay in
   let policy =
-    { Policy.static with on_event = (fun ~machine:_ ~cls:_ ~is_member:_ _ -> !verdict) }
+    {
+      Policy.static with
+      on_event = (fun ~machine:_ ~cls:_ ~cid:_ ~is_member:_ _ -> !verdict);
+    }
   in
   let probe = exact "ev" (-1) in
   let sys = make ~n:8 ~policy () in
@@ -986,7 +989,10 @@ let test_class_id_policy_leave_rejoin () =
 let test_class_id_old_handle_after_return () =
   let verdict = ref Policy.Stay in
   let policy =
-    { Policy.static with on_event = (fun ~machine:_ ~cls:_ ~is_member:_ _ -> !verdict) }
+    {
+      Policy.static with
+      on_event = (fun ~machine:_ ~cls:_ ~cid:_ ~is_member:_ _ -> !verdict);
+    }
   in
   let a = make ~n:8 ~policy () and b = make ~n:8 () in
   insert_sync a ~machine:0 [ v_sym "back"; v_int 0 ];
