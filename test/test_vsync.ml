@@ -718,10 +718,10 @@ let test_nth_and_prior () =
 
 (* Node 1 works slowly. It processes gcast [a], crashes before its ack
    arrives, recovers and rejoins, and [b] is gcast. The crash flush
-   completed [a]; the late ack of [a] (sent when node 1's old work
-   finishes) reaches [a]'s record only, so [b] waits for node 1's own
-   ack of [b]. Fails if an ack is counted against whichever gcast is
-   in flight when it arrives. *)
+   completed [a]; node 1's old incarnation never acks [a] (a crashed
+   member transmits nothing), so [b] waits for node 1's own ack of
+   [b]. Fails if an ack is counted against whichever gcast is in
+   flight when it arrives. *)
 let test_late_ack_not_counted () =
   let slow = 10_000.0 in
   let h = make ~work_of:(fun node -> if node = 1 then slow else 1.0) () in
@@ -777,6 +777,31 @@ let crash_target_mid_gcast ~restricted () =
         (at < 2000.0);
       Alcotest.(check int) "responders" (if restricted then 2 else 3) responders
   | l -> Alcotest.failf "completed %d times" (List.length l)
+
+(* A target crashes while it is still processing its copy: the crash
+   flush completes the gcast, and the dead incarnation sends nothing
+   afterwards — no ack when its old work would have finished, so
+   neither [net.msgs] nor the bus cost moves from then on. *)
+let crash_mid_processing_sends_nothing ~batched () =
+  let batch = if batched then Some (Net.Batch.cfg ~hold:50.0 ()) else None in
+  let h = make ?batch ~work_of:(fun node -> if node = 2 then 5000.0 else 1.0) () in
+  join_all h "g" [ 0; 1; 2 ];
+  let t0 = Sim.Engine.now h.eng in
+  let calls = ref 0 in
+  let on_done ~resp:_ ~work:_ ~responders:_ = incr calls in
+  if batched then Vsync.gcast_batch h.vs ~group:"g" ~from:3 ~msg_size:10 ~on_done "m"
+  else Vsync.gcast h.vs ~group:"g" ~from:3 ~msg_size:10 ~on_done "m";
+  ignore (Sim.Engine.schedule h.eng ~delay:1000.0 (fun () -> Vsync.crash h.vs ~node:2));
+  (* Node 2 would finish its work, and ack, near t0 + 5000. *)
+  Sim.Engine.run_until h.eng (t0 +. 4000.0);
+  Alcotest.(check (list string)) "node 2 processed it" [ "m" ] (log h 2);
+  Alcotest.(check int) "completed at the crash" 1 !calls;
+  let msgs = count h "net.msgs" and cost = Sim.Stats.total h.stats "net.msg_cost" in
+  Sim.Engine.run h.eng;
+  Alcotest.(check int) "no message after the crash flush" msgs (count h "net.msgs");
+  check_float "no bus cost after the crash flush" cost
+    (Sim.Stats.total h.stats "net.msg_cost");
+  Alcotest.(check int) "still completed once" 1 !calls
 
 (* --- group handles ----------------------------------------------------------- *)
 
@@ -893,6 +918,10 @@ let () =
             (crash_target_mid_gcast ~restricted:false);
           Alcotest.test_case "restricted target crash completes once" `Quick
             (crash_target_mid_gcast ~restricted:true);
+          Alcotest.test_case "a crashed member sends no ack" `Quick
+            (crash_mid_processing_sends_nothing ~batched:false);
+          Alcotest.test_case "a crashed member sends no frame ack" `Quick
+            (crash_mid_processing_sends_nothing ~batched:true);
         ] );
       ( "handles",
         [
