@@ -479,6 +479,158 @@ let test_live_crash_resets_counters () =
   Alcotest.(check bool) "rejoined after re-earning K" true
     (List.mem reader (Paso.System.write_group sys ~cls))
 
+(* The counter policy as it was kept before it moved to per-class,
+   per-machine arrays: one [Counter.t] per (machine, class) in a
+   [Hashtbl] keyed by the pair. The differential test below runs it
+   beside [Live_policy.counter_with_stats]. *)
+let oracle_counter ~k =
+  let table : (int * string, Counter.t) Hashtbl.t = Hashtbl.create 32 in
+  let get machine cls =
+    match Hashtbl.find_opt table (machine, cls) with
+    | Some c -> c
+    | None ->
+        let c = Counter.create ~k () in
+        Hashtbl.add table (machine, cls) c;
+        c
+  in
+  let on_event ~machine ~cls ~cid:_ ~is_member event =
+    let c = get machine cls in
+    Counter.force_member c is_member;
+    match event with
+    | Paso.Policy.Local_read _ ->
+        ignore (Counter.on_read c ~responders:0);
+        Paso.Policy.Stay
+    | Paso.Policy.Remote_read { responders; _ } ->
+        if (Counter.on_read c ~responders).Counter.joined then Paso.Policy.Join
+        else Paso.Policy.Stay
+    | Paso.Policy.Update _ ->
+        if (Counter.on_update c).Counter.left then Paso.Policy.Leave else Paso.Policy.Stay
+  in
+  let reset_machine ~machine =
+    Hashtbl.fold
+      (fun (m, cls) _ acc -> if m = machine then (m, cls) :: acc else acc)
+      table []
+    |> List.iter (Hashtbl.remove table)
+  in
+  let export_class ~cls =
+    let mine =
+      Hashtbl.fold
+        (fun (m, c) ctr acc -> if c = cls then (m, ctr) :: acc else acc)
+        table []
+    in
+    List.iter (fun (m, _) -> Hashtbl.remove table (m, cls)) mine;
+    List.sort compare
+      (List.map
+         (fun (m, ctr) ->
+           {
+             Paso.Policy.ms_machine = m;
+             ms_counter = Counter.counter ctr;
+             ms_k = Counter.k ctr;
+             ms_member = Counter.is_member ctr;
+           })
+         mine)
+  in
+  let import_class ~cls states =
+    List.iter
+      (fun s ->
+        let ctr = Counter.create ~k () in
+        Counter.restore ctr ~k:s.Paso.Policy.ms_k ~counter:s.Paso.Policy.ms_counter
+          ~member:s.Paso.Policy.ms_member;
+        Hashtbl.replace table (s.Paso.Policy.ms_machine, cls) ctr)
+      states
+  in
+  let rec policy =
+    {
+      Paso.Policy.name = "counter";
+      on_event;
+      reset_machine;
+      clone = (fun () -> policy);
+      export_class;
+      import_class;
+    }
+  in
+  let snapshot () =
+    Hashtbl.fold (fun (m, cls) c acc -> (m, cls, Counter.counter c) :: acc) table []
+    |> List.sort compare
+  in
+  (policy, snapshot)
+
+(* Two identical Systems, one under [counter_with_stats], one under the
+   oracle, driven by one seeded op stream with rolling crashes and a
+   class migrated out and back in (its counters exported and
+   re-imported): every counter snapshot, every exported state list and
+   every replica placement must agree. *)
+let test_live_counters_match_oracle () =
+  let n = 8 in
+  let make policy =
+    Paso.System.create { Paso.System.default_config with n; lambda = 2; policy }
+  in
+  let pa, snap_a = Live_policy.counter_with_stats ~k:4.0 () in
+  let pb, snap_b = oracle_counter ~k:4.0 in
+  let a = make pa and b = make pb in
+  let heads = Array.init 5 (Printf.sprintf "p%d") in
+  let tmpl c = Paso.Template.headed heads.(c) [ Paso.Template.Any ] in
+  let rng = Random.State.make [| 5 |] in
+  let migrated = ref 0 in
+  let classes sys =
+    List.map (fun i -> i.Paso.Obj_class.name) (Paso.System.known_classes sys)
+  in
+  let triples = Alcotest.(list (triple int string (float 0.0))) in
+  let states =
+    Alcotest.(list (testable (fun ppf _ -> Format.pp_print_string ppf "<state>") ( = )))
+  in
+  for i = 0 to 1199 do
+    let m = Random.State.int rng n and c = Random.State.int rng (Array.length heads) in
+    let w = Random.State.int rng 10 in
+    List.iter
+      (fun sys ->
+        let t0 = Paso.System.now sys in
+        Paso.System.run_until sys (t0 +. 400.0);
+        if i mod 200 = 50 then Paso.System.crash sys ~machine:(i / 200);
+        if i mod 200 = 150 then Paso.System.recover sys ~machine:(i / 200);
+        let rec up m k =
+          if k = n || Paso.System.is_up sys m then m else up ((m + 1) mod n) (k + 1)
+        in
+        let m = up m 0 in
+        if w < 2 then
+          Paso.System.insert sys ~machine:m [ Paso.Value.Sym heads.(c); Paso.Value.Int i ]
+            ~on_done:ignore
+        else if w < 8 then Paso.System.read sys ~machine:m (tmpl c) ~on_done:ignore
+        else Paso.System.read_del sys ~machine:m (tmpl c) ~on_done:ignore)
+      [ a; b ];
+    if i mod 97 = 96 then begin
+      List.iter Paso.System.run [ a; b ];
+      let names = classes a in
+      let cls = List.nth names (c mod List.length names) in
+      if Paso.System.class_migratable a ~cls && Paso.System.class_migratable b ~cls
+      then begin
+        let ma = Paso.System.extract_class a ~cls in
+        let mb = Paso.System.extract_class b ~cls in
+        Alcotest.check states "exported counters" mb.Paso.System.mg_policy
+          ma.Paso.System.mg_policy;
+        Alcotest.check triples "counters after export" (snap_b ()) (snap_a ());
+        Paso.System.install_class a ma;
+        Paso.System.install_class b mb;
+        if ma.Paso.System.mg_policy <> [] then incr migrated
+      end
+    end;
+    Alcotest.check triples
+      (Printf.sprintf "counters at step %d" i)
+      (snap_b ()) (snap_a ())
+  done;
+  List.iter Paso.System.run [ a; b ];
+  Alcotest.check triples "final counters" (snap_b ()) (snap_a ());
+  Alcotest.(check (list string)) "classes" (classes b) (classes a);
+  List.iter
+    (fun cls ->
+      Alcotest.(check (list int)) ("write group of " ^ cls)
+        (Paso.System.write_group b ~cls) (Paso.System.write_group a ~cls))
+    (classes a);
+  Alcotest.(check bool) "counters rode a migration" true (!migrated > 0);
+  Alcotest.(check bool) "the run joined and left" true
+    (Sim.Stats.count (Paso.System.stats a) "policy.joins" > 10
+    && Sim.Stats.count (Paso.System.stats a) "policy.leaves" > 5)
+
 let () =
   Alcotest.run "adaptive"
     [
@@ -543,5 +695,7 @@ let () =
             test_live_counter_policy_semantics_clean;
           Alcotest.test_case "crash resets counters" `Quick
             test_live_crash_resets_counters;
+          Alcotest.test_case "counters and exports equal the oracle's" `Quick
+            test_live_counters_match_oracle;
         ] );
     ]

@@ -740,6 +740,379 @@ let test_tombstones_bounded () =
     true
     (2 * t4 <= 3 * t1)
 
+(* --- differential: the manager against a whole-disk-scan oracle --------------- *)
+
+(* The tombstone GC and checkpoint pipeline as they were before disk
+   exposure became per-class uid columns and checkpoints reused the
+   sections of the last image: every machine's last verified
+   checkpoint snapshot and the R_store/R_install records appended since
+   are kept whole, [exposed] scans all of them by class name, and every
+   checkpoint encodes the machine's full snapshot afresh. It charges no
+   disk time and records no statistics: only what it writes and prunes
+   is compared. *)
+module Oracle = struct
+  type t = {
+    sys : System.t;
+    wals : Durable.Wal.t array;
+    ckpts : Server.snapshot array;
+    since : Durable.Codec.record list array;
+  }
+
+  let exposed t ~cls ~except ~own tombs =
+    let dead = Uid.Tbl.create 64 in
+    List.iter (fun u -> Uid.Tbl.replace dead u false) tombs;
+    let see o =
+      let u = Pobj.uid o in
+      if Uid.Tbl.mem dead u then Uid.Tbl.replace dead u true
+    in
+    List.iter see own;
+    Array.iteri
+      (fun m ckpt ->
+        if m <> except then begin
+          (match List.assoc_opt cls ckpt with
+          | Some (objs, _, _) -> List.iter see objs
+          | None -> ());
+          List.iter
+            (function
+              | Durable.Codec.R_store { cls = c; obj } ->
+                  if String.equal c cls then see obj
+              | Durable.Codec.R_install { cls = c; objs; _ } ->
+                  if String.equal c cls then List.iter see objs
+              | _ -> ())
+            t.since.(m)
+        end)
+      t.ckpts;
+    List.filter (Uid.Tbl.find dead) tombs
+
+  let checkpoint_machine ?snap t machine =
+    let snap, pruned =
+      match snap with
+      | Some s -> (s, [])
+      | None ->
+          let pruned = ref [] in
+          let snap =
+            List.map
+              (fun ((cls, (objs, marks, tombs)) as part) ->
+                if tombs = [] then part
+                else
+                  let kept = exposed t ~cls ~except:machine ~own:objs tombs in
+                  if List.compare_lengths kept tombs = 0 then part
+                  else begin
+                    pruned := (cls, kept) :: !pruned;
+                    (cls, (objs, marks, kept))
+                  end)
+              (System.server_snapshot t.sys ~machine)
+          in
+          (snap, !pruned)
+    in
+    let bytes = Durable.Wal.checkpoint t.wals.(machine) snap in
+    if bytes > 0 then begin
+      t.ckpts.(machine) <- snap;
+      t.since.(machine) <- [];
+      List.iter
+        (fun (cls, kept) ->
+          Server.set_tombstones (System.server t.sys ~machine) ~cls kept)
+        pruned
+    end;
+    bytes
+
+  let record_of msg ~resp =
+    match (msg, resp) with
+    | Server.Store { cls; obj; _ }, _ -> Some (Durable.Codec.R_store { cls; obj })
+    | Server.Remove { cls; _ }, Some o ->
+        Some (Durable.Codec.R_remove { cls; uid = Pobj.uid o })
+    | Server.Place_marker { cls; mid; machine; tmpl; _ }, _ ->
+        Some (Durable.Codec.R_mark { cls; mid; machine; tmpl })
+    | Server.Cancel_marker { cls; mid; _ }, _ ->
+        Some (Durable.Codec.R_cancel { cls; mid })
+    | Server.Remove _, None | Server.Mem_read _, _ -> None
+
+  let attach sys =
+    let policy = Durable.Manager.default_policy in
+    let n = (System.config sys).System.n in
+    let fps = System.failpoints sys in
+    let wals =
+      Array.init n (fun m ->
+          Durable.Wal.create ~fps ~machine:m ~disk:(Durable.Disk.create ~machine:m))
+    in
+    let t = { sys; wals; ckpts = Array.make n []; since = Array.make n [] } in
+    let du_append ~machine msg ~resp =
+      match record_of msg ~resp with
+      | None -> 0.0
+      | Some rcd ->
+          let bytes = Durable.Wal.append wals.(machine) rcd in
+          (match rcd with
+          | Durable.Codec.R_store _ -> t.since.(machine) <- rcd :: t.since.(machine)
+          | _ -> ());
+          let work = policy.disk_alpha +. (policy.disk_beta *. float_of_int bytes) in
+          if
+            Durable.Wal.damaged wals.(machine)
+            || Durable.Wal.records_since_checkpoint wals.(machine)
+               >= policy.checkpoint_every
+          then begin
+            let cb = checkpoint_machine t machine in
+            work +. policy.disk_alpha +. (policy.disk_beta *. float_of_int cb)
+          end
+          else work
+    in
+    let du_crash ~machine = Durable.Wal.on_crash wals.(machine) in
+    let pending = Array.make n [] in
+    let du_recover ~machine =
+      let moved = pending.(machine) in
+      pending.(machine) <- [];
+      match Durable.Wal.recover wals.(machine) with
+      | None -> None
+      | Some r ->
+          if moved = [] then Some r.Durable.Wal.r_snapshot
+          else begin
+            let snap =
+              List.filter
+                (fun (cls, _) -> not (List.mem cls moved))
+                r.Durable.Wal.r_snapshot
+            in
+            if checkpoint_machine ~snap t machine = 0 then pending.(machine) <- moved;
+            Some snap
+          end
+    in
+    let du_resync ~machine ~classes =
+      if not (System.is_up sys machine) then
+        pending.(machine) <- classes @ pending.(machine)
+      else begin
+        let wal = wals.(machine) in
+        let held = System.server_snapshot sys ~machine ~classes in
+        List.iter
+          (fun cls ->
+            match List.assoc_opt cls held with
+            | Some (objs, marks, tombs) ->
+                let kept =
+                  if tombs = [] then tombs
+                  else exposed t ~cls ~except:(-1) ~own:objs tombs
+                in
+                let rcd = Durable.Codec.R_install { cls; objs; marks; tombs = kept } in
+                ignore (Durable.Wal.append wal rcd);
+                t.since.(machine) <- rcd :: t.since.(machine);
+                if List.compare_lengths kept tombs <> 0 && not (Durable.Wal.damaged wal)
+                then Server.set_tombstones (System.server sys ~machine) ~cls kept
+            | None -> ignore (Durable.Wal.append wal (Durable.Codec.R_evict { cls })))
+          classes;
+        let disk = Durable.Wal.disk wal in
+        let image =
+          match Durable.Disk.checkpoint disk with
+          | Some img -> String.length img
+          | None -> 0
+        in
+        if Durable.Wal.damaged wal || Durable.Disk.wal_bytes disk > image then
+          ignore (checkpoint_machine t machine)
+      end
+    in
+    System.set_durability sys { System.du_append; du_crash; du_recover; du_resync };
+    t
+end
+
+(* The durable fault configurations: each arms the same deterministic
+   handlers on a registry (one per System, so both runs see the same
+   hits). *)
+type faults = { torn_appends : bool; bad_checkpoints : bool; tail_loss : bool }
+
+let no_faults = { torn_appends = false; bad_checkpoints = false; tail_loss = false }
+
+let arm_faults f fps =
+  if f.torn_appends then
+    Failpoint.arm fps ~site:"durable.wal.append" ~times:(-1) (fun i ->
+        if i.fp_hit mod 53 = 0 then Failpoint.Truncate 7 else Failpoint.Nothing);
+  if f.bad_checkpoints then
+    Failpoint.arm fps ~site:"durable.checkpoint.write" ~times:(-1) (fun i ->
+        if i.fp_hit mod 6 = 0 then Failpoint.Drop
+        else if i.fp_hit mod 7 = 0 then Failpoint.Truncate 5
+        else Failpoint.Nothing);
+  if f.tail_loss then
+    Failpoint.arm fps ~site:"durable.crash.tail" ~times:(-1) (fun i ->
+        if i.fp_hit mod 3 = 0 then Failpoint.Drop else Failpoint.Truncate 45)
+
+(* Two identical churn-shaped Systems driven by the same seeded op
+   stream: [a] under [Durable.Manager], [b] under the oracle. After
+   every step every disk (checkpoint image and log) and every server
+   snapshot, tombstones included, must be the same in both: a prune
+   decision the oracle would not make changes a written tombstone run
+   or a server's tombstone set. Forced checkpoints of a random machine
+   (which must equal a fresh [encode_snapshot] of its pruned state) and,
+   with [migrate], a class moved out and back while a machine is down
+   (so its recovery re-images the disk without it) ride along. Returns
+   the number of verified forced checkpoints and of moves. *)
+let differential ?(steps = 900) ?(migrate = false) ~seed faults =
+  let n = 8 in
+  let make () =
+    let fps = Failpoint.create () in
+    arm_faults faults fps;
+    System.create ~failpoints:fps
+      {
+        System.default_config with
+        n;
+        lambda = 2;
+        seed;
+        policy = Adaptive.Live_policy.counter ~k:4.0 ();
+      }
+  in
+  let a = make () and b = make () in
+  let mgr = Durable.Manager.attach a in
+  let oracle = Oracle.attach b in
+  let both f = f a; f b in
+  let compare_all step =
+    for m = 0 to n - 1 do
+      let da = Durable.Manager.disk mgr ~machine:m in
+      let db = Durable.Wal.disk oracle.Oracle.wals.(m) in
+      if Durable.Disk.checkpoint da <> Durable.Disk.checkpoint db then
+        Alcotest.failf "seed %d step %d: machine %d's checkpoint image differs" seed step
+          m;
+      if Durable.Disk.wal_contents da <> Durable.Disk.wal_contents db then
+        Alcotest.failf "seed %d step %d: machine %d's log differs" seed step m;
+      if
+        not
+          (snapshot_eq
+             (System.server_snapshot a ~machine:m)
+             (System.server_snapshot b ~machine:m))
+      then Alcotest.failf "seed %d step %d: machine %d's server state differs" seed step m
+    done
+  in
+  let heads = Array.init 6 (Printf.sprintf "d%d") in
+  let tmpls = Array.map (fun h -> Template.headed h [ Template.Any ]) heads in
+  let absent =
+    Array.map (fun h -> Template.headed h [ Template.Eq (Value.Int 999_999) ]) heads
+  in
+  Array.iteri
+    (fun c h ->
+      for j = 0 to 23 do
+        both (fun sys ->
+            System.insert sys ~machine:((c + j) mod n) [ Value.Sym h; Value.Int (-1 - j) ]
+              ~on_done:ignore)
+      done)
+    heads;
+  both System.run;
+  compare_all (-1);
+  let ra = Random.State.make [| seed |] and rb = Random.State.make [| seed |] in
+  let t0 = System.now a in
+  let live sys m =
+    let rec go m k =
+      if k = n || System.is_up sys m then m else go ((m + 1) mod n) (k + 1)
+    in
+    go m 0
+  in
+  let forced = ref 0 and moves = ref 0 in
+  (* A checkpoint of [m] now, in both; the manager's image must be a
+     fresh encoding of the machine's (pruned) state. *)
+  let force i m =
+    if System.is_up a m then begin
+      let bytes = Durable.Manager.checkpoint_now mgr ~machine:m in
+      ignore (Oracle.checkpoint_machine oracle m);
+      if bytes > 0 then begin
+        incr forced;
+        let disk = Durable.Manager.disk mgr ~machine:m in
+        let img = Option.get (Durable.Disk.checkpoint disk) in
+        if img <> Durable.Codec.encode_snapshot (System.server_snapshot a ~machine:m) then
+          Alcotest.failf "seed %d step %d: machine %d's image is not its snapshot's"
+            seed i m
+      end
+    end
+  in
+  for i = 0 to steps - 1 do
+    both (fun sys -> System.run_until sys (t0 +. (float_of_int i *. 1500.0)));
+    let down = i / 150 mod n in
+    if i mod 150 = 40 then both (fun sys -> System.crash sys ~machine:down);
+    if migrate && i mod 150 = 60 then begin
+      (* A class the down machine replicates moves out and back in: its
+         disk keeps the old image, and its recovery must re-image
+         without it. *)
+      both System.run;
+      let pick sys =
+        List.find_opt
+          (fun cls ->
+            List.mem down (System.basic_support sys ~cls)
+            && System.class_migratable sys ~cls)
+          (List.map (fun i -> i.Obj_class.name) (System.known_classes sys))
+      in
+      match (pick a, pick b) with
+      | Some ca, Some cb when ca = cb ->
+          incr moves;
+          System.install_class a (System.extract_class a ~cls:ca);
+          System.install_class b (System.extract_class b ~cls:cb)
+      | _ -> ()
+    end;
+    if i mod 150 = 100 then both (fun sys -> System.recover sys ~machine:down);
+    let step ra sys =
+      let m = live sys (Random.State.int ra n) in
+      let c = Random.State.int ra (Array.length heads) in
+      (match Random.State.int ra 20 with
+      | 0 | 1 ->
+          System.insert sys ~machine:m [ Value.Sym heads.(c); Value.Int i ]
+            ~on_done:ignore
+      | 2 ->
+          (* A marker the next insert of [999_999] wakes, or its expiry cancels. *)
+          System.read_blocking_ttl sys ~ttl:4000.0 ~machine:m absent.(c) ~on_done:ignore
+      | 3 ->
+          System.insert sys ~machine:m
+            [ Value.Sym heads.(c); Value.Int 999_999 ]
+            ~on_done:ignore
+      | w when w < 15 -> System.read sys ~machine:m tmpls.(c) ~on_done:ignore
+      | _ -> System.read_del sys ~machine:m tmpls.(c) ~on_done:ignore);
+      m
+    in
+    let ma = step ra a and mb = step rb b in
+    assert (ma = mb);
+    if i mod 23 = 11 then begin
+      let m = live a (Random.State.int ra n) in
+      ignore (Random.State.int rb n);
+      force i m
+    end;
+    if i mod 50 = 25 then begin
+      (* Image every machine, leave a marker, image again: only the
+         marker changed the class since the first images. *)
+      let m = live a (i mod n) and c = i mod Array.length heads in
+      for m = 0 to n - 1 do
+        force i m
+      done;
+      both (fun sys ->
+          System.read_blocking_ttl sys ~ttl:6000.0 ~machine:m absent.(c) ~on_done:ignore);
+      both (fun sys -> System.run_until sys (System.now sys +. 3000.0));
+      for m = 0 to n - 1 do
+        force i m
+      done
+    end;
+    compare_all i
+  done;
+  both System.run;
+  compare_all steps;
+  (!forced, !moves)
+
+let test_differential_clean () =
+  List.iter
+    (fun seed ->
+      Alcotest.(check bool)
+        "forced checkpoints" true
+        (fst (differential ~seed no_faults) > 10))
+    [ 1; 7; 23 ]
+
+let test_differential_faults () =
+  List.iter
+    (fun (seed, f) -> ignore (differential ~seed f))
+    [
+      (3, { no_faults with torn_appends = true });
+      (5, { no_faults with bad_checkpoints = true });
+      (9, { no_faults with tail_loss = true });
+      (11, { torn_appends = true; bad_checkpoints = true; tail_loss = true });
+    ]
+
+let test_differential_moved () =
+  List.iter
+    (fun (seed, f) ->
+      Alcotest.(check bool)
+        "classes moved" true
+        (snd (differential ~migrate:true ~seed f) > 2))
+    [
+      (2, no_faults);
+      (13, no_faults);
+      (17, { torn_appends = true; bad_checkpoints = true; tail_loss = true });
+    ]
+
 let () =
   Alcotest.run "durable"
     [
@@ -796,5 +1169,13 @@ let () =
           Alcotest.test_case "churn disk images" `Quick test_pin_churn_images;
           Alcotest.test_case "tombstones stay bounded on a 4x run" `Quick
             test_tombstones_bounded;
+        ] );
+      ( "differential",
+        [
+          Alcotest.test_case "prunes and images equal the oracle's" `Quick
+            test_differential_clean;
+          Alcotest.test_case "under torn, dropped and tail-cut writes" `Quick
+            test_differential_faults;
+          Alcotest.test_case "recovery with moved classes" `Quick test_differential_moved;
         ] );
     ]
