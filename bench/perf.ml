@@ -401,6 +401,99 @@ let checkpoint_encode_verify iters =
     if not (Durable.Codec.is_single_frame img) then failwith "checkpoint_encode_verify"
   done
 
+(* The churn workload's per-class durable and policy bookkeeping, on
+   rigs built once (a kernel run reuses its rig's state). *)
+let churn_classes = Array.init 12 (Printf.sprintf "c%d")
+
+(* One R_store append through the durable manager, with its exposure
+   note: round-robin over 8 machines and 12 classes, the server stores
+   left empty, so the periodic checkpoint every 64 records (about 2% of
+   an append) images an empty machine. *)
+let append_rig =
+  lazy
+    (let sys = System.create { System.default_config with n = 8; lambda = 2 } in
+     let mgr = Durable.Manager.attach sys in
+     let msgs =
+       Array.init 256 (fun i ->
+           let cls = churn_classes.(i mod 12) in
+           Server.Store
+             {
+               cls;
+               cid = i mod 12;
+               obj =
+                 Pobj.make ~uid:(Uid.make ~machine:(i land 7) ~serial:i)
+                   [ Value.Sym cls; Value.Int i ];
+             })
+     in
+     (mgr, msgs))
+
+let durable_append iters =
+  let mgr, msgs = Lazy.force append_rig in
+  for i = 1 to iters do
+    ignore
+      (Sys.opaque_identity
+         (Durable.Manager.append mgr ~machine:(i land 7) msgs.(i land 255) ~resp:None))
+  done
+
+(* One checkpoint of a churn-shaped machine: 8 machines each hold 12
+   classes of 24 objects (a 12 KB image) and have imaged them; machine
+   0 has removed 6 more per class that every other disk still exposes,
+   so its tombstones stay. Each iteration changes one class on machine 0 (a
+   marker placed and cancelled, so its contents stay the same) and
+   checkpoints it: eleven sections are copied, one encoded, and every
+   class's tombstones tested against the other disks. *)
+let checkpoint_rig =
+  lazy
+    (let n = 8 in
+     let sys = System.create { System.default_config with n; lambda = 2 } in
+     let mgr = Durable.Manager.attach sys in
+     let part ~machine c =
+       let cls = churn_classes.(c) in
+       let obj i =
+         Pobj.make
+           ~uid:(Uid.make ~machine:(i land 7) ~serial:((c * 100) + i))
+           [ Value.Sym cls; Value.Int i ]
+       in
+       let removed = List.init 6 (fun i -> obj (24 + i)) in
+       let objs = List.init 24 obj in
+       if machine = 0 then (cls, (objs, [], List.map Pobj.uid removed))
+       else (cls, (objs @ removed, [], []))
+     in
+     for m = 0 to n - 1 do
+       Server.install (System.server sys ~machine:m) (List.init 12 (part ~machine:m));
+       if Durable.Manager.checkpoint_now mgr ~machine:m = 0 then failwith "checkpoint_rig"
+     done;
+     let tmpls = Array.map (fun cls -> Template.headed cls [ Template.Any ]) churn_classes in
+     (sys, mgr, tmpls))
+
+let durable_checkpoint iters =
+  let sys, mgr, tmpls = Lazy.force checkpoint_rig in
+  let srv = System.server sys ~machine:0 in
+  for i = 1 to iters do
+    let c = i mod 12 in
+    let cls = churn_classes.(c) in
+    ignore
+      (Server.handle srv
+         (Server.Place_marker { cls; cid = c; mid = i; machine = 0; tmpl = tmpls.(c) }));
+    ignore (Server.handle srv (Server.Cancel_marker { cls; cid = c; mid = i }));
+    if Durable.Manager.checkpoint_now mgr ~machine:0 = 0 then failwith "durable_checkpoint"
+  done
+
+(* One counter-policy [Update], round-robin over 12 classes and 8
+   machines of one policy instance. *)
+let policy_rig = lazy (Adaptive.Live_policy.counter ~k:4.0 ())
+let policy_update = Policy.Update { ell = 64 }
+
+let policy_event iters =
+  let p = Lazy.force policy_rig in
+  for i = 1 to iters do
+    let c = i mod 12 in
+    ignore
+      (Sys.opaque_identity
+         (p.Policy.on_event ~machine:((i / 12) land 7) ~cls:churn_classes.(c) ~cid:c
+            ~is_member:true policy_update))
+  done
+
 (* Slot-log store kernels at l = 512 live objects, one pair per kind:
    a FIFO insert + take with the benchmark's (Sym head, Any) template,
    which every workload's store/remove pair pays at each replica, and a
@@ -469,6 +562,9 @@ let kernel_specs =
     ("sc_list_eq_head", sc_list_eq_head, 100_000);
     ("sc_list_scan", sc_list_scan, 50_000);
     ("checkpoint_encode_verify", checkpoint_encode_verify, 2_000);
+    ("durable_append", durable_append, 200_000);
+    ("durable_checkpoint", durable_checkpoint, 10_000);
+    ("policy_event", policy_event, 1_000_000);
   ]
   @ store_kernels
 
@@ -1333,6 +1429,12 @@ let trajectory_row ?bench label p =
       ("slo_ramp_p99", num [ "slo"; "ramp"; "p99" ]);
       ("slo_ramp_p999", num [ "slo"; "ramp"; "p999" ]);
       ("checkpoint_encode_verify_ns", opt_num (kernel_ns "checkpoint_encode_verify"));
+      ("durable_append_ns", opt_num (kernel_ns "durable_append"));
+      ("durable_append_alloc_b_per_op", opt_num (kernel_alloc "durable_append"));
+      ("durable_checkpoint_ns", opt_num (kernel_ns "durable_checkpoint"));
+      ("durable_checkpoint_alloc_b_per_op", opt_num (kernel_alloc "durable_checkpoint"));
+      ("policy_event_ns", opt_num (kernel_ns "policy_event"));
+      ("policy_event_alloc_b_per_op", opt_num (kernel_alloc "policy_event"));
       ("history_round_ns", opt_num (kernel_ns "history_round"));
       ("store_hash_ins_rem_ns", opt_num (kernel_ns "store_hash_ins_rem"));
       ("engine_bus_ns", opt_num (kernel_ns "engine_bus"));

@@ -81,3 +81,10 @@ val checkpoint_now : t -> machine:int -> int
     tombstones pruned, as every checkpoint prunes them); returns the
     bytes written (0 if the write failed verification under an armed
     failpoint). Test and scenario support. *)
+
+val append : t -> machine:int -> Server.msg -> resp:Pobj.t option -> float
+(** What the system's append hook does with a delivered mutation (its
+    response [resp]): log its record, note an [R_store]'s object as
+    exposed on that disk, and take the periodic or repair checkpoint
+    it may trigger; returns the disk work charged. Benchmark
+    support. *)
